@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, nullspace,
-                   rank, rank_rational)
+                   poly_sum, rank, rank_rational)
 from .reports import Report
 
 _KINDS = ("h", "xm", "xp", "ym", "yp", "z")
@@ -176,24 +176,23 @@ class GnAlgebra:
     def registry(self) -> VarRegistry:
         return self.basis.registry
 
-    def generator_var_indices(self) -> frozenset[int]:
-        return frozenset(self.generator_of_var)
-
-    def _check_domain(self, p: Polynomial):
+    def _check_domain(self, p: Polynomial) -> frozenset[int]:
+        """Raise unless `p` is in the generator variables; returns its
+        support indices."""
         if p.registry is not self.registry:
             raise ValueError("polynomial uses a different registry")
-        foreign = p.support_indices() - self.generator_var_indices()
+        support = p.support_indices()
+        foreign = support - self.generator_of_var.keys()
         if foreign:
             names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
             raise ValueError(f"foreign variables present: {names}")
+        return support
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Lie-Poisson bracket of two polynomials in generator variables."""
-        self._check_domain(f)
-        self._check_domain(g)
-        out = self.registry.zero()
-        fsup = sorted(f.support_indices())
-        gsup = sorted(g.support_indices())
+        fsup = sorted(self._check_domain(f))
+        gsup = sorted(self._check_domain(g))
+        products = []
         gparts = {j: g.partial(self.registry.var_ids[j]) for j in gsup}
         for i in fsup:
             dfi = f.partial(self.registry.var_ids[i])
@@ -207,8 +206,8 @@ class GnAlgebra:
                 dgj = gparts[j]
                 if dgj.is_zero:
                     continue
-                out = out + t * dfi * dgj
-        return out
+                products.append(t * dfi * dgj)
+        return poly_sum(self.registry, products)
 
 
 def build_gn(n: int, registry: VarRegistry | None = None) -> GnAlgebra:

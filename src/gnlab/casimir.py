@@ -21,8 +21,8 @@ from itertools import combinations_with_replacement
 
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
                       y_minus, y_plus)
-from .poly import (BudgetExceeded, Monomial, Polynomial, PolyMatrix, det,
-                   rank_rational, sparse_nullspace)
+from .poly import (BudgetExceeded, Polynomial, PolyMatrix, det, exponents,
+                   monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
@@ -111,10 +111,11 @@ def check_grading(n: int, algebra: GnAlgebra | None = None) -> Report:
         weight[alg.basis.var(g).index] = w
     fails: list[str] = []
     for mono in c.terms:
-        deg = sum(e for _, e in mono)
+        exps = exponents(mono)
+        deg = sum(e for _, e in exps)
         if deg != n:
             fails.append(f"monomial of degree {deg} present")
-        w = sum(weight[i] * e for i, e in mono)
+        w = sum(weight[i] * e for i, e in exps)
         if w:
             fails.append(f"monomial with weight {w} present")
     return Report("grading", {"n": n, "terms": len(c.terms)}, fails)
@@ -132,14 +133,10 @@ class AnsatzSolution:
         return len(self.basis)
 
 
-def _degree_monomials(indices: list[int], degree: int) -> list[Monomial]:
-    out = []
-    for combo in combinations_with_replacement(indices, degree):
-        exps: dict[int, int] = {}
-        for i in combo:
-            exps[i] = exps.get(i, 0) + 1
-        out.append(tuple(sorted(exps.items())))
-    return out
+def _degree_monomials(indices: list[int], degree: int) -> list[int]:
+    units = [monomial({i: 1}) for i in indices]
+    return [sum(combo)
+            for combo in combinations_with_replacement(units, degree)]
 
 
 def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
@@ -159,9 +156,9 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
     reg = alg.registry
     fields = [f for f in build_coadjoint(n, alg) if not f.is_zero]
     # rows keyed by (field position, produced monomial): one linear equation
-    rows: dict[tuple[int, Monomial], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for col, mono in enumerate(monos):
-        p = Polynomial(reg, {mono: Fraction(1)})
+        p = Polynomial(reg, {mono: 1})
         for fi, field in enumerate(fields):
             image = field.apply(p)
             for m2, c2 in image.terms.items():
@@ -199,7 +196,7 @@ def check_uniqueness(n: int, max_degree: int | None = None,
         sol = solve_ansatz(n, n, alg, budget=budget)
         dims[str(n)] = sol.dimension
         c = casimir(n, alg).polynomial
-        all_monos: list[Monomial] = sorted(
+        all_monos: list[int] = sorted(
             {m for p in sol.basis for m in p.terms} | set(c.terms))
         base_rows = [[p.terms.get(m, Fraction(0)) for m in all_monos]
                      for p in sol.basis]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -335,8 +336,10 @@ def cmd_simulate(args) -> int:
     traj = integrate(system, x0, args.step, args.t_end, scheme=args.scheme,
                      observables=observables)
     drifts = drift_report(traj)
-    worst = max(d.max_relative_deviation for d in drifts.values())
-    passed = worst <= args.drift_threshold
+    # a NaN compares false both ways, so test every drift, not their max
+    passed = all(math.isfinite(d.max_relative_deviation)
+                 and d.max_relative_deviation <= args.drift_threshold
+                 for d in drifts.values())
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
@@ -371,8 +374,21 @@ def cmd_simulate(args) -> int:
                 row.append(repr(float(traj.observables["H"][i])))
                 row += [repr(float(traj.observables[nm][i])) for nm in names]
                 writer.writerow(row)
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(_finite_or_null(payload), indent=2,
+                                sort_keys=True, allow_nan=False) + "\n")
     return 0 if passed else 1
+
+
+def _finite_or_null(value):
+    """`value` with every NaN or infinite float replaced by None, so that
+    the payload is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def cmd_dump_rep(args) -> int:

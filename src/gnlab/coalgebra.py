@@ -27,7 +27,7 @@ from itertools import combinations
 from .algebra import Generator, GnAlgebra, X_MINUS, X_PLUS, build_gn
 from .casimir import casimir
 from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, det,
-                   rank_rational)
+                   poly_sum, rank_rational)
 from .reports import Report
 
 
@@ -227,18 +227,12 @@ def canonical_bracket(ctx: PhaseContext, f: Polynomial,
         if foreign:
             names = ", ".join(sorted(ctx.registry.name_of(i) for i in foreign))
             raise ValueError(f"non-phase variables present: {names}")
-    out = ctx.registry.zero()
+    products = []
     for k in range(1, ctx.N + 1):
         qv, pv = ctx.qvar(k), ctx.pvar(k)
-        df_dq = f.partial(qv)
-        dg_dp = g.partial(pv)
-        if df_dq and dg_dp:
-            out = out + df_dq * dg_dp
-        dg_dq = g.partial(qv)
-        df_dp = f.partial(pv)
-        if dg_dq and df_dp:
-            out = out - dg_dq * df_dp
-    return out
+        products.append(f.partial(qv) * g.partial(pv))
+        products.append(-(g.partial(qv) * f.partial(pv)))
+    return poly_sum(ctx.registry, products)
 
 
 def integrals_via_coproduct(ctx: PhaseContext, side: str, m: int) -> Polynomial:
@@ -273,7 +267,7 @@ def building_block_expansion(ctx: PhaseContext, indices) -> Polynomial:
     if len(idx) != n:
         raise ValueError(f"need exactly {n} site indices")
     reg = ctx.registry
-    out = reg.zero()
+    products = []
     for a, b in combinations(range(n), 2):
         if n == 2:
             minor = reg.one()
@@ -284,8 +278,8 @@ def building_block_expansion(ctx: PhaseContext, indices) -> Polynomial:
             minor = det(PolyMatrix.from_rows(minor_rows))
         sign = (-1) ** (a + b + 1)  # (a+1) + (b+1) - 1 with 1-based slots
         block = ctx.q(idx[a]) * ctx.p(idx[b]) - ctx.q(idx[b]) * ctx.p(idx[a])
-        out = out + sign * minor * block
-    return out
+        products.append(sign * minor * block)
+    return poly_sum(reg, products)
 
 
 def integrals_via_sum_of_squares(ctx: PhaseContext, side: str,
@@ -293,11 +287,11 @@ def integrals_via_sum_of_squares(ctx: PhaseContext, side: str,
     """Minus the sum of squared building blocks over all increasing
     n-tuples inside the window."""
     a, b = window(side, m, ctx.N)
-    out = ctx.registry.zero()
+    squares = []
     for combo in combinations(range(a, b + 1), ctx.n):
         blk = building_block(ctx, combo)
-        out = out - blk * blk
-    return out
+        squares.append(blk * blk)
+    return -poly_sum(ctx.registry, squares)
 
 
 @dataclass(frozen=True, eq=False)

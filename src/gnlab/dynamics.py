@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .coalgebra import PhaseContext
-from .poly import Polynomial
+from .poly import Polynomial, exponents
 
 
 def compile_evaluator(poly: Polynomial,
@@ -29,7 +29,7 @@ def compile_evaluator(poly: Polynomial,
     chunks = []
     for mono, coeff in poly.sorted_terms():
         factors = [repr(float(coeff))]
-        for idx, exp in mono:
+        for idx, exp in exponents(mono):
             slot = slot_of[idx]
             factors.append(f"s[{slot}]" if exp == 1 else f"s[{slot}]**{exp}")
         chunks.append("*".join(factors))
@@ -64,7 +64,7 @@ class HamiltonianSystem:
         qset = {v.index for v in self.ctx.state_vars()[:self.ctx.N]}
         pset = {v.index for v in self.ctx.state_vars()[self.ctx.N:]}
         for mono in self.hamiltonian.terms:
-            idxs = {i for i, _ in mono}
+            idxs = {i for i, _ in exponents(mono)}
             if idxs & qset and idxs & pset:
                 return False
         return True

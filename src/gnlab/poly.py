@@ -1,16 +1,30 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from monomials to nonzero ``Fraction`` coefficients.
-Monomials are stored sparsely as tuples of ``(variable index, exponent)``
-pairs, strictly increasing in the index, with no zero exponents; the empty
-tuple is the unit monomial.  Variables live in a registry that assigns dense
-indices in insertion order, and two polynomials interoperate only when they
-share a registry (mixing registries raises ``RegistryMismatch``).
+A polynomial is a dict from monomials to nonzero coefficients.  A monomial
+is one Python ``int`` holding a packed exponent vector (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): the exponent of variable index i sits in bits
+[8i, 8i + 8), so multiplying two monomials is one integer addition and 0 is
+the unit monomial.  Low indices take the low bits, so registering another
+variable leaves every existing monomial valid.  A coefficient is an ``int``
+while it is integral and a ``Fraction`` once a denominator appears.
+
+The packing is private to this module: other modules read a monomial with
+`exponents` and build one with `monomial`.  An 8-bit field caps exponents
+at 255, so every product, power, substitution and determinant first checks
+from its operands' degrees that the result stays within total degree 255,
+and raises ``BudgetExceeded`` otherwise.
+
+Variables live in a registry that assigns dense indices in insertion order,
+and two polynomials interoperate only when they share a registry (mixing
+registries raises ``RegistryMismatch``).
 
 Canonical forms: equality is exact equality of term sets; printing orders
-terms by descending (total degree, exponent vector) and factors inside a
-monomial by descending variable index, so ``h^2 + 4*xp*xm`` renders exactly
-like that once ``h`` precedes ``xm`` and ``xp`` in the registry.
+terms by descending (total degree, dense exponent vector) and factors inside
+a monomial by descending variable index, so ``h^2 + 4*xp*xm`` renders
+exactly like that once ``h`` precedes ``xm`` and ``xp`` in the registry.
+The little-endian bytes of a monomial are its dense exponent vector, so the
+canonical sort key is built without decoding any exponent.
 
 The module also carries the exact linear algebra used everywhere else:
 
@@ -24,12 +38,14 @@ The module also carries the exact linear algebra used everywhere else:
 from __future__ import annotations
 
 import ast
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-Monomial = tuple[tuple[int, int], ...]
-UNIT_MONOMIAL: Monomial = ()
+# One byte per exponent: the helpers below read monomials with int.to_bytes.
+_BITS = 8
+MAX_DEGREE = (1 << _BITS) - 1
 
 _ZERO = Fraction(0)
 
@@ -45,6 +61,81 @@ class MissingVariable(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A configured size budget would be exceeded."""
+
+
+def _check_degree(degree: int, what: str) -> None:
+    if degree > MAX_DEGREE:
+        raise BudgetExceeded(
+            f"{what} has total degree {degree}, above the limit {MAX_DEGREE}")
+
+
+def monomial(exps: Mapping[int, int]) -> int:
+    """The monomial with exponent ``e`` on variable index ``i`` for every
+    ``(i, e)`` in `exps`."""
+    mono = 0
+    for i, e in exps.items():
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        _check_degree(e, "a monomial")
+        mono += e << (_BITS * i)
+    return mono
+
+
+def exponents(mono: int) -> list[tuple[int, int]]:
+    """The ``(variable index, exponent)`` pairs of a monomial with a nonzero
+    exponent, by increasing index."""
+    return [(i, e) for i, e in enumerate(
+        mono.to_bytes((mono.bit_length() + 7) >> 3, "little")) if e]
+
+
+def _mono_degree(mono: int) -> int:
+    return sum(mono.to_bytes((mono.bit_length() + 7) >> 3, "little"))
+
+
+def _mono_div(num: int, den: int) -> int | None:
+    """num / den as a monomial, or None when not divisible."""
+    size = (max(num.bit_length(), den.bit_length()) + 7) >> 3
+    if any(a < b for a, b in zip(num.to_bytes(size, "little"),
+                                 den.to_bytes(size, "little"))):
+        return None
+    return num - den
+
+
+def _canonical_key(size: int):
+    """Sort key for monomials over `size` variables: (total degree, dense
+    exponent vector), the vector being the monomial's little-endian bytes."""
+    def key(mono: int):
+        vec = mono.to_bytes(size, "little")
+        return (sum(vec), vec)
+    return key
+
+
+def _rational(value):
+    """An exact coefficient: int when integral, Fraction otherwise."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _clean(terms: Mapping) -> dict:
+    """Terms without zero coefficients, integral Fractions turned to int."""
+    return {m: c if type(c) is int else _rational(c)
+            for m, c in terms.items() if c}
+
+
+def _addmul(acc: dict, a: Mapping, b: Mapping) -> dict:
+    """Accumulate the product of term dicts `a` and `b` into `acc` in
+    place; zero coefficients may remain.  Returns `acc`."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            k = m1 + m2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
 
 
 class VarId(NamedTuple):
@@ -91,70 +182,20 @@ class VarRegistry:
         return self._vars[index].name
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._make(self, {}, 0)
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, value) -> "Polynomial":
-        c = Fraction(value)
-        return Polynomial(self, {UNIT_MONOMIAL: c} if c else {})
+        c = _rational(value)
+        return Polynomial._make(self, {0: c} if c else {}, 0)
 
     def poly(self, name, coeff=1) -> "Polynomial":
         """The variable `name` as a polynomial, optionally scaled."""
         vid = name if isinstance(name, VarId) else self.var(name)
-        c = Fraction(coeff)
-        return Polynomial(self, {((vid.index, 1),): c} if c else {})
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[int, int]] = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append((va, ea))
-            ia += 1
-        else:
-            out.append((vb, eb))
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_div(num: Monomial, den: Monomial) -> Monomial | None:
-    """num / den as a monomial, or None when not divisible."""
-    exps = dict(num)
-    for v, e in den:
-        r = exps.get(v, 0) - e
-        if r < 0:
-            return None
-        if r:
-            exps[v] = r
-        else:
-            exps.pop(v, None)
-    return tuple(sorted(exps.items()))
-
-
-def _dense_vector(m: Monomial, size: int) -> tuple[int, ...]:
-    vec = [0] * size
-    for i, e in m:
-        vec[i] = e
-    return tuple(vec)
+        c = _rational(coeff)
+        return Polynomial._make(self, {monomial({vid.index: 1}): c} if c else {})
 
 
 class Polynomial:
@@ -165,11 +206,22 @@ class Polynomial:
     evaluation, and substitution of polynomials for variables.
     """
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "terms", "_degree")
 
-    def __init__(self, registry: VarRegistry, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, registry: VarRegistry, terms: Mapping[int, Fraction | int]):
         self.registry = registry
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = _clean(terms)
+        self._degree = None
+
+    @classmethod
+    def _make(cls, registry: VarRegistry, terms: dict,
+              degree: int | None = None) -> "Polynomial":
+        """Wrap a clean term dict without copying it."""
+        p = cls.__new__(cls)
+        p.registry = registry
+        p.terms = terms
+        p._degree = degree
+        return p
 
     # ------------------------------------------------------------------
     def _coerce(self, other):
@@ -182,60 +234,60 @@ class Polynomial:
             return self.registry.const(other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in o.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.registry, out)
+        get = out.get
+        if sign > 0:
+            for m, c in o.terms.items():
+                out[m] = get(m, 0) + c
+        else:
+            for m, c in o.terms.items():
+                out[m] = get(m, 0) - c
+        return self._make(self.registry, _clean(out))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial(self.registry,
-                          {m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return self._make(self.registry,
+                          {m: -c for m, c in self.terms.items()}, self._degree)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _rational(other)
             if not c:
                 return self.registry.zero()
-            return Polynomial(self.registry,
-                              {m: c * v for m, v in self.terms.items()})
+            return self._make(self.registry,
+                              _clean({m: c * v for m, v in self.terms.items()}),
+                              self._degree)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.registry, out)
+        if not self.terms or not o.terms:
+            return self.registry.zero()
+        # over a field the top-degree parts never cancel, so this is exact
+        degree = self.total_degree() + o.total_degree()
+        _check_degree(degree, "a product")
+        return self._make(self.registry, _clean(_addmul({}, self.terms, o.terms)),
+                          degree)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integers")
+        _check_degree(self.total_degree() * k, "a power")
         result = self.registry.one()
         base = self
         while k:
@@ -264,84 +316,57 @@ class Polynomial:
 
     # ------------------------------------------------------------------
     def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
+        if self._degree is None:
+            self._degree = max(map(_mono_degree, self.terms), default=0)
+        return self._degree
 
     def support_indices(self) -> frozenset[int]:
-        out: set[int] = set()
+        union = 0
         for m in self.terms:
-            for i, _ in m:
-                out.add(i)
-        return frozenset(out)
+            union |= m
+        return frozenset(i for i, _ in exponents(union))
 
     def variables(self) -> tuple[VarId, ...]:
         ids = sorted(self.support_indices())
         return tuple(self.registry.var_ids[i] for i in ids)
 
-    def coefficient(self, mono) -> Fraction:
-        """Coefficient of a monomial given as {name: exponent} or a raw key."""
-        if isinstance(mono, Mapping):
-            key = tuple(sorted((self.registry.var(n).index, e)
-                               for n, e in mono.items() if e))
-        else:
-            key = tuple(mono)
-        return self.terms.get(key, _ZERO)
+    def coefficient(self, mono: Mapping[str, int]) -> Fraction:
+        """Coefficient of the monomial given as {name: exponent}."""
+        key = monomial({self.registry.var(n).index: e
+                        for n, e in mono.items()})
+        return Fraction(self.terms.get(key, 0))
 
     def partial(self, v) -> "Polynomial":
         vid = v if isinstance(v, VarId) else self.registry.var(v)
-        idx = vid.index
-        out: dict[Monomial, Fraction] = {}
+        shift = _BITS * vid.index
+        unit = 1 << shift
+        out = {}
         for m, c in self.terms.items():
-            for pos, (i, e) in enumerate(m):
-                if i == idx:
-                    if e == 1:
-                        nm = m[:pos] + m[pos + 1:]
-                    else:
-                        nm = m[:pos] + ((i, e - 1),) + m[pos + 1:]
-                    s = out.get(nm, _ZERO) + c * e
-                    if s:
-                        out[nm] = s
-                    else:
-                        out.pop(nm, None)
-                    break
-        return Polynomial(self.registry, out)
+            e = (m >> shift) & MAX_DEGREE
+            if e:
+                out[m - unit] = c * e
+        return self._make(self.registry, _clean(out))
 
     def _resolve_assignment(self, assignment: Mapping) -> dict[int, Fraction]:
         amap: dict[int, Fraction] = {}
         for k, v in assignment.items():
             vid = k if isinstance(k, VarId) else self.registry.var(k)
-            amap[vid.index] = Fraction(v)
+            amap[vid.index] = _rational(v)
         return amap
 
     def eval(self, assignment: Mapping) -> Fraction:
         """Exact evaluation; every variable present must be assigned."""
         amap = self._resolve_assignment(assignment)
-        total = _ZERO
+        total = 0
         for m, c in self.terms.items():
             prod = c
-            for i, e in m:
+            for i, e in exponents(m):
                 if i not in amap:
                     raise MissingVariable(
                         f"no value for {self.registry.name_of(i)!r}")
                 prod *= amap[i] ** e
             total += prod
-        return total
-
-    def eval_float(self, assignment: Mapping) -> float:
-        """Floating-point evaluation with the same coverage rule as eval."""
-        amap = {}
-        for k, v in assignment.items():
-            vid = k if isinstance(k, VarId) else self.registry.var(k)
-            amap[vid.index] = float(v)
-        total = 0.0
-        for m, c in self.terms.items():
-            prod = float(c)
-            for i, e in m:
-                if i not in amap:
-                    raise MissingVariable(
-                        f"no value for {self.registry.name_of(i)!r}")
-                prod *= amap[i] ** e
-            total += prod
-        return total
+        return Fraction(total)
 
     def substitute(self, images: Mapping) -> "Polynomial":
         """Ring homomorphism sending each variable to its image polynomial.
@@ -365,35 +390,58 @@ class Polynomial:
                     "substitution images span several registries")
             imap[vid.index] = img
         assert target is not None
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-        out = target.zero()
+        # Work fraction-free: image i is scaled[i] / den[i] with integer
+        # coefficients, and the whole sum is carried times the lcm of the
+        # term denominators, so only the final division makes Fractions.
+        den = {i: math.lcm(*(c.denominator for c in img.terms.values()
+                             if type(c) is not int))
+               for i, img in imap.items()}
+        scaled = {i: img * den[i] for i, img in imap.items()}
+        # decode every monomial once, checking coverage and the degree bound
+        decoded = []
+        top = 0
+        common = 1
         for m, c in self.terms.items():
-            acc = target.const(c)
-            for i, e in m:
+            exps = exponents(m)
+            degree = 0
+            d = 1 if type(c) is int else c.denominator
+            for i, e in exps:
                 if i not in imap:
                     raise MissingVariable(
                         f"no image for {self.registry.name_of(i)!r}")
-                key = (i, e)
-                p = pow_cache.get(key)
+                degree += e * imap[i].total_degree()
+                d *= den[i] ** e
+            top = max(top, degree)
+            common = math.lcm(common, d)
+            decoded.append((exps, c, d))
+        _check_degree(top, "a substitution")
+        pow_cache: dict[tuple[int, int], dict] = {}
+        acc: dict = {}
+        get = acc.get
+        for exps, c, d in decoded:
+            num = c if type(c) is int else c.numerator
+            term = {0: num * (common // d)}
+            for i, e in exps:
+                p = pow_cache.get((i, e))
                 if p is None:
-                    p = imap[i] ** e
-                    pow_cache[key] = p
-                acc = acc * p
-            out = out + acc
-        return out
+                    p = pow_cache[(i, e)] = (scaled[i] ** e).terms
+                term = _addmul({}, term, p)
+            for k, v in term.items():
+                acc[k] = get(k, 0) + v
+        if common != 1:
+            acc = {k: Fraction(v, common) for k, v in acc.items()}
+        return Polynomial._make(target, _clean(acc))
 
     # ------------------------------------------------------------------
-    def _sort_key(self, m: Monomial):
-        return (_mono_degree(m), _dense_vector(m, len(self.registry)))
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, Fraction | int]]:
         """Terms in canonical order: descending (degree, exponent vector)."""
-        return sorted(self.terms.items(), key=lambda mc: self._sort_key(mc[0]),
-                      reverse=True)
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(
+            terms, key=_canonical_key(len(self.registry)), reverse=True)]
 
-    def _mono_text(self, m: Monomial) -> str:
+    def _mono_text(self, m: int) -> str:
         parts = []
-        for i, e in reversed(m):
+        for i, e in reversed(exponents(m)):
             name = self.registry.name_of(i)
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
@@ -424,21 +472,33 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
     def to_json(self) -> dict:
+        names = [v.name for v in self.registry.var_ids]
         return {"terms": [
             {"coeff": str(c),
-             "monomial": {self.registry.name_of(i): e for i, e in reversed(m)}}
+             "monomial": {names[i]: e for i, e in reversed(exponents(m))}}
             for m, c in self.sorted_terms()]}
 
     @classmethod
     def from_json(cls, registry: VarRegistry, data: Mapping) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
+        out: dict = {}
         for term in data["terms"]:
-            mono = tuple(sorted((registry.var(n).index, int(e))
-                                for n, e in term["monomial"].items()))
-            c = Fraction(term["coeff"])
-            if c:
-                out[mono] = out.get(mono, _ZERO) + c
+            mono = monomial({registry.var(n).index: int(e)
+                             for n, e in term["monomial"].items()})
+            out[mono] = out.get(mono, 0) + _rational(Fraction(term["coeff"]))
         return cls(registry, out)
+
+
+def poly_sum(registry: VarRegistry, polys: Iterable[Polynomial]) -> Polynomial:
+    """Sum of polynomials over `registry`, accumulated in one dict."""
+    acc: dict = {}
+    get = acc.get
+    for p in polys:
+        if p.registry is not registry:
+            raise RegistryMismatch(
+                "operands come from different variable registries")
+        for m, c in p.terms.items():
+            acc[m] = get(m, 0) + c
+    return Polynomial._make(registry, _clean(acc))
 
 
 def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:
@@ -544,13 +604,13 @@ class PolyMatrix:
         out: list[Polynomial] = []
         for i in range(self.rows):
             for j in range(other.cols):
-                acc = self.registry.zero()
+                products = []
                 for k in range(self.cols):
                     a = self.at(i, k)
                     b = other.at(k, j)
                     if a and b:
-                        acc = acc + a * b
-                out.append(acc)
+                        products.append(a * b)
+                out.append(poly_sum(self.registry, products))
         return PolyMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -610,46 +670,42 @@ class PolyMatrix:
 
 def det(matrix: PolyMatrix) -> Polynomial:
     """Determinant by Laplace expansion along the first remaining row,
-    with minors memoised per column subset."""
+    with minors memoised per column subset.  Each minor accumulates its
+    products in one dict and drops zero coefficients once."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     size = matrix.rows
-    reg = matrix.registry
-    memo: dict[int, Polynomial] = {0: reg.one()}
+    # every term of the determinant takes one entry from each row
+    _check_degree(sum(max(e.total_degree() for e in matrix.row(i))
+                      for i in range(size)), "a determinant")
+    # entries[row][col] = (terms, negated terms)
+    entries = [[(e.terms, (-e).terms) for e in matrix.row(i)]
+               for i in range(size)]
+    memo: dict[int, dict] = {0: {0: 1}}
 
-    def minor(colmask: int) -> Polynomial:
+    def minor(colmask: int) -> dict:
         cached = memo.get(colmask)
         if cached is not None:
             return cached
-        row = size - bin(colmask).count("1")
-        acc: dict[Monomial, Fraction] = {}
-        sign = 1
+        row = entries[size - bin(colmask).count("1")]
+        acc: dict = {}
+        negate = 0
         mask = colmask
         while mask:
             low = mask & -mask
-            j = low.bit_length() - 1
-            entry = matrix.at(row, j)
+            entry = row[low.bit_length() - 1][negate]
             if entry:
-                sub = minor(colmask ^ low)
-                prod = entry * sub
-                for m, c in prod.terms.items():
-                    s = acc.get(m, _ZERO) + (c if sign > 0 else -c)
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
-            sign = -sign
+                _addmul(acc, entry, minor(colmask ^ low))
+            negate ^= 1
             mask ^= low
-        result = Polynomial(reg, acc)
-        memo[colmask] = result
+        result = memo[colmask] = _clean(acc)
         return result
 
-    return minor((1 << size) - 1)
+    return Polynomial._make(matrix.registry, minor((1 << size) - 1))
 
 
-def _leading(p: Polynomial) -> tuple[Monomial, Fraction]:
-    size = len(p.registry)
-    m = max(p.terms, key=lambda mm: (_mono_degree(mm), _dense_vector(mm, size)))
+def _leading(p: Polynomial) -> tuple[int, Fraction | int]:
+    m = max(p.terms, key=_canonical_key(len(p.registry)))
     return m, p.terms[m]
 
 
@@ -666,7 +722,7 @@ def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
         qm = _mono_div(rm, dm)
         if qm is None:
             raise ArithmeticError("polynomial division is not exact")
-        q = Polynomial(reg, {qm: rc / dc})
+        q = Polynomial(reg, {qm: Fraction(rc) / dc})
         quo = quo + q
         rem = rem - q * den
     return quo

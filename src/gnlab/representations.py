@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Generator, GnAlgebra, build_gn, y_minus, y_plus
-from .poly import Polynomial, PolyMatrix, VarId, nullspace
+from .poly import Polynomial, PolyMatrix, VarId, nullspace, poly_sum
 from .reports import Report
 
 
@@ -158,13 +158,11 @@ class CoadjointField:
         return self.coeffs.get(v, self.algebra.registry.zero())
 
     def apply(self, p: Polynomial) -> Polynomial:
-        self.algebra._check_domain(p)
-        out = self.algebra.registry.zero()
-        for v, coeff in self.coeffs.items():
-            dp = p.partial(v)
-            if not dp.is_zero:
-                out = out + coeff * dp
-        return out
+        support = self.algebra._check_domain(p)
+        return poly_sum(self.algebra.registry,
+                        (coeff * p.partial(v)
+                         for v, coeff in self.coeffs.items()
+                         if v.index in support))
 
 
 def build_coadjoint(n: int,

@@ -3,6 +3,8 @@ levels, a cofactor-oracle cross-check at level 4, annihilation,
 intertwining, grading, and the degree-by-degree ansatz solver.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,25 @@ def test_invariant_level3_coefficients():
     assert c.coefficient({"h": 1, "y1m": 1, "y1p": 1}) == 2
     assert c.coefficient({"xp": 1, "y1m": 2}) == 2
     assert c.coefficient({"xm": 1, "y1p": 2}) == -2
+
+
+# SHA-256 of json.dumps(C_n.to_json(), sort_keys=True, separators=(",", ":")).
+# The term list keeps its order under sort_keys, so these pin the canonical
+# term order as well as every coefficient.
+CANONICAL_JSON_SHA256 = {
+    3: "c2c2441104bfd495635fc3af66cf07eb80a2175334446b608613ea03235efa88",
+    4: "b46fb39d31e715607ad823ce90865f5ff8eda894f7ea1b681541d26c0935c534",
+    5: "44274c2d3c1cf506af76ce25029dc7a6366e39f7458f4a7eab73632dbcbbb986",
+    6: "464f6666019fb6a25aa2efafec9c2b173ac4a5f571ef8355306125d3b3be904f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CANONICAL_JSON_SHA256))
+def test_canonical_json_golden(n):
+    text = json.dumps(casimir(n).polynomial.to_json(), sort_keys=True,
+                      separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == CANONICAL_JSON_SHA256[n]
 
 
 def test_invariant_level4_against_cofactor_oracle():

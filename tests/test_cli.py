@@ -164,6 +164,28 @@ def test_simulate_rejects_bad_inputs(capsys):
     assert code == 2
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_divergence_fails_with_strict_json(capsys):
+    code, out, _ = run(capsys, "simulate", "--H", "xp + xm^3",
+                       "--x0", "3,3,3,0,0,0", "--step", "0.01",
+                       "--t-end", "5")
+    assert code == 1
+    payload = strict_json(out)
+    assert payload["passed"] is False
+    assert payload["drift"]["H"]["max_relative_deviation"] is None
+
+
+def test_simulate_degree_overflow_exits_2(capsys):
+    code, _, err = run(capsys, "simulate", "--H", "xp^300", "--t-end", "0")
+    assert code == 2 and "degree" in err
+
+
 def test_simulate_leapfrog_requires_separable(capsys):
     code, _, err = run(capsys, "simulate", "--n", "2", "--N", "2",
                        "--H", "h", "--scheme", "leapfrog",
