@@ -18,7 +18,7 @@ from .coalgebra import (IndependenceResult, IntegralSet, PhaseContext,
                         check_route_equivalence, check_vanishing,
                         harmonic_hamiltonian, integral_set,
                         integrals_via_coproduct, integrals_via_sum_of_squares,
-                        primitive_coproduct, window)
+                        window)
 from .dynamics import (DriftStats, HamiltonianSystem, Trajectory,
                        compile_evaluator, drift_report, integrate)
 from .poly import (BudgetExceeded, MissingVariable, Polynomial, PolyMatrix,
@@ -26,10 +26,9 @@ from .poly import (BudgetExceeded, MissingVariable, Polynomial, PolyMatrix,
                    nullspace, parse_polynomial, rank, rank_rational, rref,
                    sparse_nullspace)
 from .reports import Report
-from .representations import (CoadjointField, MatrixRep, apply_field,
-                              build_coadjoint, build_faithful_rep,
-                              build_quotient_rep, check_field_homomorphism,
-                              check_homomorphism)
+from .representations import (CoadjointField, MatrixRep, build_coadjoint,
+                              build_faithful_rep, build_quotient_rep,
+                              check_field_homomorphism, check_homomorphism)
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,6 @@ failures instead of asserting.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -415,17 +414,3 @@ def check_structure(n: int, seed: int = 0,
                    "commutator_rank": bb.rank, "nu": bb.nu,
                    "certified_rank": bb.certified_rank, "seed": seed}, fails)
 
-
-def random_generator_polynomial(alg: GnAlgebra, rng: random.Random,
-                                max_terms: int = 4,
-                                max_degree: int = 3) -> Polynomial:
-    """Small random polynomial in the generator variables (test helper)."""
-    reg = alg.registry
-    out = reg.zero()
-    names = [g.name for g in alg.basis.order]
-    for _ in range(rng.randint(1, max_terms)):
-        term = reg.const(Fraction(rng.randint(-9, 9)))
-        for _ in range(rng.randint(0, max_degree)):
-            term = term * reg.poly(rng.choice(names))
-        out = out + term
-    return out

@@ -10,6 +10,15 @@ Verification runs three independent routes: direct annihilation, the
 entrywise intertwining identity  x^(M) = -(Q M + M Q^T)  against the
 quotient matrix representation Q, and a linear-ansatz solver that finds
 all invariant polynomials of a fixed degree from scratch.
+
+The bracket preserves a Z x Z^{n-2} grading: the h-weight (+-2 on x+-,
++-1 on y_{i,+-}, 0 on h and z) and the ladder multidegree (e_i on
+y_{i,+-}, e_i + e_j on z_{i,j}).  `check_grading` verifies that every
+structure constant is homogeneous of the summed grade, and the ansatz
+solver relies on it: each coadjoint field maps one grade block of
+monomials into another, and the h field multiplies a monomial by its
+weight, so the invariants are found block by block over the weight-0
+monomials alone.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
                       y_minus, y_plus)
@@ -92,30 +101,54 @@ def verify_intertwining(n: int, algebra: GnAlgebra | None = None) -> Report:
     return Report("intertwining", {"n": n, "generators": alg.basis.dim}, fails)
 
 
+def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:
+    """The grade of each generator variable, keyed by registry index: its
+    h-weight followed by its ladder multidegree in Z^{n-2}.  A monomial's
+    grade is the exponent-weighted sum of its variables' grades."""
+    h_weight = {"xp": 2, "xm": -2, "yp": 1, "ym": -1}
+    out: dict[int, tuple[int, ...]] = {}
+    for g in alg.basis.order:
+        ladder = [0] * (alg.n - 2)
+        if g.kind in ("ym", "yp"):
+            ladder[g.i - 1] += 1
+        elif g.kind == "z":
+            ladder[g.i - 1] += 1
+            ladder[g.j - 1] += 1
+        out[alg.basis.var(g).index] = (h_weight.get(g.kind, 0), *ladder)
+    return out
+
+
+def _grade_of(grading: dict[int, tuple[int, ...]], mono: int,
+              width: int) -> tuple[int, ...]:
+    total = [0] * width
+    for i, e in exponents(mono):
+        for k, v in enumerate(grading[i]):
+            total[k] += e * v
+    return tuple(total)
+
+
 def check_grading(n: int, algebra: GnAlgebra | None = None) -> Report:
-    """C_n is homogeneous of degree n and every monomial has weight zero
-    under the diagonal field of h (x+- carry +-2, ladder pairs +-1)."""
+    """Every nonzero bracket [a, b] of generators is homogeneous of grade
+    grade(a) + grade(b), and C_n is homogeneous of degree n with every
+    monomial of h-weight zero."""
     alg = algebra or build_gn(n)
     c = casimir(n, alg).polynomial
-    weight = {}
-    for g in alg.basis.order:
-        w = 0
-        if g.kind == "xp":
-            w = 2
-        elif g.kind == "xm":
-            w = -2
-        elif g.kind == "yp":
-            w = 1
-        elif g.kind == "ym":
-            w = -1
-        weight[alg.basis.var(g).index] = w
+    grading = _grading(alg)
+    width = n - 1
     fails: list[str] = []
+    for a, b in product(alg.basis.order, repeat=2):
+        want = tuple(map(sum, zip(grading[alg.basis.var(a).index],
+                                  grading[alg.basis.var(b).index])))
+        for mono in alg.constants.of(a, b).terms:
+            if _grade_of(grading, mono, width) != want:
+                fails.append(f"[{a.name},{b.name}] is not of grade {want}")
+                break
     for mono in c.terms:
         exps = exponents(mono)
         deg = sum(e for _, e in exps)
         if deg != n:
             fails.append(f"monomial of degree {deg} present")
-        w = sum(weight[i] * e for i, e in exps)
+        w = _grade_of(grading, mono, width)[0]
         if w:
             fails.append(f"monomial with weight {w} present")
     return Report("grading", {"n": n, "terms": len(c.terms)}, fails)
@@ -133,16 +166,20 @@ class AnsatzSolution:
         return len(self.basis)
 
 
-def _degree_monomials(indices: list[int], degree: int) -> list[int]:
-    units = [monomial({i: 1}) for i in indices]
-    return [sum(combo)
-            for combo in combinations_with_replacement(units, degree)]
-
-
 def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
                  budget: int = 100_000) -> AnsatzSolution:
     """All polynomials of the exact given degree killed by every coadjoint
-    field, found by exact sparse linear algebra over the monomial basis."""
+    field, found by exact sparse linear algebra over the monomial basis.
+
+    Columns are the degree-d monomials in `combinations_with_replacement`
+    order over the canonical generators.  The fields preserve the grading,
+    so the system splits into one block per grade; a column of nonzero
+    h-weight is a pivot (the h field scales it by its weight), so only the
+    weight-0 blocks are solved.  Reduced-echelon pivots are the columns
+    independent of those to their left, so the union of the block bases,
+    ordered by free column, is the reduced-echelon basis of the whole
+    system.  `monomials` counts every degree-d monomial.
+    """
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
     alg = algebra or build_gn(n)
@@ -151,24 +188,34 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
     if count > budget:
         raise BudgetExceeded(
             f"{count} monomials of degree {degree} exceed the budget {budget}")
-    var_indices = [alg.basis.var(g).index for g in alg.basis.order]
-    monos = _degree_monomials(var_indices, degree)
+    grading = _grading(alg)
+    units = [monomial({alg.basis.var(g).index: 1}) for g in alg.basis.order]
+    blocks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for col, combo in enumerate(combinations_with_replacement(units, degree)):
+        mono = sum(combo)
+        grade = _grade_of(grading, mono, n - 1)
+        if grade[0] == 0:
+            blocks.setdefault(grade, []).append((col, mono))
     reg = alg.registry
     fields = [f for f in build_coadjoint(n, alg) if not f.is_zero]
-    # rows keyed by (field position, produced monomial): one linear equation
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for col, mono in enumerate(monos):
-        p = Polynomial(reg, {mono: 1})
-        for fi, field in enumerate(fields):
-            image = field.apply(p)
-            for m2, c2 in image.terms.items():
-                rows.setdefault((fi, m2), {})[col] = c2
-    ordered = [rows[k] for k in sorted(rows)]
-    vectors = sparse_nullspace(ordered, ncols=len(monos))
-    basis = tuple(
-        Polynomial(reg, {monos[i]: v for i, v in enumerate(vec) if v})
-        for vec in vectors)
-    return AnsatzSolution(n=n, degree=degree, monomials=len(monos), basis=basis)
+    found: list[tuple[int, Polynomial]] = []
+    for block in blocks.values():
+        # rows keyed by (field position, produced monomial): one equation
+        rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        for j, (_, mono) in enumerate(block):
+            p = Polynomial(reg, {mono: 1})
+            for fi, field in enumerate(fields):
+                for m2, c2 in field.apply(p).terms.items():
+                    rows.setdefault((fi, m2), {})[j] = c2
+        vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
+                                   ncols=len(block))
+        for vec in vectors:
+            support = [j for j, v in enumerate(vec) if v]
+            found.append((block[support[-1]][0], Polynomial(
+                reg, {block[j][1]: vec[j] for j in support})))
+    found.sort(key=lambda item: item[0])
+    return AnsatzSolution(n=n, degree=degree, monomials=count,
+                          basis=tuple(p for _, p in found))
 
 
 def check_uniqueness(n: int, max_degree: int | None = None,

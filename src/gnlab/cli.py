@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +47,6 @@ class RunConfig:
     seed: int
     alpha_seed: int
     alpha_rows: dict[int, list[Fraction]] | None
-    jobs: int | None
     ceiling_n: int
     fmt: str
     out: str | None
@@ -120,8 +118,8 @@ def _resolve_config(args, need_N: bool) -> RunConfig:
             raise UsageError(f"config lacks alpha rows {missing}")
     return RunConfig(command=args.command, n=n, N=N, seed=seed,
                      alpha_seed=alpha_seed, alpha_rows=alpha_rows,
-                     jobs=args.jobs, ceiling_n=args.ceiling_n,
-                     fmt=args.format, out=args.out)
+                     ceiling_n=args.ceiling_n, fmt=args.format,
+                     out=args.out)
 
 
 def _context(cfg: RunConfig) -> PhaseContext:
@@ -186,45 +184,35 @@ def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
     n = cfg.n
     alg = ctx.algebra
 
-    def faithful() -> Report:
-        rep = check_homomorphism(build_faithful_rep(n, alg), n, alg)
-        if rep.data["kernel_dim"] != 0:
-            rep.failures.append("faithful representation has a kernel")
-        return rep
-
-    def quotient() -> Report:
-        rep = check_homomorphism(build_quotient_rep(n, alg), n, alg)
-        if rep.data["kernel_dim"] != triangular(n - 2):
-            rep.failures.append("quotient kernel dimension is not the centre's")
-        if not rep.data["kernel_in_centre"]:
-            rep.failures.append("quotient kernel leaves the centre")
-        return rep
-
-    tasks = [lambda: check_jacobi(n, alg)]
+    reports = [check_jacobi(n, alg)]
     if n >= 3:
-        tasks.append(lambda: check_subalgebra_chain(n, alg))
-        tasks.append(lambda: check_levi(n, alg))
-    tasks += [
-        lambda: check_structure(n, seed=cfg.seed, algebra=alg),
-        faithful,
-        quotient,
-        lambda: check_field_homomorphism(n, alg),
-        lambda: verify_annihilation(n, alg),
-        lambda: verify_intertwining(n, alg),
-        lambda: check_grading(n, alg),
-        lambda: check_uniqueness(n, max_degree=min(n - 1, max_ansatz_degree),
-                                 algebra=alg),
-        lambda: check_realization_homomorphism(ctx),
-        lambda: check_route_equivalence(ctx),
-        lambda: check_vanishing(ctx),
-        lambda: check_involution(ctx),
-        lambda: _wrap_independence(ctx, cfg.seed),
+        reports += [check_subalgebra_chain(n, alg), check_levi(n, alg)]
+    reports.append(check_structure(n, seed=cfg.seed, algebra=alg))
+
+    faithful = check_homomorphism(build_faithful_rep(n, alg), n, alg)
+    if faithful.data["kernel_dim"] != 0:
+        faithful.failures.append("faithful representation has a kernel")
+    quotient = check_homomorphism(build_quotient_rep(n, alg), n, alg)
+    if quotient.data["kernel_dim"] != triangular(n - 2):
+        quotient.failures.append(
+            "quotient kernel dimension is not the centre's")
+    if not quotient.data["kernel_in_centre"]:
+        quotient.failures.append("quotient kernel leaves the centre")
+    reports += [faithful, quotient]
+
+    return reports + [
+        check_field_homomorphism(n, alg),
+        verify_annihilation(n, alg),
+        verify_intertwining(n, alg),
+        check_grading(n, alg),
+        check_uniqueness(n, max_degree=min(n - 1, max_ansatz_degree),
+                         algebra=alg),
+        check_realization_homomorphism(ctx),
+        check_route_equivalence(ctx),
+        check_vanishing(ctx),
+        check_involution(ctx),
+        _wrap_independence(ctx, cfg.seed),
     ]
-    jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: t(), tasks))
-    return [t() for t in tasks]
 
 
 def cmd_verify(args) -> int:
@@ -480,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker pool size for verification checks "
-                             "(default: available parallelism)")
     common.add_argument("--ceiling-n", type=int, default=6, dest="ceiling_n")
     common.add_argument("--out", default=None,
                         help="write the report (or the trajectory CSV for "

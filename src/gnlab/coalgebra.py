@@ -208,11 +208,6 @@ class TensorSpace:
         return x.substitute(images)
 
 
-def primitive_coproduct(algebra: GnAlgebra, x: Polynomial,
-                        m: int) -> Polynomial:
-    return TensorSpace(algebra, m).coproduct(x)
-
-
 # ----------------------------------------------------------------------
 # Brackets and integrals
 

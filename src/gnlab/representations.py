@@ -181,10 +181,6 @@ def build_coadjoint(n: int,
     return tuple(fields)
 
 
-def apply_field(field: CoadjointField, p: Polynomial) -> Polynomial:
-    return field.apply(p)
-
-
 def check_field_homomorphism(n: int,
                              algebra: GnAlgebra | None = None) -> Report:
     """Commutator of coadjoint fields equals the field of the bracket."""

@@ -6,6 +6,7 @@ here is checked over the rationals, never numerically.
 """
 
 import json
+import math
 import random
 import time
 
@@ -99,10 +100,13 @@ def test_05_invariant_counts():
 
 def test_06_ansatz_rediscovery():
     t0 = time.time()
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         rep = check_uniqueness(n, max_degree=n)
         assert rep.passed, rep.failures
         assert rep.data["contains_casimir"] is True
+        # degree-n invariants: the products of central variables, plus C_n
+        central_products = math.comb(triangular(n - 2) + n - 1, n)
+        assert rep.data["dimensions"][str(n)] == central_products + 1
     assert time.time() - t0 < 300.0
 
 

@@ -10,8 +10,8 @@ from gnlab import (Generator, PolyMatrix, beltrametti_blasi, build_gn,
                    canonical_order, check_jacobi, check_levi, check_structure,
                    check_subalgebra_chain, commutator_matrix, compute_centre,
                    ideal_complement, triangular)
-from gnlab.algebra import (H, X_MINUS, X_PLUS, central, y_minus, y_plus,
-                           random_generator_polynomial)
+from conftest import random_poly
+from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
 
 
 def test_generator_names_and_validation():
@@ -69,10 +69,11 @@ def test_bracket_relation_table():
 def test_bracket_is_a_biderivation():
     alg = build_gn(3)
     rng = random.Random(13)
+    names = [g.name for g in alg.basis.order]
     for _ in range(15):
-        f = random_generator_polynomial(alg, rng, max_terms=3, max_degree=2)
-        g = random_generator_polynomial(alg, rng, max_terms=3, max_degree=2)
-        k = random_generator_polynomial(alg, rng, max_terms=3, max_degree=2)
+        f = random_poly(alg.registry, rng, names, max_terms=3, max_degree=2)
+        g = random_poly(alg.registry, rng, names, max_terms=3, max_degree=2)
+        k = random_poly(alg.registry, rng, names, max_terms=3, max_degree=2)
         assert alg.bracket(f, g) == -alg.bracket(g, f)
         assert alg.bracket(f, g * k) == \
             alg.bracket(f, g) * k + g * alg.bracket(f, k)
@@ -82,10 +83,11 @@ def test_bracket_is_a_biderivation():
 def test_bracket_jacobi_on_polynomials():
     alg = build_gn(3)
     rng = random.Random(17)
+    names = [g.name for g in alg.basis.order]
     for _ in range(8):
-        f = random_generator_polynomial(alg, rng, max_terms=2, max_degree=2)
-        g = random_generator_polynomial(alg, rng, max_terms=2, max_degree=2)
-        k = random_generator_polynomial(alg, rng, max_terms=2, max_degree=2)
+        f = random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
+        g = random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
+        k = random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
         total = (alg.bracket(alg.bracket(f, g), k)
                  + alg.bracket(alg.bracket(g, k), f)
                  + alg.bracket(alg.bracket(k, f), g))

@@ -1,19 +1,26 @@
 """Determinant invariants: frozen matrices and coefficients at small
 levels, a cofactor-oracle cross-check at level 4, annihilation,
-intertwining, grading, and the degree-by-degree ansatz solver.
+intertwining, grading, and the degree-by-degree ansatz solver with an
+ungraded oracle.
 """
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from conftest import cofactor_det
-from gnlab import (BudgetExceeded, PolyMatrix, build_gn, casimir,
-                   casimir_matrix, check_grading, check_uniqueness,
-                   solve_ansatz, verify_annihilation, verify_intertwining)
+from gnlab import (BudgetExceeded, PolyMatrix, Polynomial, build_coadjoint,
+                   build_gn, casimir, casimir_matrix, check_grading,
+                   check_uniqueness, solve_ansatz, sparse_nullspace,
+                   verify_annihilation, verify_intertwining)
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
+
+# the package exports the function `casimir`, which hides the module
+casimir_module = importlib.import_module("gnlab.casimir")
 
 
 def test_matrix_level2():
@@ -103,6 +110,34 @@ def test_degree_and_grading():
         assert check_grading(n).passed
 
 
+def test_grading_check_catches_a_wrong_grade(monkeypatch):
+    real = casimir_module._grading
+
+    def corrupt(alg):
+        grading = real(alg)
+        i = alg.basis.var(y_plus(1)).index
+        grading[i] = (2,) + grading[i][1:]  # y1p given the weight of x+
+        return grading
+
+    monkeypatch.setattr(casimir_module, "_grading", corrupt)
+    rep = check_grading(3)
+    assert not rep.passed
+    # [x-, y1p] = y1m now sums to weight 0 but y1m has weight -1
+    assert "[xm,y1p] is not of grade (0, 1)" in rep.failures
+    assert rep.data == {"n": 3, "terms": 5}
+
+
+def test_grading_check_catches_an_inhomogeneous_bracket():
+    alg = build_gn(3)
+    assert check_grading(3, alg).passed
+    P = alg.basis.poly
+    # y1p has grade (1, 1) = grade(x+) + grade(y1m); z1_1 has (0, 2)
+    alg.constants._table[(X_PLUS, y_minus(1))] = \
+        P(y_plus(1)) + P(central(1, 1))
+    rep = check_grading(3, alg)
+    assert rep.failures == ["[xp,y1m] is not of grade (1, 1)"]
+
+
 def test_annihilation_small_levels():
     for n in (2, 3):
         rep = verify_annihilation(n)
@@ -147,6 +182,44 @@ def test_ansatz_rejects_bad_degree_and_budget():
         solve_ansatz(2, 0)
     with pytest.raises(BudgetExceeded):
         solve_ansatz(4, 4, budget=10)
+
+
+def _ungraded_ansatz(n, degree):
+    """The invariants of one degree from the whole system over every
+    degree-d monomial, with no grading: one row per (field, produced
+    monomial), one column per monomial in `combinations_with_replacement`
+    order over the canonical generators."""
+    alg = build_gn(n)
+    reg = alg.registry
+    gens = [alg.basis.poly(g) for g in alg.basis.order]
+    columns = []
+    for combo in combinations_with_replacement(gens, degree):
+        p = reg.const(1)
+        for g in combo:
+            p = p * g
+        columns.append(p)
+    fields = build_coadjoint(n, alg)
+    rows = {}
+    for col, p in enumerate(columns):
+        for fi, field in enumerate(fields):
+            for mono, c in field.apply(p).terms.items():
+                rows.setdefault((fi, mono), {})[col] = c
+    vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
+                               ncols=len(columns))
+    basis = [Polynomial(reg, {next(iter(columns[i].terms)): v
+                              for i, v in enumerate(vec) if v})
+             for vec in vectors]
+    return len(columns), basis
+
+
+@pytest.mark.parametrize("n,degree", [(3, 3), (4, 3), (4, 4), (5, 3)])
+def test_graded_ansatz_matches_ungraded_oracle(n, degree):
+    count, want = _ungraded_ansatz(n, degree)
+    sol = solve_ansatz(n, degree)
+    assert sol.monomials == count
+    assert len(sol.basis) == len(want) > 0
+    for got, ref in zip(sol.basis, want):
+        assert list(got.terms.items()) == list(ref.terms.items())
 
 
 def test_uniqueness_level3():

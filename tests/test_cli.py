@@ -81,15 +81,6 @@ def test_verify_rejects_small_N(capsys):
     assert "N must be at least n" in err
 
 
-def test_verify_jobs_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "--n", "2", "--N", "3",
-                         "--format", "json")
-    code2, out2, _ = run(capsys, "verify", "--n", "2", "--N", "3",
-                         "--format", "json", "--jobs", "3")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_verify_byte_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

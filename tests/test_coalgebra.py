@@ -17,7 +17,8 @@ from gnlab import (PhaseContext, TensorSpace, build_gn, building_block,
                    check_vanishing, harmonic_hamiltonian, integral_set,
                    integrals_via_coproduct, integrals_via_sum_of_squares,
                    window)
-from gnlab.algebra import H, X_MINUS, X_PLUS, random_generator_polynomial, y_minus, y_plus
+from conftest import random_poly
+from gnlab.algebra import H, X_MINUS, X_PLUS, y_minus, y_plus
 
 
 def test_window_arithmetic():
@@ -79,9 +80,10 @@ def test_coproduct_is_multiplicative():
     alg = build_gn(3)
     space = TensorSpace(alg, 2)
     rng = random.Random(67)
+    names = [g.name for g in alg.basis.order]
     for _ in range(10):
-        f = random_generator_polynomial(alg, rng, max_terms=2, max_degree=2)
-        g = random_generator_polynomial(alg, rng, max_terms=2, max_degree=2)
+        f = random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
+        g = random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
         assert space.coproduct(f * g) == space.coproduct(f) * space.coproduct(g)
 
 
@@ -98,9 +100,10 @@ def test_coproduct_is_coassociative():
         second_leg[two.var(g, 1)] = three.site_poly(g, 1)
         second_leg[two.var(g, 2)] = three.site_poly(g, 2) + three.site_poly(g, 3)
     rng = random.Random(71)
+    names = [g.name for g in alg.basis.order]
     probes = [alg.basis.poly(g) for g in alg.basis.order]
     probes.append(casimir(3, alg).polynomial)
-    probes += [random_generator_polynomial(alg, rng, max_terms=2, max_degree=2)
+    probes += [random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
                for _ in range(5)]
     for x in probes:
         d = two.coproduct(x)

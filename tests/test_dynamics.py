@@ -13,7 +13,6 @@ import pytest
 from gnlab import (HamiltonianSystem, PhaseContext, compile_evaluator,
                    drift_report, harmonic_hamiltonian, integrate,
                    parse_polynomial)
-from gnlab.algebra import random_generator_polynomial
 
 
 def oscillator(N=1):
