@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, nullspace,
-                   poly_sum, rank, rank_rational)
+from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, poly_sum,
+                   rank, rank_rational, sparse_nullspace)
 from .reports import Report
 
 _KINDS = ("h", "xm", "xp", "ym", "yp", "z")
@@ -322,20 +322,16 @@ def check_levi(n: int, algebra: GnAlgebra | None = None) -> Report:
     return Report("levi_split", {"n": n, "radical_dim": len(radical)}, fails)
 
 
-def compute_centre(n: int, algebra: GnAlgebra | None = None) -> list[list[Fraction]]:
-    """Coefficient vectors (in canonical basis order) spanning the centre."""
+def compute_centre(n: int, algebra: GnAlgebra | None = None
+                   ) -> list[dict[int, Fraction]]:
+    """Sparse coefficient vectors {basis position: coeff}, positions in
+    canonical basis order, spanning the centre."""
     alg = algebra or build_gn(n)
     order = alg.basis.order
-    dim = len(order)
-    rows: list[list[Fraction]] = []
-    for gj in order:
-        for gk in order:
-            row = [alg.constants.coefficient(gi, gj, gk) for gi in order]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return nullspace([], ncols=dim)
-    return nullspace(rows)
+    rows = ({i: alg.constants.coefficient(gi, gj, gk)
+             for i, gi in enumerate(order)}
+            for gj in order for gk in order)
+    return sparse_nullspace(rows, len(order))
 
 
 def commutator_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
@@ -372,7 +368,7 @@ def beltrametti_blasi(n: int, seed: int = 0, trials: int = 3,
     """
     alg = algebra or build_gn(n)
     A = commutator_matrix(n, alg)
-    r_prob = rank(A, "specialize", seed=seed, trials=trials)
+    r_prob = rank(A, seed=seed, trials=trials)
     assignment: dict[str, Fraction] = {}
     for g in alg.basis.order:
         if g.kind == "z":
@@ -381,7 +377,7 @@ def beltrametti_blasi(n: int, seed: int = 0, trials: int = 3,
             assignment[g.name] = Fraction(0)
         else:
             assignment[g.name] = Fraction(1)
-    r_cert = rank_rational(A.eval(assignment))
+    r_cert = rank_rational(dict(enumerate(row)) for row in A.eval(assignment))
     return InvariantCount(rank=r_prob, nu=alg.basis.dim - r_prob,
                           certified_rank=r_cert, seed=seed, trials=trials)
 
@@ -397,8 +393,7 @@ def check_structure(n: int, seed: int = 0,
     if len(centre) != expected_dim:
         fails.append(f"centre dimension {len(centre)} != {expected_dim}")
     for vec in centre:
-        support = {i for i, v in enumerate(vec) if v}
-        if support - z_positions:
+        if vec.keys() - z_positions:
             fails.append("centre vector leaves the central span")
     bb = beltrametti_blasi(n, seed=seed, algebra=alg)
     if bb.rank != 2 * (n - 1):

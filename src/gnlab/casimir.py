@@ -210,9 +210,8 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
         vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
                                    ncols=len(block))
         for vec in vectors:
-            support = [j for j, v in enumerate(vec) if v]
-            found.append((block[support[-1]][0], Polynomial(
-                reg, {block[j][1]: vec[j] for j in support})))
+            found.append((block[max(vec)][0], Polynomial(
+                reg, {block[j][1]: v for j, v in vec.items()})))
     found.sort(key=lambda item: item[0])
     return AnsatzSolution(n=n, degree=degree, monomials=count,
                           basis=tuple(p for _, p in found))
@@ -243,14 +242,8 @@ def check_uniqueness(n: int, max_degree: int | None = None,
         sol = solve_ansatz(n, n, alg, budget=budget)
         dims[str(n)] = sol.dimension
         c = casimir(n, alg).polynomial
-        all_monos: list[int] = sorted(
-            {m for p in sol.basis for m in p.terms} | set(c.terms))
-        base_rows = [[p.terms.get(m, Fraction(0)) for m in all_monos]
-                     for p in sol.basis]
-        r0 = rank_rational(base_rows)
-        r1 = rank_rational(base_rows + [[c.terms.get(m, Fraction(0))
-                                         for m in all_monos]])
-        contains = (r0 == r1)
+        rows = [p.terms for p in sol.basis]
+        contains = rank_rational(rows) == rank_rational(rows + [c.terms])
         if not contains:
             fails.append("the degree-n invariant is outside the ansatz span")
     data = {"n": n, "max_degree": max_degree, "dimensions": dims}

@@ -25,7 +25,7 @@ from .casimir import verify_annihilation, verify_intertwining
 from .coalgebra import (PhaseContext, check_independence, check_involution,
                         check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
-                        harmonic_hamiltonian, integral_set, window)
+                        integral_set, window)
 from .dynamics import HamiltonianSystem, drift_report, integrate
 from .poly import BudgetExceeded, MissingVariable, parse_polynomial
 from .representations import (build_faithful_rep, build_quotient_rep,
@@ -79,7 +79,7 @@ def _parse_config_file(path: str) -> dict:
             items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
             try:
                 opts["alpha"][i] = [Fraction(v) for v in items]
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise UsageError(f"config line {lineno}: bad rational") from None
         elif key in ("seed", "alpha_seed", "alpha-seed"):
             try:

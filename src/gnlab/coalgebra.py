@@ -432,8 +432,8 @@ def check_independence(ctx: PhaseContext, hamiltonian: Polynomial | None = None,
     for _ in range(max_attempts):
         point = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                  for v in state}
-        rows = [[g.eval(point) for g in row] for row in grads]
-        r = rank_rational(rows)
+        r = rank_rational({j: g.eval(point) for j, g in enumerate(row)}
+                          for row in grads)
         attempts.append(r)
         if r == expected:
             break

@@ -30,9 +30,9 @@ The module also carries the exact linear algebra used everywhere else:
 
 * determinants of polynomial matrices by Laplace expansion along the first
   row with minors memoised per column subset,
-* matrix rank, either by randomised rational specialisation or by symbolic
-  fraction-free (Bareiss) elimination with exact polynomial division,
-* rational nullspaces in reduced-echelon parametrisation, dense and sparse.
+* the rank of a polynomial matrix by randomised rational specialisation,
+* one exact eliminator over sparse rational rows, which gives the rank of
+  a rational system and its nullspace in reduced-echelon parametrisation.
 """
 
 from __future__ import annotations
@@ -90,15 +90,6 @@ def exponents(mono: int) -> list[tuple[int, int]]:
 
 def _mono_degree(mono: int) -> int:
     return sum(mono.to_bytes((mono.bit_length() + 7) >> 3, "little"))
-
-
-def _mono_div(num: int, den: int) -> int | None:
-    """num / den as a monomial, or None when not divisible."""
-    size = (max(num.bit_length(), den.bit_length()) + 7) >> 3
-    if any(a < b for a, b in zip(num.to_bytes(size, "little"),
-                                 den.to_bytes(size, "little"))):
-        return None
-    return num - den
 
 
 def _canonical_key(size: int):
@@ -704,75 +695,18 @@ def det(matrix: PolyMatrix) -> Polynomial:
     return Polynomial._make(matrix.registry, minor((1 << size) - 1))
 
 
-def _leading(p: Polynomial) -> tuple[int, Fraction | int]:
-    m = max(p.terms, key=_canonical_key(len(p.registry)))
-    return m, p.terms[m]
-
-
-def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact polynomial division; raises ArithmeticError when not exact."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    reg = num.registry
-    dm, dc = _leading(den)
-    quo = reg.zero()
-    rem = num
-    while rem.terms:
-        rm, rc = _leading(rem)
-        qm = _mono_div(rm, dm)
-        if qm is None:
-            raise ArithmeticError("polynomial division is not exact")
-        q = Polynomial(reg, {qm: Fraction(rc) / dc})
-        quo = quo + q
-        rem = rem - q * den
-    return quo
-
-
-def _rank_fraction_free(matrix: PolyMatrix) -> int:
-    """Symbolic rank via Bareiss fraction-free elimination."""
-    m = [[matrix.at(i, j) for j in range(matrix.cols)]
-         for i in range(matrix.rows)]
-    reg = matrix.registry
-    prev = reg.one()
-    r = 0
-    for c in range(matrix.cols):
-        pivot = next((i for i in range(r, matrix.rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, matrix.rows):
-            if not any(m[i][cc] for cc in range(c, matrix.cols)):
-                continue
-            for cc in range(c + 1, matrix.cols):
-                num = m[r][c] * m[i][cc] - m[i][c] * m[r][cc]
-                m[i][cc] = exact_div(num, prev) if not num.is_zero else num
-            m[i][c] = reg.zero()
-        prev = m[r][c]
-        r += 1
-        if r == matrix.rows:
-            break
-    return r
-
-
-def rank(matrix: PolyMatrix, strategy: str = "specialize", *,
-         seed: int = 0, trials: int = 3) -> int:
-    """Rank of a polynomial matrix.
-
-    specialize: evaluate at random rational points (numerators uniform in
-    [-10^6, 10^6]) and take the maximum exact rank over `trials` draws.
-    exact_symbolic: fraction-free symbolic elimination.
-    """
-    if strategy == "exact_symbolic":
-        return _rank_fraction_free(matrix)
-    if strategy != "specialize":
-        raise ValueError(f"unknown rank strategy {strategy!r}")
+def rank(matrix: PolyMatrix, *, seed: int = 0, trials: int = 3) -> int:
+    """Rank of a polynomial matrix: evaluate at random rational points
+    (numerators uniform in [-10^6, 10^6]) and take the maximum exact rank
+    over `trials` draws."""
     rng = random.Random(seed)
     best = 0
     var_ids = matrix.registry.var_ids
     for _ in range(max(1, trials)):
         assignment = {v: Fraction(rng.randint(-10 ** 6, 10 ** 6))
                       for v in var_ids}
-        best = max(best, rank_rational(matrix.eval(assignment)))
+        best = max(best, rank_rational(
+            dict(enumerate(row)) for row in matrix.eval(assignment)))
     return best
 
 
@@ -780,126 +714,65 @@ def rank(matrix: PolyMatrix, strategy: str = "specialize", *,
 # Rational linear algebra
 
 
-def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix by Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c] * inv
-                for cc in range(c, ncols):
-                    m[i][cc] -= f * m[r][cc]
-        r += 1
-        if r == len(m):
-            break
-    return r
+def _eliminate(r: dict[int, Fraction], c: int,
+               row: Mapping[int, Fraction]) -> None:
+    """Subtract r[c] times `row` (which is 1 at column c) from the sparse
+    row r in place, dropping the zeros this makes."""
+    f = r.pop(c)
+    for cc, vv in row.items():
+        if cc != c:
+            nv = r.get(cc, _ZERO) - f * vv
+            if nv:
+                r[cc] = nv
+            else:
+                r.pop(cc, None)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    if not m:
-        return m, pivots
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]],
-              ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column, in the
-    deterministic reduced-echelon parametrisation."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty system")
-        ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = Fraction(1)
-        for r_i, p in enumerate(pivots):
-            v[p] = -reduced[r_i][f]
-        basis.append(v)
-    return basis
-
-
-def sparse_nullspace(rows: Iterable[Mapping[int, Fraction]],
-                     ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis for a system given as sparse rows {col: coeff}.
-
-    Produces the same reduced-echelon parametrisation as `nullspace`,
-    independent of row order redundancy.
-    """
+def _echelon(rows: Iterable[Mapping[int, Fraction | int]]
+             ) -> dict[int, dict[int, Fraction]]:
+    """Fully reduced echelon form of a system given as sparse rows
+    {col: coeff}: each pivot column maps to its row, which is 1 at the
+    pivot, 0 at every other pivot column, and nonzero only at columns from
+    the pivot on.  Row order and redundant rows do not change the result."""
     pivot_rows: dict[int, dict[int, Fraction]] = {}
     for raw in rows:
         r = {c: Fraction(v) for c, v in raw.items() if v}
-        # eliminate every pivot column present, smallest first
-        while r:
-            pcols = sorted(c for c in r if c in pivot_rows)
-            if not pcols:
-                break
-            c = pcols[0]
-            f = r.pop(c)
-            for cc, vv in pivot_rows[c].items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, _ZERO) - f * vv
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
+        # pivot rows are fully reduced, so subtracting one never brings in
+        # or cancels another pivot column: one pass clears them all
+        for c in [c for c in r if c in pivot_rows]:
+            _eliminate(r, c, pivot_rows[c])
         if not r:
             continue
         c = min(r)
         inv = Fraction(1) / r[c]
         row = {cc: vv * inv for cc, vv in r.items()}
         # keep earlier pivot rows fully reduced
-        for pc, pr in pivot_rows.items():
+        for pr in pivot_rows.values():
             if c in pr:
-                f = pr.pop(c)
-                for cc, vv in row.items():
-                    if cc == c:
-                        continue
-                    nv = pr.get(cc, _ZERO) - f * vv
-                    if nv:
-                        pr[cc] = nv
-                    else:
-                        pr.pop(cc, None)
+                _eliminate(pr, c, row)
         pivot_rows[c] = row
-    free = [c for c in range(ncols) if c not in pivot_rows]
-    basis: list[list[Fraction]] = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = Fraction(1)
-        for p, pr in pivot_rows.items():
-            if f in pr:
-                v[p] = -pr[f]
-        basis.append(v)
+    return pivot_rows
+
+
+def rank_rational(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+    """Exact rank of a rational system given as sparse rows {col: coeff}."""
+    return len(_echelon(rows))
+
+
+def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
+                     ncols: int) -> list[dict[int, Fraction]]:
+    """Nullspace basis for a system given as sparse rows {col: coeff} over
+    columns 0..ncols-1, in the reduced-echelon parametrisation: one sparse
+    vector {col: coeff} per free column, by increasing free column, each 1
+    at its free column, 0 at the other free columns and nonzero only at
+    columns up to its own.  Keys are in increasing column order, so the
+    free column is the last."""
+    pivot_rows = _echelon(rows)
+    pivots = sorted(pivot_rows.items())
+    basis: list[dict[int, Fraction]] = []
+    for f in range(ncols):
+        if f not in pivot_rows:
+            v = {p: -pr[f] for p, pr in pivots if f in pr}
+            v[f] = Fraction(1)
+            basis.append(v)
     return basis

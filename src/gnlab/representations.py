@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Generator, GnAlgebra, build_gn, y_minus, y_plus
-from .poly import Polynomial, PolyMatrix, VarId, nullspace, poly_sum
+from .algebra import Generator, GnAlgebra, build_gn
+from .poly import Polynomial, PolyMatrix, VarId, poly_sum, sparse_nullspace
 from .reports import Report
 
 
@@ -124,19 +124,12 @@ def check_homomorphism(rep: MatrixRep, n: int,
                   for i in range(rep.size)), Fraction(0))
         if tr:
             fails.append(f"image of {g.name} has trace {tr}")
-    rows = []
     mats = [rep.of(g).constant_entries() for g in order]
-    for r in range(rep.size):
-        for c in range(rep.size):
-            row = [m[r][c] for m in mats]
-            if any(row):
-                rows.append(row)
-    kernel = nullspace(rows, ncols=len(order)) if rows else \
-        nullspace([], ncols=len(order))
+    rows = ({j: m[r][c] for j, m in enumerate(mats)}
+            for r in range(rep.size) for c in range(rep.size))
+    kernel = sparse_nullspace(rows, len(order))
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
-    in_centre = all(
-        not ({i for i, v in enumerate(vec) if v} - z_positions)
-        for vec in kernel)
+    in_centre = all(not (vec.keys() - z_positions) for vec in kernel)
     return Report(f"{rep.name}_representation",
                   {"n": n, "size": rep.size, "pairs": pairs,
                    "kernel_dim": len(kernel), "kernel_in_centre": in_centre},

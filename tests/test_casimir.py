@@ -207,7 +207,7 @@ def _ungraded_ansatz(n, degree):
     vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
                                ncols=len(columns))
     basis = [Polynomial(reg, {next(iter(columns[i].terms)): v
-                              for i, v in enumerate(vec) if v})
+                              for i, v in vec.items()})
              for vec in vectors]
     return len(columns), basis
 

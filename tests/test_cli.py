@@ -259,6 +259,10 @@ def test_config_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "integrals", "--n", "3", "--N", "2",
                        "--config", str(bad))
     assert code == 2
+    bad.write_text("alpha.1 = [1/0, 2, 3]\n")
+    code, _, err = run(capsys, "integrals", "--n", "3", "--N", "3",
+                       "--config", str(bad))
+    assert code == 2 and "config line 1: bad rational" in err
     code, _, err = run(capsys, "rank", "--n", "2", "--config",
                        str(tmp_path / "missing.cfg"))
     assert code == 2 and "cannot read" in err

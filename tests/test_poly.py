@@ -12,9 +12,8 @@ import pytest
 
 from conftest import cofactor_det, random_poly, rational_point
 from gnlab import (BudgetExceeded, MissingVariable, Polynomial, PolyMatrix,
-                   RegistryMismatch, VarRegistry, det, exact_div, nullspace,
-                   parse_polynomial, rank, rank_rational, rref,
-                   sparse_nullspace)
+                   RegistryMismatch, VarRegistry, det, parse_polynomial, rank,
+                   rank_rational, sparse_nullspace)
 
 
 def abc_registry():
@@ -165,25 +164,15 @@ def test_det_transpose_invariant():
     assert det(m) == det(m.transpose())
 
 
-def test_exact_division():
-    reg = abc_registry()
-    rng = random.Random(29)
-    for _ in range(20):
-        f = random_poly(reg, rng, max_terms=3, max_degree=2)
-        g = random_poly(reg, rng, max_terms=3, max_degree=2)
-        if g.is_zero:
-            continue
-        assert exact_div(f * g, g) == f
-    a, b = reg.poly("a"), reg.poly("b")
-    with pytest.raises(ArithmeticError):
-        exact_div(a * a + b, a)
-
-
 # ----------------------------------------------------------------------
 # rank and nullspaces
 
 
 def test_rank_strategies_agree():
+    """The specialised rank against sympy's exact rank over the field of
+    rational functions."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
     reg = abc_registry()
     rng = random.Random(31)
     a, b = reg.poly("a"), reg.poly("b")
@@ -191,61 +180,66 @@ def test_rank_strategies_agree():
         PolyMatrix.from_rows([[a, b], [2 * a, 2 * b]]),
         PolyMatrix.from_rows([[a, b], [b, a]]),
         PolyMatrix.from_rows([[reg.zero(), a], [-a, reg.zero()]]),
+        PolyMatrix.from_rows([[a, b, a + b], [b, a, a + b], [a, a, 2 * a]]),
     ]
-    for _ in range(6):
+    for _ in range(12):
         rows = [[random_poly(reg, rng, max_terms=2, max_degree=1)
                  for _ in range(3)] for _ in range(3)]
         corpus.append(PolyMatrix.from_rows(rows))
     for m in corpus:
-        exact = rank(m, "exact_symbolic")
-        probed = rank(m, "specialize", seed=1)
-        assert probed == exact
-    assert rank(corpus[0], "specialize") == 1
+        exact = DomainMatrix.from_Matrix(sympy.Matrix(
+            [[sympy.sympify(e.text().replace("^", "**")) for e in m.row(i)]
+             for i in range(m.rows)])).to_field().rank()
+        assert rank(m, seed=1) == exact
+    assert rank(corpus[0]) == 1
 
 
 def test_rank_rational_goldens():
     F = Fraction
-    assert rank_rational([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rank_rational([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert rank_rational([[F(0), F(0)]]) == 0
+    assert rank_rational([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]) == 1
+    assert rank_rational([{0: F(1)}, {1: F(1)}]) == 2
+    assert rank_rational([{0: F(0), 1: F(0)}]) == 0
+    assert rank_rational([]) == 0
+    # columns are any ordered keys, and integer coefficients are accepted
+    assert rank_rational([{10: 1, 3: -1}, {3: 2, 10: -2}, {7: 5}]) == 2
 
 
 def test_nullspace_goldens():
     F = Fraction
-    basis = nullspace([[F(1), F(-1)]])
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] == v[1] and v[0] != 0
-    assert nullspace([[F(1), F(0)], [F(0), F(1)]]) == []
-    # every returned vector actually solves the system
+    assert sparse_nullspace([{0: F(1), 1: F(-1)}], ncols=2) == [{0: 1, 1: 1}]
+    assert sparse_nullspace([{0: F(1)}, {1: F(1)}], ncols=2) == []
+    assert sparse_nullspace([], ncols=2) == [{0: 1}, {1: 1}]
+    assert sparse_nullspace([{1: F(2), 2: F(4)}], ncols=3) == [
+        {0: 1}, {1: -2, 2: 1}]
+    # every returned vector solves the system, keys by increasing column
     rng = random.Random(37)
     for _ in range(10):
-        rows = [[F(rng.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
-        for vec in nullspace(rows):
-            assert all(sum(r[i] * vec[i] for i in range(5)) == 0
+        rows = [{i: F(rng.randint(-4, 4)) for i in range(5)}
+                for _ in range(3)]
+        for vec in sparse_nullspace(rows, ncols=5):
+            assert list(vec) == sorted(vec)
+            assert all(sum(r[i] * v for i, v in vec.items()) == 0
                        for r in rows)
 
 
-def test_rref_shape():
-    F = Fraction
-    reduced, pivots = rref([[F(2), F(4)], [F(1), F(2)]])
-    assert pivots == [0]
-    assert reduced[0] == [F(1), F(2)]
-
-
 def test_sparse_nullspace_matches_dense():
+    """Against sympy's dense nullspace, which uses the same
+    parametrisation: 1 at the free column, 0 at the other free columns."""
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     F = Fraction
-    for _ in range(15):
-        ncols = rng.randint(2, 7)
-        dense = [[F(rng.randint(-3, 3)) if rng.random() < 0.4 else F(0)
-                  for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
-        sparse = [{i: v for i, v in enumerate(row) if v} for row in dense]
-        sparse = [r for r in sparse if r]
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        dense = [[rng.randint(-3, 3) if rng.random() < 0.4 else 0
+                  for _ in range(ncols)] for _ in range(rng.randint(0, 5))]
+        sparse = [{i: F(v) for i, v in enumerate(row) if v} for row in dense]
+        rng.shuffle(sparse)
         got = sparse_nullspace(sparse, ncols=ncols)
-        want = nullspace([r for r in dense if any(r)] or [],
-                         ncols=ncols)
+        want = [{i: F(int(x.p), int(x.q)) for i, x in enumerate(col) if x}
+                for col in sympy.Matrix(len(dense), ncols,
+                                        sum(dense, [])).nullspace()]
         assert got == want
+        assert rank_rational(sparse) == ncols - len(got)
 
 
 # ----------------------------------------------------------------------

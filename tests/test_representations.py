@@ -3,7 +3,6 @@ vector fields, with frozen image goldens at small levels.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
