@@ -2,7 +2,8 @@
 
 Subcommands: casimir, verify, integrals, simulate, dump-rep, rank, ansatz.
 Exit codes: 0 success, 1 verification or conservation failure, 2 usage or
-configuration error.  JSON output carries a schema version and is
+configuration error, an exceeded size budget, or an arithmetic or memory
+error.  JSON output carries a schema version and is
 byte-identical across runs with the same configuration and seeds; the
 GN_LAB_SEED environment variable overrides --seed when set.
 """
@@ -289,8 +290,10 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args, need_N=True)
     if cfg.N < cfg.n:
         raise UsageError("N must be at least n so that integrals exist")
-    if args.step <= 0 or args.t_end < 0:
-        raise UsageError("step must be positive and t-end nonnegative")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError("step must be positive and finite")
+    if not (math.isfinite(args.t_end) and args.t_end >= 0):
+        raise UsageError("t-end must be nonnegative and finite")
     ctx = _context(cfg)
     try:
         gen_poly = parse_polynomial(args.H, ctx.registry)
@@ -305,6 +308,8 @@ def cmd_simulate(args) -> int:
             raise UsageError("x0 must be comma-separated floats") from None
         if len(x0) != 2 * cfg.N:
             raise UsageError(f"x0 needs {2 * cfg.N} components")
+        if not all(map(math.isfinite, x0)):
+            raise UsageError("x0 must be finite")
     else:
         import random as _random
         rng = _random.Random(cfg.seed)
@@ -554,6 +559,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, MissingVariable, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,8 +2,20 @@
 
 Hamilton's equations are generated symbolically (exact partial
 derivatives); floating point enters only when trajectories are stepped.
-Each polynomial is compiled once into a flat arithmetic expression over
-the state vector, so sampling every observable at every step stays cheap.
+Each polynomial is compiled once into a flat arithmetic expression over a
+state `s`, where `s[k]` is one slot of the state.
+
+Stepping runs on plain Python floats: dq/dt and dp/dt compile into one
+`lambda s: [...]` that returns every component of the right-hand side,
+and each step is a few list comprehensions in the same float operation
+order as the vector formulas of RK4 and leapfrog.  Each step is written
+into a preallocated array.  Python raises OverflowError where a power
+overflows; the rows from there on are NaN, so the run reports non-finite
+drift instead of raising.
+
+Sampling runs on whole columns: each observable's evaluator is called
+once with `s = states.T`, so `s[k]` is the whole column of slot k and one
+call evaluates the observable at every sample.
 
 Schemes: classical RK4 for any polynomial Hamiltonian, and leapfrog
 (kick-drift-kick) when the Hamiltonian splits as T(p) + V(q), which is
@@ -12,20 +24,24 @@ detected from the monomial support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .coalgebra import PhaseContext
-from .poly import Polynomial, exponents
+from .poly import BudgetExceeded, Polynomial, exponents
+
+# Largest trajectory `integrate` allocates, in floats (800 MB): the times,
+# the 2N state columns and one column per observable, at every sample.
+MAX_TRAJECTORY_FLOATS = 10**8
 
 
-def compile_evaluator(poly: Polynomial,
-                      slot_of: Mapping[int, int]) -> Callable[[np.ndarray], float]:
-    """Compile a polynomial into `lambda s: ...` over state slots."""
+def _expression(poly: Polynomial, slot_of: Mapping[int, int]) -> str:
+    """The polynomial as a flat arithmetic expression over `s[slot]`."""
     if not poly.terms:
-        return lambda s: 0.0
+        return "0.0"
     chunks = []
     for mono, coeff in poly.sorted_terms():
         factors = [repr(float(coeff))]
@@ -33,8 +49,28 @@ def compile_evaluator(poly: Polynomial,
             slot = slot_of[idx]
             factors.append(f"s[{slot}]" if exp == 1 else f"s[{slot}]**{exp}")
         chunks.append("*".join(factors))
-    source = "lambda s: " + " + ".join(chunks)
+    return " + ".join(chunks)
+
+
+def _compile(body: str) -> Callable:
+    source = "lambda s: " + body
     return eval(compile(source, "<polynomial>", "eval"), {"__builtins__": {}})
+
+
+def compile_evaluator(poly: Polynomial,
+                      slot_of: Mapping[int, int]) -> Callable:
+    """Compile a polynomial into `lambda s: ...` over state slots.
+
+    `s[k]` may be a float or a NumPy column; a constant polynomial
+    evaluates to a float either way."""
+    return _compile(_expression(poly, slot_of))
+
+
+def _compile_vector(polys: Sequence[Polynomial],
+                    slot_of: Mapping[int, int]) -> Callable:
+    """Compile polynomials into one `lambda s: [e_0, e_1, ...]`."""
+    return _compile(
+        "[" + ", ".join(_expression(p, slot_of) for p in polys) + "]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,68 +113,91 @@ class Trajectory:
     observables: dict[str, np.ndarray]
 
 
+def _rk4(f: Callable, s: list[float], step: float,
+         nsteps: int) -> Iterator[list[float]]:
+    h2 = 0.5 * step
+    h6 = step / 6.0
+    for _ in range(nsteps):
+        k1 = f(s)
+        k2 = f([a + h2 * b for a, b in zip(s, k1)])
+        k3 = f([a + h2 * b for a, b in zip(s, k2)])
+        k4 = f([a + step * b for a, b in zip(s, k3)])
+        s = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        yield s
+
+
+def _leapfrog(kick: Callable, drift: Callable, s: list[float], n: int,
+              step: float, nsteps: int) -> Iterator[list[float]]:
+    # kick (dp/dt) reads only q and drift (dq/dt) only p, because the
+    # Hamiltonian is separable; so each half step updates a whole half.
+    h2 = 0.5 * step
+    q, p = s[:n], s[n:]
+    for _ in range(nsteps):
+        p = [a + h2 * b for a, b in zip(p, kick(q + p))]
+        q = [a + step * b for a, b in zip(q, drift(q + p))]
+        p = [a + h2 * b for a, b in zip(p, kick(q + p))]
+        yield q + p
+
+
 def integrate(system: HamiltonianSystem, x0, step: float, t_end: float,
               scheme: str = "rk4",
               observables: Mapping[str, Polynomial] | None = None) -> Trajectory:
     """Integrate from the initial state (q1..qN, p1..pN floats), sampling
-    every observable at every step.  t_end = 0 returns the initial sample."""
+    every observable at every step.  t_end = 0 returns the initial sample.
+
+    Raises BudgetExceeded, before allocating, when the trajectory would
+    hold more than MAX_TRAJECTORY_FLOATS floats."""
     ctx = system.ctx
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be positive and finite")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError("t_end must be nonnegative and finite")
     twoN = 2 * ctx.N
-    state0 = np.asarray([float(v) for v in x0], dtype=float)
-    if state0.shape != (twoN,):
+    state0 = [float(v) for v in x0]
+    if len(state0) != twoN:
         raise ValueError(f"initial state must have {twoN} components")
-    slot_of = {v.index: i for i, v in enumerate(ctx.state_vars())}
-    dq = [compile_evaluator(p, slot_of) for p in system.dq_dt]
-    dp = [compile_evaluator(p, slot_of) for p in system.dp_dt]
+    if not all(map(math.isfinite, state0)):
+        raise ValueError("initial state must be finite")
+    if scheme not in ("rk4", "leapfrog"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "leapfrog" and not system.is_separable():
+        raise ValueError(
+            "leapfrog requires a Hamiltonian that splits as T(p) + V(q)")
     obs = dict(observables) if observables else {}
     obs.setdefault("H", system.hamiltonian)
-    obs_eval = {name: compile_evaluator(p, slot_of)
-                for name, p in obs.items()}
-
-    n = ctx.N
+    samples = t_end / step + 1  # a float, so a huge ratio cannot overflow
+    width = 1 + twoN + len(obs)
+    if samples * width > MAX_TRAJECTORY_FLOATS:
+        raise BudgetExceeded(
+            f"{samples:.4g} samples of {width} floats each exceed the "
+            f"budget of {MAX_TRAJECTORY_FLOATS} floats")
     nsteps = int(round(t_end / step))
 
-    def rhs(s: np.ndarray) -> np.ndarray:
-        out = np.empty(twoN)
-        for k in range(n):
-            out[k] = dq[k](s)
-            out[n + k] = dp[k](s)
-        return out
-
+    slot_of = {v.index: i for i, v in enumerate(ctx.state_vars())}
+    if scheme == "rk4":
+        rhs = _compile_vector(system.dq_dt + system.dp_dt, slot_of)
+        steps = _rk4(rhs, state0, step, nsteps)
+    else:
+        steps = _leapfrog(_compile_vector(system.dp_dt, slot_of),
+                          _compile_vector(system.dq_dt, slot_of),
+                          state0, ctx.N, step, nsteps)
     states = np.empty((nsteps + 1, twoN))
     states[0] = state0
-    if scheme == "rk4":
-        s = state0.copy()
-        for i in range(nsteps):
-            k1 = rhs(s)
-            k2 = rhs(s + 0.5 * step * k1)
-            k3 = rhs(s + 0.5 * step * k2)
-            k4 = rhs(s + step * k3)
-            s = s + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[i + 1] = s
-    elif scheme == "leapfrog":
-        if not system.is_separable():
-            raise ValueError(
-                "leapfrog requires a Hamiltonian that splits as T(p) + V(q)")
-        s = state0.copy()
-        for i in range(nsteps):
-            for k in range(n):
-                s[n + k] += 0.5 * step * dp[k](s)
-            for k in range(n):
-                s[k] += step * dq[k](s)
-            for k in range(n):
-                s[n + k] += 0.5 * step * dp[k](s)
-            states[i + 1] = s
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    row = 0
+    try:
+        for row, s in enumerate(steps, 1):
+            states[row] = s
+    except OverflowError:  # a float power overflowed: the orbit diverged
+        states[row + 1:] = np.nan
 
     times = np.arange(nsteps + 1) * step
-    sampled = {name: np.array([fn(states[i]) for i in range(nsteps + 1)])
-               for name, fn in obs_eval.items()}
+    columns = states.T
+    sampled = {}
+    for name, p in obs.items():
+        values = np.empty(nsteps + 1)
+        values[:] = compile_evaluator(p, slot_of)(columns)
+        sampled[name] = values
     return Trajectory(times=times, states=states, observables=sampled)
 
 

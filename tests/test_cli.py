@@ -3,10 +3,13 @@ byte determinism.  Everything goes through main(argv) in-process.
 """
 
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from gnlab import cli
 from gnlab.cli import main
 
 
@@ -153,6 +156,44 @@ def test_simulate_rejects_bad_inputs(capsys):
     code, _, err = run(capsys, "simulate", "--n", "2", "--N", "2",
                        "--step", "-1")
     assert code == 2
+    for flag, value, message in (("--step", "nan", "step"),
+                                 ("--step", "inf", "step"),
+                                 ("--t-end", "nan", "t-end"),
+                                 ("--t-end", "inf", "t-end"),
+                                 ("--x0", "nan,0,0,0", "x0"),
+                                 ("--x0", "0,0,0,inf", "x0")):
+        code, out, err = run(capsys, "simulate", "--n", "2", "--N", "2",
+                             f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "finite" in err and "Traceback" not in err
+
+
+def test_simulate_size_budget_exits_2_before_allocating(capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a trajectory over the budget")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    code, out, err = run(capsys, "simulate", "--step", "1e-9",
+                         "--t-end", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_simulate_stepping_golden(tmp_path, capsys):
+    # SHA-256 of the t, q and p columns (header included, rows joined by
+    # newlines) as the row-by-row NumPy integrator wrote them; the
+    # plain-float steppers must keep every bit.
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = run(capsys, "simulate", "--n", "2", "--N", "3",
+                     "--t-end", "0.5", "--out", str(out_csv))
+    assert code == 0
+    with out_csv.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 502
+    text = "\n".join(",".join(row[:7]) for row in rows)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "c7a5713b123281a0f5dc9ad4d2e4e0314292c80d5237ffd09d88a947f7380304")
 
 
 def strict_json(text):
@@ -182,6 +223,20 @@ def test_simulate_leapfrog_requires_separable(capsys):
                        "--H", "h", "--scheme", "leapfrog",
                        "--step", "0.01", "--t-end", "0.1")
     assert code == 2 and "leapfrog" in err
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("division by zero"),
+                                   OverflowError("result too large"),
+                                   MemoryError()])
+def test_arithmetic_and_memory_errors_exit_2(capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_casimir", fail)
+    code, out, err = run(capsys, "casimir", "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {type(error).__name__}")
+    assert "Traceback" not in err
 
 
 def test_dump_rep_json(capsys):
