@@ -56,10 +56,6 @@ class Generator:
             return f"y{self.i}p"
         return f"z{self.i}_{self.j}"
 
-    @property
-    def is_central(self) -> bool:
-        return self.kind == "z"
-
 
 H = Generator("h")
 X_MINUS = Generator("xm")

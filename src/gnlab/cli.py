@@ -26,7 +26,7 @@ from .casimir import verify_annihilation, verify_intertwining
 from .coalgebra import (PhaseContext, check_independence, check_involution,
                         check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
-                        integral_set, window)
+                        integral_family, integral_set, window)
 from .dynamics import HamiltonianSystem, drift_report, integrate
 from .poly import BudgetExceeded, MissingVariable, parse_polynomial
 from .representations import (build_faithful_rep, build_quotient_rep,
@@ -129,16 +129,27 @@ def _context(cfg: RunConfig) -> PhaseContext:
     return PhaseContext.seeded(cfg.n, cfg.N, alpha_seed=cfg.alpha_seed)
 
 
-def _alpha_echo(ctx: PhaseContext) -> dict:
-    return {str(i): [str(v) for v in row]
-            for i, row in sorted(ctx.alpha_rows.items())}
+def _header(cfg: RunConfig, ctx: PhaseContext | None = None) -> dict:
+    """The keys every payload carries; a command with a phase space adds N
+    and the parameter rows."""
+    head = {"schema": SCHEMA_VERSION, "command": cfg.command, "n": cfg.n,
+            "seed": cfg.seed}
+    if ctx is not None:
+        head["N"] = ctx.N
+        head["alpha_seed"] = \
+            None if cfg.alpha_rows is not None else cfg.alpha_seed
+        head["alpha"] = {str(i): [str(v) for v in row]
+                         for i, row in sorted(ctx.alpha_rows.items())}
+    return head
 
 
-def _emit(payload, cfg: RunConfig, text_fn=None) -> None:
-    if cfg.fmt == "json" or text_fn is None:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(cfg: RunConfig, payload, text) -> None:
+    """Write the JSON payload or the text report; `payload` and `text` are
+    callables, so only the printed one is built."""
+    if cfg.fmt == "json":
+        body = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     else:
-        body = text_fn()
+        body = text()
         if not body.endswith("\n"):
             body += "\n"
     if cfg.out:
@@ -154,19 +165,17 @@ def _emit(payload, cfg: RunConfig, text_fn=None) -> None:
 def cmd_casimir(args) -> int:
     cfg = _resolve_config(args, need_N=False)
     result = casimir(cfg.n)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "casimir",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "degree": result.degree,
-        "terms": len(result.polynomial.terms),
-        "polynomial": result.polynomial.to_json(),
-        "matrix": [[result.matrix.at(i, j).text()
-                    for j in range(result.matrix.cols)]
-                   for i in range(result.matrix.rows)],
-    }
-    _emit(payload, cfg, text_fn=lambda: result.polynomial.text())
+    poly, matrix = result.polynomial, result.matrix
+
+    def payload() -> dict:
+        return {**_header(cfg),
+                "degree": result.degree,
+                "terms": len(poly.terms),
+                "polynomial": poly.to_json(),
+                "matrix": [[matrix.at(i, j).text() for j in range(matrix.cols)]
+                           for i in range(matrix.rows)]}
+
+    _emit(cfg, payload, poly.text)
     return 0
 
 
@@ -226,17 +235,11 @@ def cmd_verify(args) -> int:
     ctx = _context(cfg)
     reports = _verify_reports(cfg, ctx, args.max_ansatz_degree)
     passed = all(r.passed for r in reports)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "n": cfg.n,
-        "N": cfg.N,
-        "seed": cfg.seed,
-        "alpha_seed": None if cfg.alpha_rows is not None else cfg.alpha_seed,
-        "alpha": _alpha_echo(ctx),
-        "checks": [r.to_dict() for r in reports],
-        "passed": passed,
-    }
+
+    def payload() -> dict:
+        return {**_header(cfg, ctx),
+                "checks": [r.to_dict() for r in reports],
+                "passed": passed}
 
     def text() -> str:
         lines = [f"verify n={cfg.n} N={cfg.N} seed={cfg.seed}"]
@@ -244,7 +247,7 @@ def cmd_verify(args) -> int:
         lines.append("all checks passed" if passed else "FAILED")
         return "\n".join(lines)
 
-    _emit(payload, cfg, text_fn=text)
+    _emit(cfg, payload, text)
     return 0 if passed else 1
 
 
@@ -254,35 +257,26 @@ def cmd_integrals(args) -> int:
         raise UsageError("N must be at least n so that integrals exist")
     ctx = _context(cfg)
     sides = ("left", "right") if args.side == "both" else (args.side,)
-    payload_sides = {}
-    for side in sides:
-        iset = integral_set(ctx, side)
-        payload_sides[side] = [
-            {"m": m,
-             "window": list(window(side, m, cfg.N)),
-             "terms": len(p.terms),
-             "polynomial": p.to_json()}
-            for m, p in sorted(iset.members.items())]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "integrals",
-        "n": cfg.n,
-        "N": cfg.N,
-        "seed": cfg.seed,
-        "alpha_seed": None if cfg.alpha_rows is not None else cfg.alpha_seed,
-        "alpha": _alpha_echo(ctx),
-        "sides": payload_sides,
-    }
+    sets = {side: integral_set(ctx, side) for side in sides}
+
+    def payload() -> dict:
+        return {**_header(cfg, ctx),
+                "sides": {side: [{"m": m,
+                                  "window": list(window(side, m, cfg.N)),
+                                  "terms": len(p.terms),
+                                  "polynomial": p.to_json()}
+                                 for m, p in members.items()]
+                          for side, members in sets.items()}}
 
     def text() -> str:
         lines = []
-        for side in sides:
-            for m, p in sorted(integral_set(ctx, side).members.items()):
+        for side, members in sets.items():
+            for m, p in members.items():
                 a, b = window(side, m, cfg.N)
                 lines.append(f"{side} m={m} sites=[{a},{b}]: {p.text()}")
         return "\n".join(lines)
 
-    _emit(payload, cfg, text_fn=text)
+    _emit(cfg, payload, text)
     return 0
 
 
@@ -314,18 +308,8 @@ def cmd_simulate(args) -> int:
         import random as _random
         rng = _random.Random(cfg.seed)
         x0 = [round(rng.uniform(-1.0, 1.0), 6) for _ in range(2 * cfg.N)]
-    observables = {}
-    left = integral_set(ctx, "left")
-    right = integral_set(ctx, "right")
-    names: list[str] = []
-    for m in range(cfg.n, cfg.N + 1):
-        name = f"left_m{m}"
-        observables[name] = left.members[m]
-        names.append(name)
-    for m in range(cfg.n, cfg.N):
-        name = f"right_m{m}"
-        observables[name] = right.members[m]
-        names.append(name)
+    observables = integral_family(ctx)
+    names = list(observables)
     traj = integrate(system, x0, args.step, args.t_end, scheme=args.scheme,
                      observables=observables)
     drifts = drift_report(traj)
@@ -334,13 +318,7 @@ def cmd_simulate(args) -> int:
                  and d.max_relative_deviation <= args.drift_threshold
                  for d in drifts.values())
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "simulate",
-        "n": cfg.n,
-        "N": cfg.N,
-        "seed": cfg.seed,
-        "alpha_seed": None if cfg.alpha_rows is not None else cfg.alpha_seed,
-        "alpha": _alpha_echo(ctx),
+        **_header(cfg, ctx),
         "H": args.H,
         "scheme": args.scheme,
         "step": args.step,
@@ -394,15 +372,10 @@ def cmd_dump_rep(args) -> int:
         rows = rep.of(g).constant_entries()
         images.append({"generator": g.name,
                        "matrix": [[int(v) for v in row] for row in rows]})
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "dump-rep",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "representation": rep.name,
-        "size": rep.size,
-        "images": images,
-    }
+
+    def payload() -> dict:
+        return {**_header(cfg), "representation": rep.name,
+                "size": rep.size, "images": images}
 
     def text() -> str:
         lines = []
@@ -412,7 +385,7 @@ def cmd_dump_rep(args) -> int:
                 lines.append("  " + " ".join(f"{v:3d}" for v in row))
         return "\n".join(lines)
 
-    _emit(payload, cfg, text_fn=text)
+    _emit(cfg, payload, text)
     return 0
 
 
@@ -420,20 +393,12 @@ def cmd_rank(args) -> int:
     cfg = _resolve_config(args, need_N=False)
     from .algebra import beltrametti_blasi
     bb = beltrametti_blasi(cfg.n, seed=cfg.seed, trials=args.trials)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "rank",
-        "n": cfg.n,
-        "dim": triangular(cfg.n),
-        "rank": bb.rank,
-        "certified_rank": bb.certified_rank,
-        "nu": bb.nu,
-        "seed": cfg.seed,
-        "trials": bb.trials,
-    }
-    _emit(payload, cfg,
-          text_fn=lambda: f"rank {bb.rank} (certified {bb.certified_rank}), "
-                          f"nu {bb.nu}")
+    _emit(cfg,
+          lambda: {**_header(cfg), "dim": triangular(cfg.n), "rank": bb.rank,
+                   "certified_rank": bb.certified_rank, "nu": bb.nu,
+                   "trials": bb.trials},
+          lambda: f"rank {bb.rank} (certified {bb.certified_rank}), "
+                  f"nu {bb.nu}")
     return 0 if bb.consistent else 1
 
 
@@ -445,16 +410,11 @@ def cmd_ansatz(args) -> int:
         sol = solve_ansatz(cfg.n, args.degree, budget=args.budget)
     except BudgetExceeded as exc:
         raise UsageError(str(exc)) from None
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "ansatz",
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "degree": sol.degree,
-        "monomials": sol.monomials,
-        "dimension": sol.dimension,
-        "basis": [p.to_json() for p in sol.basis],
-    }
+
+    def payload() -> dict:
+        return {**_header(cfg), "degree": sol.degree,
+                "monomials": sol.monomials, "dimension": sol.dimension,
+                "basis": [p.to_json() for p in sol.basis]}
 
     def text() -> str:
         lines = [f"degree {sol.degree}: {sol.dimension} solution(s) over "
@@ -462,7 +422,7 @@ def cmd_ansatz(args) -> int:
         lines += [f"  {p.text()}" for p in sol.basis]
         return "\n".join(lines)
 
-    _emit(payload, cfg, text_fn=text)
+    _emit(cfg, payload, text)
     return 0
 
 
@@ -554,9 +514,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, MissingVariable, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

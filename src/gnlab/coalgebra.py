@@ -1,4 +1,4 @@
-"""Phase-space realisations, coproducts, and first-integral families.
+"""Phase-space realisations and first-integral families.
 
 A level-n algebra acts on N canonical degrees of freedom through
 
@@ -13,8 +13,11 @@ size m; the same quantity is, independently, minus a sum of squared n x n
 determinants built from the parameter rows and one q and one p row (the
 "building blocks").  Both routes are implemented and compared.
 
-The primitive coproduct x -> x(1) + ... + x(m) on a tensor registry backs
-the coassociativity and homomorphism checks.
+The window realisation is the primitive coproduct x -> x(1) + ... + x(m)
+followed by the one-site realisation on every site, which is why the
+substitution route carries the coproduct's name.  The coproduct on a
+tensor registry itself is not needed here; the tests build it to check
+coassociativity and that it is an algebra homomorphism.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Generator, GnAlgebra, X_MINUS, X_PLUS, build_gn
+from .algebra import Generator, X_MINUS, X_PLUS, build_gn
 from .casimir import casimir
 from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, det,
                    poly_sum, rank_rational)
@@ -41,14 +44,6 @@ def window(side: str, m: int, N: int) -> tuple[int, int]:
     if side == "right":
         return (N - m + 1, N)
     raise ValueError(f"side must be left or right, not {side!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class RealizedGenerator:
-    generator: Generator
-    side: str
-    sites: tuple[int, int]
-    value: Polynomial
 
 
 class PhaseContext:
@@ -72,6 +67,7 @@ class PhaseContext:
         for k in range(1, N + 1):
             self._q.append(registry.add(f"q{k}"))
             self._p.append(registry.add(f"p{k}"))
+        self._phase = frozenset(v.index for v in self._q + self._p)
         rows: dict[int, tuple[Fraction, ...]] = {}
         if alpha_rows is None:
             alpha_rows = {}
@@ -116,8 +112,15 @@ class PhaseContext:
         """q1..qN then p1..pN; the column order of trajectories."""
         return tuple(self._q) + tuple(self._p)
 
-    def phase_indices(self) -> frozenset[int]:
-        return frozenset(v.index for v in self._q + self._p)
+    def check_phase(self, f: Polynomial) -> None:
+        """Raise ValueError unless `f` is a polynomial in this context's q
+        and p variables only."""
+        if f.registry is not self.registry:
+            raise ValueError("polynomial belongs to a different context")
+        foreign = f.support_indices() - self._phase
+        if foreign:
+            names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
+            raise ValueError(f"non-phase variables present: {names}")
 
     @property
     def casimir_polynomial(self) -> Polynomial:
@@ -127,41 +130,39 @@ class PhaseContext:
 
     # ------------------------------------------------------------------
     def realize(self, g: Generator, side: str = "left",
-                m: int | None = None) -> RealizedGenerator:
+                m: int | None = None) -> Polynomial:
+        """Image of one generator over a site window."""
         m = self.N if m is None else m
         a, b = window(side, m, self.N)
         reg = self.registry
         sites = range(a, b + 1)
         if g.kind == "h":
-            value = sum((self.q(k) * self.p(k) for k in sites), reg.zero())
-        elif g.kind == "xm":
-            value = sum((self.q(k) * self.q(k) for k in sites), reg.zero())
-            value = value * Fraction(-1, 2)
-        elif g.kind == "xp":
-            value = sum((self.p(k) * self.p(k) for k in sites), reg.zero())
-            value = value * Fraction(1, 2)
-        elif g.kind == "ym":
-            value = sum((self.q(k) * -self.alpha(g.i, k) for k in sites),
-                        reg.zero())
-        elif g.kind == "yp":
-            value = sum((self.p(k) * self.alpha(g.i, k) for k in sites),
-                        reg.zero())
-        else:  # central
-            value = reg.const(sum(self.alpha(g.i, k) * self.alpha(g.j, k)
-                                  for k in sites))
-        return RealizedGenerator(g, side, (a, b), value)
+            return sum((self.q(k) * self.p(k) for k in sites), reg.zero())
+        if g.kind == "xm":
+            return sum((self.q(k) * self.q(k) for k in sites),
+                       reg.zero()) * Fraction(-1, 2)
+        if g.kind == "xp":
+            return sum((self.p(k) * self.p(k) for k in sites),
+                       reg.zero()) * Fraction(1, 2)
+        if g.kind == "ym":
+            return sum((self.q(k) * -self.alpha(g.i, k) for k in sites),
+                       reg.zero())
+        if g.kind == "yp":
+            return sum((self.p(k) * self.alpha(g.i, k) for k in sites),
+                       reg.zero())
+        # central
+        return reg.const(sum(self.alpha(g.i, k) * self.alpha(g.j, k)
+                             for k in sites))
 
     def realization_images(self, side: str = "left",
                            m: int | None = None) -> dict[VarId, Polynomial]:
-        return {self.algebra.basis.var(g): self.realize(g, side, m).value
+        return {self.algebra.basis.var(g): self.realize(g, side, m)
                 for g in self.algebra.basis.order}
 
     def realize_poly(self, f: Polynomial, side: str = "left",
                      m: int | None = None) -> Polynomial:
         """Realize a polynomial in generator variables over a site window."""
-        images = self.realization_images(side, m)
-        return f.substitute(images) if f.support_indices() else \
-            self.registry.const(f.coefficient({}))
+        return f.substitute(self.realization_images(side, m))
 
 
 def harmonic_hamiltonian(ctx: PhaseContext, omega: Fraction | int = 1) -> Polynomial:
@@ -172,56 +173,14 @@ def harmonic_hamiltonian(ctx: PhaseContext, omega: Fraction | int = 1) -> Polyno
 
 
 # ----------------------------------------------------------------------
-# Coproducts
-
-
-class TensorSpace:
-    """m-fold tensor registry with per-site copies name.k of each generator
-    variable, site-major order."""
-
-    def __init__(self, algebra: GnAlgebra, sites: int):
-        if sites < 1:
-            raise ValueError("at least one tensor site is required")
-        self.algebra = algebra
-        self.sites = sites
-        self.registry = VarRegistry()
-        for k in range(1, sites + 1):
-            for g in algebra.basis.order:
-                self.registry.add(f"{g.name}.{k}")
-
-    def var(self, g: Generator, site: int) -> VarId:
-        return self.registry.var(f"{g.name}.{site}")
-
-    def site_poly(self, g: Generator, site: int) -> Polynomial:
-        return self.registry.poly(self.var(g, site))
-
-    def coproduct(self, x: Polynomial) -> Polynomial:
-        """Primitive coproduct, extended multiplicatively: substitute each
-        generator variable by the sum of its site copies."""
-        images = {
-            self.algebra.basis.var(g): sum(
-                (self.site_poly(g, k) for k in range(1, self.sites + 1)),
-                self.registry.zero())
-            for g in self.algebra.basis.order}
-        if not x.support_indices():
-            return self.registry.const(x.coefficient({}))
-        return x.substitute(images)
-
-
-# ----------------------------------------------------------------------
 # Brackets and integrals
 
 
 def canonical_bracket(ctx: PhaseContext, f: Polynomial,
                       g: Polynomial) -> Polynomial:
     """{f,g} = sum_k df/dq_k dg/dp_k - dg/dq_k df/dp_k, exact."""
-    for p in (f, g):
-        if p.registry is not ctx.registry:
-            raise ValueError("polynomial belongs to a different context")
-        foreign = p.support_indices() - ctx.phase_indices()
-        if foreign:
-            names = ", ".join(sorted(ctx.registry.name_of(i) for i in foreign))
-            raise ValueError(f"non-phase variables present: {names}")
+    ctx.check_phase(f)
+    ctx.check_phase(g)
     products = []
     for k in range(1, ctx.N + 1):
         qv, pv = ctx.qvar(k), ctx.pvar(k)
@@ -289,23 +248,22 @@ def integrals_via_sum_of_squares(ctx: PhaseContext, side: str,
     return -poly_sum(ctx.registry, squares)
 
 
-@dataclass(frozen=True, eq=False)
-class IntegralSet:
-    side: str
-    members: dict[int, Polynomial]  # window size -> conserved quantity
+def integral_set(ctx: PhaseContext, side: str) -> dict[int, Polynomial]:
+    """Conserved quantities for every admissible window m = n..N, keyed by
+    window size."""
+    return {m: integrals_via_sum_of_squares(ctx, side, m)
+            for m in range(ctx.n, ctx.N + 1)}
 
 
-def integral_set(ctx: PhaseContext, side: str,
-                 route: str = "sum_of_squares") -> IntegralSet:
-    """Conserved quantities for every admissible window m = n..N."""
-    if route == "sum_of_squares":
-        make = integrals_via_sum_of_squares
-    elif route == "coproduct":
-        make = integrals_via_coproduct
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return IntegralSet(side, {m: make(ctx, side, m)
-                              for m in range(ctx.n, ctx.N + 1)})
+def integral_family(ctx: PhaseContext) -> dict[str, Polynomial]:
+    """The family whose independence is checked and whose drift is
+    simulated: left_m{m} for m = n..N, then right_m{m} for m = n..N-1 (the
+    right full window repeats the left one)."""
+    left = integral_set(ctx, "left")
+    right = integral_set(ctx, "right")
+    family = {f"left_m{m}": left[m] for m in range(ctx.n, ctx.N + 1)}
+    family.update((f"right_m{m}", right[m]) for m in range(ctx.n, ctx.N))
+    return family
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +275,7 @@ def check_realization_homomorphism(ctx: PhaseContext) -> Report:
     over the full window."""
     alg = ctx.algebra
     fails: list[str] = []
-    realized = {g: ctx.realize(g).value for g in alg.basis.order}
+    realized = {g: ctx.realize(g) for g in alg.basis.order}
     pairs = 0
     for a, b in combinations(alg.basis.order, 2):
         pairs += 1
@@ -375,21 +333,20 @@ def check_involution(ctx: PhaseContext) -> Report:
     sets = {side: integral_set(ctx, side) for side in ("left", "right")}
     pair_count = 0
     for side, iset in sets.items():
-        ms = sorted(iset.members)
-        for m1, m2 in combinations(ms, 2):
+        for m1, m2 in combinations(sorted(iset), 2):
             pair_count += 1
-            br = canonical_bracket(ctx, iset.members[m1], iset.members[m2])
+            br = canonical_bracket(ctx, iset[m1], iset[m2])
             if not br.is_zero:
                 fails.append(f"{{{side} m={m1}, {side} m={m2}}} != 0")
     gen_count = 0
     for g in ctx.algebra.basis.order:
-        d = ctx.realize(g).value
+        d = ctx.realize(g)
         for side, iset in sets.items():
-            for m, p in iset.members.items():
+            for m, p in iset.items():
                 gen_count += 1
                 if not canonical_bracket(ctx, p, d).is_zero:
                     fails.append(f"{{{side} m={m}, {g.name}}} != 0")
-    if sets["left"].members[ctx.N] != sets["right"].members[ctx.N]:
+    if sets["left"][ctx.N] != sets["right"][ctx.N]:
         fails.append("full-window integrals differ between sides")
     return Report("involution",
                   {"n": ctx.n, "N": ctx.N, "pairs": pair_count,
@@ -410,19 +367,16 @@ class IndependenceResult:
 
 def check_independence(ctx: PhaseContext, hamiltonian: Polynomial | None = None,
                        seed: int = 0, max_attempts: int = 5) -> IndependenceResult:
-    """Jacobian rank of {H, left m=n..N, right m=n..N-1} at random rational
-    phase points, resampling on deficiency up to `max_attempts` times.
+    """Jacobian rank of H and the `integral_family` {left m=n..N, right
+    m=n..N-1} at random rational phase points, resampling on deficiency up
+    to `max_attempts` times.
 
     The expected count is 2(N - n) + 2.
     """
     if ctx.N < ctx.n:
         raise ValueError("no integrals exist for N < n")
     H = hamiltonian if hamiltonian is not None else harmonic_hamiltonian(ctx)
-    members = [H]
-    left = integral_set(ctx, "left")
-    right = integral_set(ctx, "right")
-    members += [left.members[m] for m in range(ctx.n, ctx.N + 1)]
-    members += [right.members[m] for m in range(ctx.n, ctx.N)]
+    members = [H, *integral_family(ctx).values()]
     expected = 2 * (ctx.N - ctx.n) + 2
     state = ctx.state_vars()
     grads = [[f.partial(v) for v in state] for f in members]

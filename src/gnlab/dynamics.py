@@ -83,12 +83,7 @@ class HamiltonianSystem:
     @classmethod
     def build(cls, ctx: PhaseContext,
               hamiltonian: Polynomial) -> "HamiltonianSystem":
-        if hamiltonian.registry is not ctx.registry:
-            raise ValueError("Hamiltonian belongs to a different context")
-        foreign = hamiltonian.support_indices() - ctx.phase_indices()
-        if foreign:
-            names = ", ".join(sorted(ctx.registry.name_of(i) for i in foreign))
-            raise ValueError(f"non-phase variables present: {names}")
+        ctx.check_phase(hamiltonian)
         dq = tuple(hamiltonian.partial(ctx.pvar(k))
                    for k in range(1, ctx.N + 1))
         dp = tuple(-hamiltonian.partial(ctx.qvar(k))

@@ -317,10 +317,6 @@ class Polynomial:
             union |= m
         return frozenset(i for i, _ in exponents(union))
 
-    def variables(self) -> tuple[VarId, ...]:
-        ids = sorted(self.support_indices())
-        return tuple(self.registry.var_ids[i] for i in ids)
-
     def coefficient(self, mono: Mapping[str, int]) -> Fraction:
         """Coefficient of the monomial given as {name: exponent}."""
         key = monomial({self.registry.var(n).index: e
@@ -384,10 +380,8 @@ class Polynomial:
         # Work fraction-free: image i is scaled[i] / den[i] with integer
         # coefficients, and the whole sum is carried times the lcm of the
         # term denominators, so only the final division makes Fractions.
-        den = {i: math.lcm(*(c.denominator for c in img.terms.values()
-                             if type(c) is not int))
-               for i, img in imap.items()}
-        scaled = {i: img * den[i] for i, img in imap.items()}
+        # Only the images of variables present are scaled.
+        den: dict[int, int] = {}
         # decode every monomial once, checking coverage and the degree bound
         decoded = []
         top = 0
@@ -397,15 +391,21 @@ class Polynomial:
             degree = 0
             d = 1 if type(c) is int else c.denominator
             for i, e in exps:
-                if i not in imap:
+                img = imap.get(i)
+                if img is None:
                     raise MissingVariable(
                         f"no image for {self.registry.name_of(i)!r}")
-                degree += e * imap[i].total_degree()
+                if i not in den:
+                    den[i] = math.lcm(*(v.denominator
+                                        for v in img.terms.values()
+                                        if type(v) is not int))
+                degree += e * img.total_degree()
                 d *= den[i] ** e
             top = max(top, degree)
             common = math.lcm(common, d)
             decoded.append((exps, c, d))
         _check_degree(top, "a substitution")
+        scaled = {i: imap[i] * n for i, n in den.items()}
         pow_cache: dict[tuple[int, int], dict] = {}
         acc: dict = {}
         get = acc.get
@@ -468,15 +468,6 @@ class Polynomial:
             {"coeff": str(c),
              "monomial": {names[i]: e for i, e in reversed(exponents(m))}}
             for m, c in self.sorted_terms()]}
-
-    @classmethod
-    def from_json(cls, registry: VarRegistry, data: Mapping) -> "Polynomial":
-        out: dict = {}
-        for term in data["terms"]:
-            mono = monomial({registry.var(n).index: int(e)
-                             for n, e in term["monomial"].items()})
-            out[mono] = out.get(mono, 0) + _rational(Fraction(term["coeff"]))
-        return cls(registry, out)
 
 
 def poly_sum(registry: VarRegistry, polys: Iterable[Polynomial]) -> Polynomial:
@@ -629,17 +620,6 @@ class PolyMatrix:
             all(a == b for a, b in zip(self.entries, other.entries))
 
     __hash__ = None
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def is_antisymmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.at(i, j) == -self.at(j, i)
-                   for i in range(self.rows) for j in range(i, self.cols))
 
     def eval(self, assignment: Mapping) -> list[list[Fraction]]:
         return [[self.at(i, j).eval(assignment) for j in range(self.cols)]

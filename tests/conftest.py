@@ -1,5 +1,5 @@
-"""Shared test helpers: an independent determinant oracle and small random
-polynomial generators.
+"""Shared test helpers: an independent determinant oracle, a parser for
+the JSON polynomial form, and small random polynomial generators.
 
 The oracle expands along the last column with no memoization, so it shares
 no code path with the library's memoized first-row expansion.
@@ -8,6 +8,7 @@ no code path with the library's memoized first-row expansion.
 from fractions import Fraction
 
 from gnlab import Polynomial, VarRegistry
+from gnlab.poly import monomial
 
 
 def cofactor_det(rows):
@@ -33,6 +34,18 @@ def cofactor_det(rows):
     if out is None:
         return rows[0][0].registry.zero()
     return out
+
+
+def poly_from_json(registry: VarRegistry, data) -> Polynomial:
+    """Read back the ``{"terms": [{"coeff", "monomial"}]}`` form that
+    ``Polynomial.to_json`` writes.  The library only writes this form, so
+    the reader lives with the tests that check the round trip."""
+    terms: dict = {}
+    for term in data["terms"]:
+        mono = monomial({registry.var(name).index: int(e)
+                         for name, e in term["monomial"].items()})
+        terms[mono] = terms.get(mono, 0) + Fraction(term["coeff"])
+    return Polynomial(registry, terms)
 
 
 def random_poly(reg: VarRegistry, rng, names=None, max_terms=4,

@@ -151,9 +151,9 @@ def test_11_numerical_conservation():
         t0 = time.time()
         system = HamiltonianSystem.build(ctx, harmonic_hamiltonian(ctx))
         obs = {}
-        for m, p in integral_set(ctx, "left").members.items():
+        for m, p in integral_set(ctx, "left").items():
             obs[f"left_m{m}"] = p
-        for m, p in integral_set(ctx, "right").members.items():
+        for m, p in integral_set(ctx, "right").items():
             if m < N:
                 obs[f"right_m{m}"] = p
         traj = integrate(system, x0, 1e-3, 10.0, observables=obs)

@@ -1,8 +1,10 @@
 """Coproducts, canonical realisations, the two integral routes, involution,
 vanishing thresholds, and independence counts.
 
-Coassociativity is checked by mapping the two-site coproduct into the
-three-site space along both legs and comparing exactly.
+The library realises windows directly and never builds a tensor space, so
+the primitive coproduct lives here.  Coassociativity is checked by mapping
+the two-site coproduct into the three-site space along both legs and
+comparing exactly.
 """
 
 import random
@@ -10,15 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from gnlab import (PhaseContext, TensorSpace, build_gn, building_block,
+from gnlab import (GnAlgebra, Generator, PhaseContext, Polynomial, VarId,
+                   VarRegistry, build_gn, building_block,
                    building_block_expansion, canonical_bracket, casimir,
                    check_independence, check_involution,
                    check_realization_homomorphism, check_route_equivalence,
-                   check_vanishing, harmonic_hamiltonian, integral_set,
-                   integrals_via_coproduct, integrals_via_sum_of_squares,
-                   window)
+                   check_vanishing, harmonic_hamiltonian, integral_family,
+                   integral_set, integrals_via_coproduct,
+                   integrals_via_sum_of_squares, window)
 from conftest import random_poly
-from gnlab.algebra import H, X_MINUS, X_PLUS, y_minus, y_plus
+from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
 
 
 def test_window_arithmetic():
@@ -54,6 +57,35 @@ def test_seeded_context_is_deterministic():
 
 # ----------------------------------------------------------------------
 # coproduct
+
+
+class TensorSpace:
+    """m-fold tensor registry with per-site copies name.k of each generator
+    variable, site-major order."""
+
+    def __init__(self, algebra: GnAlgebra, sites: int):
+        self.algebra = algebra
+        self.sites = sites
+        self.registry = VarRegistry()
+        for k in range(1, sites + 1):
+            for g in algebra.basis.order:
+                self.registry.add(f"{g.name}.{k}")
+
+    def var(self, g: Generator, site: int) -> VarId:
+        return self.registry.var(f"{g.name}.{site}")
+
+    def site_poly(self, g: Generator, site: int) -> Polynomial:
+        return self.registry.poly(self.var(g, site))
+
+    def coproduct(self, x: Polynomial) -> Polynomial:
+        """Primitive coproduct, extended multiplicatively: substitute each
+        generator variable by the sum of its site copies."""
+        images = {
+            self.algebra.basis.var(g): sum(
+                (self.site_poly(g, k) for k in range(1, self.sites + 1)),
+                self.registry.zero())
+            for g in self.algebra.basis.order}
+        return x.substitute(images)
 
 
 def test_coproduct_is_primitive_on_generators():
@@ -118,23 +150,32 @@ def test_realize_goldens():
     ctx = PhaseContext(3, 2, {1: [2, -3]})
     q1, q2 = ctx.q(1), ctx.q(2)
     p1, p2 = ctx.p(1), ctx.p(2)
-    assert ctx.realize(H).value == q1 * p1 + q2 * p2
-    assert ctx.realize(X_PLUS).value == (p1 ** 2 + p2 ** 2) * Fraction(1, 2)
-    assert ctx.realize(X_MINUS).value == -(q1 ** 2 + q2 ** 2) * Fraction(1, 2)
-    assert ctx.realize(y_plus(1)).value == 2 * p1 - 3 * p2
-    assert ctx.realize(y_minus(1)).value == -(2 * q1 - 3 * q2)
-    from gnlab.algebra import central
-    assert ctx.realize(central(1, 1)).value == ctx.registry.const(13)
+    assert ctx.realize(H) == q1 * p1 + q2 * p2
+    assert ctx.realize(X_PLUS) == (p1 ** 2 + p2 ** 2) * Fraction(1, 2)
+    assert ctx.realize(X_MINUS) == -(q1 ** 2 + q2 ** 2) * Fraction(1, 2)
+    assert ctx.realize(y_plus(1)) == 2 * p1 - 3 * p2
+    assert ctx.realize(y_minus(1)) == -(2 * q1 - 3 * q2)
+    assert ctx.realize(central(1, 1)) == ctx.registry.const(13)
 
 
 def test_realize_windows():
     ctx = PhaseContext.seeded(2, 4)
-    left = ctx.realize(X_PLUS, "left", 2)
-    assert left.sites == (1, 2)
-    assert left.value == (ctx.p(1) ** 2 + ctx.p(2) ** 2) * Fraction(1, 2)
-    right = ctx.realize(X_PLUS, "right", 2)
-    assert right.sites == (3, 4)
-    assert right.value == (ctx.p(3) ** 2 + ctx.p(4) ** 2) * Fraction(1, 2)
+    assert window("left", 2, ctx.N) == (1, 2)
+    assert ctx.realize(X_PLUS, "left", 2) == \
+        (ctx.p(1) ** 2 + ctx.p(2) ** 2) * Fraction(1, 2)
+    assert window("right", 2, ctx.N) == (3, 4)
+    assert ctx.realize(X_PLUS, "right", 2) == \
+        (ctx.p(3) ** 2 + ctx.p(4) ** 2) * Fraction(1, 2)
+
+
+def test_realize_poly_of_constants():
+    ctx = PhaseContext.seeded(3, 3)
+    reg = ctx.registry
+    for value in (Fraction(-7, 3), Fraction(5), Fraction(0)):
+        got = ctx.realize_poly(reg.const(value), "right", 2)
+        assert got.registry is reg
+        assert got == reg.const(value)
+    assert ctx.realize_poly(reg.zero()).is_zero
 
 
 def test_canonical_bracket_basics():
@@ -218,19 +259,28 @@ def test_involution_small():
         assert rep.passed
     # directly: two left members commute
     ctx = PhaseContext.seeded(2, 4)
-    members = integral_set(ctx, "left").members
+    members = integral_set(ctx, "left")
     assert canonical_bracket(ctx, members[2], members[3]).is_zero
     assert canonical_bracket(ctx, members[2], members[4]).is_zero
 
 
-def test_integral_set_routes_and_errors():
+def test_integral_set_matches_coproduct_route():
     ctx = PhaseContext.seeded(2, 3)
-    sos = integral_set(ctx, "left")
-    cop = integral_set(ctx, "left", route="coproduct")
-    assert set(sos.members) == set(cop.members) == {2, 3}
-    assert all(sos.members[m] == cop.members[m] for m in sos.members)
-    with pytest.raises(ValueError):
-        integral_set(ctx, "left", route="magic")
+    for side in ("left", "right"):
+        members = integral_set(ctx, side)
+        assert list(members) == [2, 3]
+        for m, p in members.items():
+            assert p == integrals_via_coproduct(ctx, side, m)
+
+
+def test_integral_family_order_and_members():
+    ctx = PhaseContext.seeded(3, 5)
+    family = integral_family(ctx)
+    assert list(family) == ["left_m3", "left_m4", "left_m5",
+                            "right_m3", "right_m4"]
+    for name, p in family.items():
+        side, m = name.split("_m")
+        assert p == integrals_via_sum_of_squares(ctx, side, int(m))
 
 
 def test_independence_counts():

@@ -127,7 +127,7 @@ def test_leapfrog_energy_stays_bounded():
 def test_rk4_conserves_all_observables():
     ctx = PhaseContext.seeded(2, 3)
     system = HamiltonianSystem.build(ctx, harmonic_hamiltonian(ctx))
-    obs = {f"m{m}": p for m, p in integral_set(ctx, "left").members.items()}
+    obs = {f"m{m}": p for m, p in integral_set(ctx, "left").items()}
     rng = random.Random(1)
     x0 = [rng.uniform(-1, 1) for _ in range(6)]
     traj = integrate(system, x0, 1e-3, 10.0, observables=obs)
@@ -230,7 +230,7 @@ def test_steppers_match_the_row_by_row_reference(scheme, H, alpha_seed):
         ctx, ctx.realize_poly(parse_polynomial(H, ctx.registry)))
     obs = {f"{side}_m{m}": p
            for side in ("left", "right")
-           for m, p in integral_set(ctx, side).members.items()}
+           for m, p in integral_set(ctx, side).items()}
     rng = random.Random(alpha_seed)
     x0 = [round(rng.uniform(-0.5, 0.5), 4) for _ in range(8)]
     traj = integrate(system, x0, 1e-2, 2.0, scheme=scheme, observables=obs)

@@ -1,6 +1,9 @@
 """Library lint kept without a linter: every name a module of the package
-imports is used in that module.  The package ``__init__`` is exempt,
-because its imports are the public re-exports.
+imports is used in that module, and every function, class or method it
+defines is referenced somewhere in the package.  The package ``__init__``
+is exempt from the first scan and counts as a reference in the second,
+because its imports are the public re-exports; so API that only tests
+call has no place in the library.
 """
 
 import ast
@@ -38,3 +41,48 @@ def test_library_modules_use_every_import():
     unused = [f"{p.name} {entry}" for p in modules
               for entry in unused_imports(p.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Functions, classes and methods defined in `sources` (module name ->
+    text) whose name is never referenced, as a name or an attribute, in
+    any of them.  A name imported by ``__init__`` is a public re-export and
+    counts as referenced; dunder methods are called by the language."""
+    defined: list[tuple[str, int, str]] = []
+    referenced: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and module == "__init__":
+                referenced.update(alias.name for alias in node.names)
+    return [f"{module} line {line}: {name}"
+            for module, line, name in defined if name not in referenced]
+
+
+def test_dead_definitions_are_detected():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": ("def exported():\n    return helper()\n"
+              "def helper():\n    return Box().size\n"
+              "def orphan():\n    pass\n"
+              "class Box:\n    def __init__(self):\n        pass\n"
+              "    @property\n    def size(self):\n        return 1\n"
+              "    def unused(self):\n        pass\n"),
+    }
+    assert dead_definitions(sources) == ["a line 5: orphan",
+                                         "a line 13: unused"]
+
+
+def test_library_defines_nothing_unreferenced():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert "__init__" in sources
+    assert dead_definitions(sources) == []
