@@ -36,6 +36,12 @@ from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
 
+# Highest level `casimir` expands.  C_10 already has 1,436,714 terms and
+# takes about 1 GB, and each level has about 9.4 times the terms of the one
+# below, so C_11 would exhaust memory.
+MAX_CASIMIR_N = 10
+
+
 def casimir_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
     """The symmetric bordered matrix whose determinant carries the invariant."""
     alg = algebra or build_gn(n)
@@ -62,7 +68,13 @@ class CasimirResult:
 
 
 def casimir(n: int, algebra: GnAlgebra | None = None) -> CasimirResult:
-    """C_n = -det of the bordered matrix; homogeneous of degree n."""
+    """C_n = -det of the bordered matrix; homogeneous of degree n.  Levels
+    above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
+    if n > MAX_CASIMIR_N:
+        raise BudgetExceeded(
+            f"C_{n} is too large to expand: levels above {MAX_CASIMIR_N} "
+            f"are refused (C_{MAX_CASIMIR_N} already has 1,436,714 terms, "
+            f"and each level has about 9.4 times the terms of the one below)")
     alg = algebra or build_gn(n)
     m = casimir_matrix(n, alg)
     c = -det(m)

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,8 @@ from .coalgebra import (PhaseContext, check_independence, check_involution,
                         check_route_equivalence, check_vanishing,
                         integral_family, integral_set, window)
 from .dynamics import HamiltonianSystem, drift_report, integrate
-from .poly import BudgetExceeded, MissingVariable, parse_polynomial
+from .poly import (BudgetExceeded, MissingVariable, Polynomial,
+                   parse_polynomial)
 from .representations import (build_faithful_rep, build_quotient_rep,
                               check_field_homomorphism, check_homomorphism)
 from .reports import Report
@@ -143,20 +145,58 @@ def _header(cfg: RunConfig, ctx: PhaseContext | None = None) -> dict:
     return head
 
 
+# A polynomial's place in the envelope, and that place as json.dumps writes it
+_SLOT = "\0polynomial {}\0"
+_SLOT_JSON = re.compile(r'"\\u0000polynomial (\d+)\\u0000"')
+
+
+def _json_chunks(payload) -> list[str]:
+    """`payload` as ``json.dumps(indent=2, sort_keys=True)`` text, in pieces.
+
+    Each Polynomial in the payload is swapped for a numbered placeholder,
+    the envelope left is dumped, and each polynomial's own `to_json` text
+    goes where its placeholder was, indented like that line."""
+    polys: list[Polynomial] = []
+
+    def swap(value):
+        if isinstance(value, Polynomial):
+            polys.append(value)
+            return _SLOT.format(len(polys) - 1)
+        if isinstance(value, dict):
+            return {k: swap(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [swap(v) for v in value]
+        return value
+
+    pieces = _SLOT_JSON.split(json.dumps(swap(payload), indent=2,
+                                         sort_keys=True, allow_nan=False))
+    # pieces alternate: envelope text, slot number, envelope text, ...
+    slots = [int(k) for k in pieces[1::2]]
+    if sorted(slots) != list(range(len(polys))):
+        raise RuntimeError(f"{len(polys)} polynomials placed, but the "
+                           f"envelope holds slots {sorted(slots)}")
+    chunks = []
+    for before, k in zip(pieces[::2], slots):
+        line = before[before.rfind("\n") + 1:]
+        pad = line[:len(line) - len(line.lstrip(" "))]
+        chunks += [before, polys[k].to_json(pad)]
+    chunks.append(pieces[-1] + "\n")
+    return chunks
+
+
 def _emit(cfg: RunConfig, payload, text) -> None:
     """Write the JSON payload or the text report; `payload` and `text` are
     callables, so only the printed one is built."""
     if cfg.fmt == "json":
-        body = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+        chunks = _json_chunks(payload())
     else:
         body = text()
-        if not body.endswith("\n"):
-            body += "\n"
+        chunks = [body if body.endswith("\n") else body + "\n"]
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +211,7 @@ def cmd_casimir(args) -> int:
         return {**_header(cfg),
                 "degree": result.degree,
                 "terms": len(poly.terms),
-                "polynomial": poly.to_json(),
+                "polynomial": poly,
                 "matrix": [[matrix.at(i, j).text() for j in range(matrix.cols)]
                            for i in range(matrix.rows)]}
 
@@ -264,7 +304,7 @@ def cmd_integrals(args) -> int:
                 "sides": {side: [{"m": m,
                                   "window": list(window(side, m, cfg.N)),
                                   "terms": len(p.terms),
-                                  "polynomial": p.to_json()}
+                                  "polynomial": p}
                                  for m, p in members.items()]
                           for side, members in sets.items()}}
 
@@ -414,7 +454,7 @@ def cmd_ansatz(args) -> int:
     def payload() -> dict:
         return {**_header(cfg), "degree": sol.degree,
                 "monomials": sol.monomials, "dimension": sol.dimension,
-                "basis": [p.to_json() for p in sol.basis]}
+                "basis": sol.basis}
 
     def text() -> str:
         lines = [f"degree {sol.degree}: {sol.dimension} solution(s) over "

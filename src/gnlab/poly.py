@@ -38,6 +38,7 @@ The module also carries the exact linear algebra used everywhere else:
 from __future__ import annotations
 
 import ast
+import json
 import math
 import random
 from fractions import Fraction
@@ -46,6 +47,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 # One byte per exponent: the helpers below read monomials with int.to_bytes.
 _BITS = 8
 MAX_DEGREE = (1 << _BITS) - 1
+# Variables per memoised group when terms are written as text or JSON
+_RENDER_GROUP = 16
 
 _ZERO = Fraction(0)
 
@@ -430,19 +433,48 @@ class Polynomial:
         return [(m, terms[m]) for m in sorted(
             terms, key=_canonical_key(len(self.registry)), reverse=True)]
 
-    def _mono_text(self, m: int) -> str:
-        parts = []
-        for i, e in reversed(exponents(m)):
-            name = self.registry.name_of(i)
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+    def _rendered_terms(self, order: list[int], factor):
+        """Each term in canonical order as (coefficient, factors), where
+        factors concatenates ``factor(name, e)`` over the variables of
+        index in `order` that occur.
+
+        One string per (variable, exponent) is made up front for the
+        variables that occur.  They are cut, in `order`, into groups of
+        `_RENDER_GROUP`, and the factors of each group's part of a monomial
+        are memoised, since the same part recurs across many monomials."""
+        names = [v.name for v in self.registry.var_ids]
+        size = len(names)
+        top = self.total_degree()
+        present = self.support_indices()
+        order = [i for i in order if i in present]
+        groups = []
+        for start in range(0, len(order), _RENDER_GROUP):
+            idx = order[start:start + _RENDER_GROUP]
+            tables = [[""] + [factor(names[i], e) for e in range(1, top + 1)]
+                      for i in idx]
+            groups.append((sum(MAX_DEGREE << (_BITS * i) for i in idx),
+                           {}, list(zip(idx, tables))))
+        for m, c in self.sorted_terms():
+            parts = []
+            for mask, memo, tables in groups:
+                part = m & mask
+                rendered = memo.get(part)
+                if rendered is None:
+                    vec = part.to_bytes(size, "little")
+                    rendered = memo[part] = "".join(
+                        [table[vec[i]] for i, table in tables])
+                parts.append(rendered)
+            yield c, "".join(parts)
 
     def text(self) -> str:
         if not self.terms:
             return "0"
         chunks: list[str] = []
-        for m, c in self.sorted_terms():
-            mono = self._mono_text(m)
+        # factors by descending variable index, each led by "*"
+        for c, factors in self._rendered_terms(
+                list(range(len(self.registry) - 1, -1, -1)),
+                lambda name, e: f"*{name}" if e == 1 else f"*{name}^{e}"):
+            mono = factors[1:]
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -462,12 +494,33 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
 
-    def to_json(self) -> dict:
+    def to_json(self, pad: str = "") -> str:
+        """The JSON text ``{"terms": [{"coeff", "monomial"}]}``, terms in
+        canonical order, exactly as ``json.dumps(indent=2, sort_keys=True)``
+        lays it out, with every line after the first led by `pad`.  A
+        coefficient is its ``str``, which needs no escaping, and a monomial
+        maps each variable name to its exponent, in name order."""
+        if not self.terms:
+            return f'{{\n{pad}  "terms": []\n{pad}}}'
         names = [v.name for v in self.registry.var_ids]
-        return {"terms": [
-            {"coeff": str(c),
-             "monomial": {names[i]: e for i, e in reversed(exponents(m))}}
-            for m, c in self.sorted_terms()]}
+        quoted = {name: json.dumps(name) for name in names}
+        inner = f"\n{pad}        "
+        head = f'{pad}    {{\n{pad}      "coeff": "'
+        mid = f'",\n{pad}      "monomial": {{'
+        tail = f"\n{pad}      }}\n{pad}    }}"
+        bare = f"}}\n{pad}    }}"
+        # each exponent entry ends in a comma, the last one dropped below
+        terms = [
+            f"{head}{c}{mid}{entries[:-1]}{tail}" if entries
+            else f"{head}{c}{mid}{bare}"
+            for c, entries in self._rendered_terms(
+                sorted(range(len(names)), key=names.__getitem__),
+                lambda name, e: f"{inner}{quoted[name]}: {e},")]
+        # the opening and closing lines join the first and last terms, so
+        # the text is assembled in one join
+        terms[0] = f'{{\n{pad}  "terms": [\n{terms[0]}'
+        terms[-1] = f"{terms[-1]}\n{pad}  ]\n{pad}}}"
+        return ",\n".join(terms)
 
 
 def poly_sum(registry: VarRegistry, polys: Iterable[Polynomial]) -> Polynomial:

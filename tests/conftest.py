@@ -1,14 +1,16 @@
-"""Shared test helpers: an independent determinant oracle, a parser for
-the JSON polynomial form, and small random polynomial generators.
+"""Shared test helpers: an independent determinant oracle, a reference
+writer and a reader for the JSON polynomial form, and small random
+polynomial generators.
 
 The oracle expands along the last column with no memoization, so it shares
 no code path with the library's memoized first-row expansion.
 """
 
+import json
 from fractions import Fraction
 
 from gnlab import Polynomial, VarRegistry
-from gnlab.poly import monomial
+from gnlab.poly import exponents, monomial
 
 
 def cofactor_det(rows):
@@ -36,9 +38,22 @@ def cofactor_det(rows):
     return out
 
 
+def poly_json_reference(p: Polynomial, pad: str = "") -> str:
+    """The text ``Polynomial.to_json(pad)`` must write, made the slow way:
+    a dict with one ``{"coeff", "monomial"}`` dict per term in canonical
+    order, dumped by ``json.dumps(indent=2, sort_keys=True)``, with `pad`
+    put after every newline."""
+    names = [v.name for v in p.registry.var_ids]
+    data = {"terms": [
+        {"coeff": str(c),
+         "monomial": {names[i]: e for i, e in exponents(m)}}
+        for m, c in p.sorted_terms()]}
+    return json.dumps(data, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def poly_from_json(registry: VarRegistry, data) -> Polynomial:
-    """Read back the ``{"terms": [{"coeff", "monomial"}]}`` form that
-    ``Polynomial.to_json`` writes.  The library only writes this form, so
+    """Read back the parsed ``{"terms": [{"coeff", "monomial"}]}`` form,
+    ``json.loads(p.to_json())``.  The library only writes this form, so
     the reader lives with the tests that check the round trip."""
     terms: dict = {}
     for term in data["terms"]:

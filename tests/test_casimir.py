@@ -63,7 +63,8 @@ def test_invariant_level3_coefficients():
     assert c.coefficient({"xm": 1, "y1p": 2}) == -2
 
 
-# SHA-256 of json.dumps(C_n.to_json(), sort_keys=True, separators=(",", ":")).
+# SHA-256 of json.dumps(json.loads(C_n.to_json()), sort_keys=True,
+# separators=(",", ":")).
 # The term list keeps its order under sort_keys, so these pin the canonical
 # term order as well as every coefficient.
 CANONICAL_JSON_SHA256 = {
@@ -76,8 +77,8 @@ CANONICAL_JSON_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(CANONICAL_JSON_SHA256))
 def test_canonical_json_golden(n):
-    text = json.dumps(casimir(n).polynomial.to_json(), sort_keys=True,
-                      separators=(",", ":"))
+    text = json.dumps(json.loads(casimir(n).polynomial.to_json()),
+                      sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == CANONICAL_JSON_SHA256[n]
 
@@ -108,6 +109,17 @@ def test_degree_and_grading():
     for n in (2, 3, 4, 5):
         assert casimir(n).degree == n
         assert check_grading(n).passed
+
+
+def test_casimir_refuses_levels_above_the_limit(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("expanded a level above the limit")
+
+    monkeypatch.setattr(casimir_module, "casimir_matrix", no_expansion)
+    monkeypatch.setattr(casimir_module, "det", no_expansion)
+    n = casimir_module.MAX_CASIMIR_N + 1
+    with pytest.raises(BudgetExceeded, match=f"levels above {n - 1} "):
+        casimir(n)
 
 
 def test_grading_check_catches_a_wrong_grade(monkeypatch):

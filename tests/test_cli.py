@@ -4,6 +4,7 @@ byte determinism.  Everything goes through main(argv) in-process.
 
 import csv
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -34,6 +35,40 @@ def test_casimir_json(capsys):
     assert payload["terms"] == 5
     assert len(payload["matrix"]) == 3
     assert payload["matrix"][1][1] == "-2*xm"
+
+
+# SHA-256 of the whole stdout, as one json.dumps(indent=2, sort_keys=True)
+# of the payload (term dicts included) writes it; pins whitespace, key
+# order and the envelope around each polynomial, and the text form.
+OUTPUT_SHA256 = {
+    "casimir --n 6 --format json":
+        "99beacc2c5cce26cedf3c2f06c7128b8172064723557cf1fd93bdfdd0cc4294e",
+    "casimir --n 6":
+        "47e3e3d2e10a1b1740169872631881805ce8a15d7979701dc309c62cc19e6f62",
+    "integrals --n 3 --N 5 --format json":
+        "34a6d51e04b4d0c0688caa8444d15278221b9c92805f0727b1d362bb56ae6649",
+    "ansatz --n 4 --degree 4 --format json":
+        "fc8b6cc35524c892027a12b76097ba9e8f8f85a0a4727dae17d3c09383f54620",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_output_bytes_golden(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == OUTPUT_SHA256[command]
+
+
+def test_casimir_size_guard_exits_2(capsys, monkeypatch):
+    def no_det(matrix):
+        raise AssertionError("expanded a level above the limit")
+
+    monkeypatch.setattr(importlib.import_module("gnlab.casimir"), "det",
+                        no_det)
+    code, out, err = run(capsys, "casimir", "--n", "11")
+    assert code == 2 and out == ""
+    assert err.startswith("error: C_11 is too large to expand")
 
 
 def test_casimir_rejects_low_level(capsys):

@@ -5,12 +5,14 @@ Determinants are cross-checked against the plain cofactor oracle in
 conftest, which expands along a different line with no memoization.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import cofactor_det, poly_from_json, random_poly, rational_point
+from conftest import (cofactor_det, poly_from_json, poly_json_reference,
+                      random_poly, rational_point)
 from gnlab import (BudgetExceeded, MissingVariable, PolyMatrix,
                    RegistryMismatch, VarRegistry, det, parse_polynomial, rank,
                    rank_rational, sparse_nullspace)
@@ -288,7 +290,41 @@ def test_json_roundtrip():
     rng = random.Random(47)
     for _ in range(20):
         f = random_poly(reg, rng)
-        assert poly_from_json(reg, f.to_json()) == f
+        assert poly_from_json(reg, json.loads(f.to_json())) == f
+
+
+def _json_cases():
+    """(label, polynomial) pairs for the JSON writer: the edge shapes,
+    a registry whose index order is not name order, and one wide enough
+    that its monomials are rendered in several groups."""
+    reg = VarRegistry(["h", "xp", "xm"])
+    h, xp, xm = reg.poly("h"), reg.poly("xp"), reg.poly("xm")
+    yield "zero", reg.zero()
+    yield "constant", reg.const(Fraction(-7, 3))
+    yield "fractions", Fraction(5, 2) * xp * xm ** 3 - Fraction(1, 9) * h + 4
+    yield "unsorted_names", h ** 2 + 4 * xp * xm - 2 * xm ** 2 * xp
+    names = [f"v{k:02d}" for k in range(40)]
+    random.Random(5).shuffle(names)
+    wide = VarRegistry(names)
+    yield "wide", random_poly(wide, random.Random(6), max_terms=30,
+                              max_degree=6)
+
+
+@pytest.mark.parametrize("pad", ["", "  ", " " * 8])
+@pytest.mark.parametrize("label,poly", list(_json_cases()),
+                         ids=[label for label, _ in _json_cases()])
+def test_to_json_matches_reference(label, poly, pad):
+    assert poly.to_json(pad) == poly_json_reference(poly, pad)
+
+
+def test_wide_registry_text():
+    names = [f"v{k:02d}" for k in range(40)]
+    random.Random(7).shuffle(names)
+    reg = VarRegistry(names)
+    rng = random.Random(8)
+    for _ in range(10):
+        f = random_poly(reg, rng, max_terms=20, max_degree=6)
+        assert parse_polynomial(f.text(), reg) == f
 
 
 def test_budget_error_is_runtime_error():

@@ -6,11 +6,12 @@ integers and non-integral rationals.  sympy's Berkowitz determinant is an
 independent oracle for the invariants C_n = -det M_n at small levels.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import poly_from_json
+from conftest import poly_from_json, poly_json_reference
 from gnlab import Polynomial, VarRegistry, casimir
 from gnlab.poly import monomial
 
@@ -20,6 +21,8 @@ given = hypothesis.given
 settings = hypothesis.settings(max_examples=60, deadline=None)
 
 SOURCE = VarRegistry(["a", "b", "c"])
+# index order h, xp, xm; name order h, xm, xp
+LADDER = VarRegistry(["h", "xp", "xm"])
 TARGET = VarRegistry(["u", "v"])
 
 
@@ -87,7 +90,13 @@ def test_partial_obeys_leibniz(f, g, name):
 @settings
 @given(polynomials(SOURCE))
 def test_serialisation_roundtrips(f):
-    assert poly_from_json(SOURCE, f.to_json()) == f
+    assert poly_from_json(SOURCE, json.loads(f.to_json())) == f
+
+
+@settings
+@given(polynomials(LADDER), st.sampled_from(["", "  ", " " * 8]))
+def test_json_writer_matches_reference(f, pad):
+    assert f.to_json(pad) == poly_json_reference(f, pad)
 
 
 # ----------------------------------------------------------------------
@@ -122,5 +131,5 @@ def test_casimir_matches_sympy_berkowitz(n):
         for exps, c in sympy.Poly(expr, *gens).terms()}
     got = {
         frozenset(term["monomial"].items()): Fraction(term["coeff"])
-        for term in casimir(n).polynomial.to_json()["terms"]}
+        for term in json.loads(casimir(n).polynomial.to_json())["terms"]}
     assert got == want
