@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--ceiling-n", type=int, default=6, dest="ceiling_n")
+    common.add_argument("--ceiling-n", type=int, default=7, dest="ceiling_n")
     common.add_argument("--out", default=None,
                         help="write the report (or the trajectory CSV for "
                              "simulate) to this path")

@@ -17,6 +17,9 @@ Sampling runs on whole columns: each observable's evaluator is called
 once with `s = states.T`, so `s[k]` is the whole column of slot k and one
 call evaluates the observable at every sample.
 
+NumPy is imported inside `integrate` and `drift_report` only, so the exact
+commands never load it.
+
 Schemes: classical RK4 for any polynomial Hamiltonian, and leapfrog
 (kick-drift-kick) when the Hamiltonian splits as T(p) + V(q), which is
 detected from the monomial support.
@@ -27,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .coalgebra import PhaseContext
 from .poly import BudgetExceeded, Polynomial, exponents
@@ -143,6 +144,8 @@ def integrate(system: HamiltonianSystem, x0, step: float, t_end: float,
 
     Raises BudgetExceeded, before allocating, when the trajectory would
     hold more than MAX_TRAJECTORY_FLOATS floats."""
+    import numpy as np
+
     ctx = system.ctx
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive and finite")
@@ -206,6 +209,8 @@ class DriftStats:
 def drift_report(traj: Trajectory) -> dict[str, DriftStats]:
     """Per-observable conservation drift; relative deviations are measured
     against max(|initial value|, 1)."""
+    import numpy as np
+
     out: dict[str, DriftStats] = {}
     for name, values in traj.observables.items():
         initial = float(values[0])

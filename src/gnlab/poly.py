@@ -364,6 +364,12 @@ class Polynomial:
         All images must share one registry (the target); variables of self
         without an image raise MissingVariable.  With no images the
         polynomial is returned unchanged.
+
+        Constant images are folded first: the constant part of each term
+        becomes a factor of its coefficient, and terms with the same
+        remaining monomial are merged, so only the distinct remainders are
+        expanded.  Coverage and the degree bound are checked on the terms
+        before folding.
         """
         if not images:
             return self
@@ -380,34 +386,56 @@ class Polynomial:
                     "substitution images span several registries")
             imap[vid.index] = img
         assert target is not None
+        # an image with no term other than the unit monomial is a constant
+        consts = {i: img.terms.get(0, 0) for i, img in imap.items()
+                  if not img.terms.keys() - {0}}
+        # fold each term's constant part (memoised per part) into its
+        # coefficient, checking coverage and the degree bound on the way
+        folded: dict[int, int | Fraction] = {}
+        fget = folded.get
+        factors: dict[int, int | Fraction] = {0: 1}
+        top = 0
+        for m, c in self.terms.items():
+            degree = 0
+            part = 0
+            for i, e in exponents(m):
+                img = imap.get(i)
+                if img is None:
+                    raise MissingVariable(
+                        f"no image for {self.registry.name_of(i)!r}")
+                if i in consts:
+                    part += e << (_BITS * i)
+                else:
+                    degree += e * img.total_degree()
+            top = max(top, degree)
+            f = factors.get(part)
+            if f is None:
+                f = factors[part] = math.prod(
+                    consts[i] ** e for i, e in exponents(part))
+            if f:
+                rest = m - part
+                folded[rest] = fget(rest, 0) + c * f
+        _check_degree(top, "a substitution")
         # Work fraction-free: image i is scaled[i] / den[i] with integer
         # coefficients, and the whole sum is carried times the lcm of the
         # term denominators, so only the final division makes Fractions.
         # Only the images of variables present are scaled.
         den: dict[int, int] = {}
-        # decode every monomial once, checking coverage and the degree bound
         decoded = []
-        top = 0
         common = 1
-        for m, c in self.terms.items():
+        for m, c in folded.items():
+            if not c:
+                continue
             exps = exponents(m)
-            degree = 0
             d = 1 if type(c) is int else c.denominator
             for i, e in exps:
-                img = imap.get(i)
-                if img is None:
-                    raise MissingVariable(
-                        f"no image for {self.registry.name_of(i)!r}")
                 if i not in den:
                     den[i] = math.lcm(*(v.denominator
-                                        for v in img.terms.values()
+                                        for v in imap[i].terms.values()
                                         if type(v) is not int))
-                degree += e * img.total_degree()
                 d *= den[i] ** e
-            top = max(top, degree)
             common = math.lcm(common, d)
             decoded.append((exps, c, d))
-        _check_degree(top, "a substitution")
         scaled = {i: imap[i] * n for i, n in den.items()}
         pow_cache: dict[tuple[int, int], dict] = {}
         acc: dict = {}
@@ -636,16 +664,18 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
+        reg = self.registry
+        # the nonzero entries of each row of `other`, collected once
+        right = [[(j, b) for j, b in enumerate(other.row(k)) if b]
+                 for k in range(other.rows)]
         out: list[Polynomial] = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                products = []
-                for k in range(self.cols):
-                    a = self.at(i, k)
-                    b = other.at(k, j)
-                    if a and b:
-                        products.append(a * b)
-                out.append(poly_sum(self.registry, products))
+            products: list[list[Polynomial]] = [[] for _ in range(other.cols)]
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in right[k]:
+                        products[j].append(a * b)
+            out.extend(poly_sum(reg, p) for p in products)
         return PolyMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":

@@ -97,6 +97,15 @@ def build_quotient_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
     return MatrixRep("quotient", size, image, alg)
 
 
+def _bracket_parts(alg: GnAlgebra, a: Generator,
+                   b: Generator) -> list[tuple[Generator, Fraction]]:
+    """The generators g with a nonzero coefficient c in [a, b], as (g, c)
+    in canonical order."""
+    br = alg.constants.of(a, b)
+    return [(g, c) for g in alg.basis.order
+            if (c := br.coefficient({g.name: 1}))]
+
+
 def check_homomorphism(rep: MatrixRep, n: int,
                        algebra: GnAlgebra | None = None) -> Report:
     """Pairwise commutator test plus kernel extraction.
@@ -111,12 +120,9 @@ def check_homomorphism(rep: MatrixRep, n: int,
     for a, b in combinations(order, 2):
         pairs += 1
         lhs = rep.of(a) @ rep.of(b) - rep.of(b) @ rep.of(a)
-        br = alg.constants.of(a, b)
         rhs = rep.of(a).map(lambda e: e.registry.zero())
-        for g in order:
-            c = br.coefficient({g.name: 1})
-            if c:
-                rhs = rhs + rep.of(g).map(lambda e, c=c: e * c)
+        for g, c in _bracket_parts(alg, a, b):
+            rhs = rhs + rep.of(g).map(lambda e, c=c: e * c)
         if lhs != rhs:
             fails.append(f"commutator mismatch on ({a.name}, {b.name})")
     for g in order:
@@ -186,14 +192,11 @@ def check_field_homomorphism(n: int,
     pairs = 0
     for fa, fb in combinations(fields, 2):
         pairs += 1
-        br = alg.constants.of(fa.source, fb.source)
+        parts = _bracket_parts(alg, fa.source, fb.source)
         for v in var_ids:
             lhs = fa.apply(fb.coefficient_of(v)) - fb.apply(fa.coefficient_of(v))
-            rhs = alg.registry.zero()
-            for g in order:
-                c = br.coefficient({g.name: 1})
-                if c:
-                    rhs = rhs + by_gen[g].coefficient_of(v) * c
+            rhs = poly_sum(alg.registry, (by_gen[g].coefficient_of(v) * c
+                                          for g, c in parts))
             if lhs != rhs:
                 fails.append(
                     f"field commutator ({fa.source.name}, {fb.source.name}) "

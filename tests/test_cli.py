@@ -6,6 +6,10 @@ import csv
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,11 +110,29 @@ def test_verify_text_lines(capsys):
 
 
 def test_verify_respects_ceiling(capsys):
-    code, _, err = run(capsys, "verify", "--n", "7", "--N", "8")
+    code, _, err = run(capsys, "verify", "--n", "8", "--N", "8")
     assert code == 2 and "ceiling" in err
+    # n = 7 is within the default ceiling, so only its small N is refused
+    code, _, err = run(capsys, "verify", "--n", "7", "--N", "6")
+    assert code == 2 and "ceiling" not in err and "N must be at least n" in err
     code, _, err = run(capsys, "verify", "--n", "3", "--N", "4",
                        "--ceiling-n", "2")
     assert code == 2 and "ceiling" in err
+
+
+def test_exact_commands_do_not_import_numpy():
+    """Only `simulate` needs numpy, so the CLI and `verify` leave it out."""
+    script = ("import contextlib, io, sys\n"
+              "import gnlab.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = gnlab.cli.main(['verify', '--n', '3', '--N', '4'])\n"
+              "assert code == 0, code\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_rejects_small_N(capsys):

@@ -296,3 +296,12 @@ def test_independence_counts():
 def test_independence_rejects_undersized_phase_space():
     with pytest.raises(ValueError):
         check_independence(PhaseContext.seeded(3, 2))
+
+
+def test_level7_routes_agree_and_vanish_below_threshold():
+    ctx = PhaseContext.seeded(7, 7)
+    for side in ("left", "right"):
+        full = integrals_via_coproduct(ctx, side, 7)
+        assert not full.is_zero
+        assert full == integrals_via_sum_of_squares(ctx, side, 7)
+        assert integrals_via_coproduct(ctx, side, 6).is_zero

@@ -125,6 +125,74 @@ def test_substitute_composes_with_eval():
         assert composed.eval(point) == direct
 
 
+def test_substitute_folds_constant_images():
+    reg = abc_registry()
+    a, b, c, d = (reg.poly(n) for n in "abcd")
+    target = VarRegistry(["u"])
+    u = target.poly("u")
+    f = 3 * a * b ** 2 + Fraction(1, 2) * a * c + b * d - 5 * c ** 2
+    images = {"a": u + 1, "b": target.const(Fraction(2, 3)),
+              "c": target.zero(), "d": target.const(-4)}
+    # b^2 -> 4/9 and c -> 0: only the a and d parts are expanded
+    assert f.substitute(images) == \
+        Fraction(4, 3) * (u + 1) + target.const(Fraction(-8, 3))
+    assert (a * c).substitute(images).is_zero
+    assert reg.const(7).substitute(images) == target.const(7)
+
+
+def test_zero_image_does_not_hide_an_uncovered_variable():
+    reg = abc_registry()
+    target = VarRegistry(["u"])
+    z, q = reg.poly("a"), reg.poly("b")
+    with pytest.raises(MissingVariable, match="'b'"):
+        (z * q).substitute({"a": target.zero()})
+    with pytest.raises(MissingVariable, match="'b'"):
+        (z * q).substitute({"a": target.const(3)})
+
+
+# ----------------------------------------------------------------------
+# matrices
+
+
+def dense_product(x: PolyMatrix, y: PolyMatrix) -> list:
+    """Row-major entries of x @ y by the plain triple loop."""
+    reg = x.registry
+    out = []
+    for i in range(x.rows):
+        for j in range(y.cols):
+            acc = reg.zero()
+            for k in range(x.cols):
+                acc = acc + x.at(i, k) * y.at(k, j)
+            out.append(acc)
+    return out
+
+
+def test_matmul_matches_dense_triple_loop():
+    reg = abc_registry()
+    rng = random.Random(5)
+    zero = reg.zero()
+
+    def sparse_matrix(rows, cols, zero_row=None, zero_col=None):
+        return PolyMatrix(rows, cols, [
+            zero if i == zero_row or j == zero_col or rng.random() < 0.5
+            else random_poly(reg, rng, max_terms=2, max_degree=2)
+            for i in range(rows) for j in range(cols)])
+
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 3, 2), (3, 3, 3),
+                              (5, 1, 5), (1, 5, 1)):
+        for _ in range(4):
+            x = sparse_matrix(rows, inner, zero_row=rng.randrange(rows))
+            y = sparse_matrix(inner, cols, zero_col=rng.randrange(cols))
+            product = x @ y
+            assert (product.rows, product.cols) == (rows, cols)
+            assert list(product.entries) == dense_product(x, y)
+    all_zero = PolyMatrix(2, 2, [zero] * 4)
+    x = sparse_matrix(2, 2)
+    assert (x @ all_zero) == all_zero and (all_zero @ x) == all_zero
+    with pytest.raises(ValueError, match="inner dimensions"):
+        sparse_matrix(2, 3) @ sparse_matrix(2, 3)
+
+
 # ----------------------------------------------------------------------
 # determinants
 
@@ -341,6 +409,10 @@ def test_degree_overflow_raises_budget_exceeded():
         (a ** 200 + b) * (b ** 200 + a)
     with pytest.raises(BudgetExceeded):
         (a ** 128 + b).substitute({v: a * b for v in reg.var_ids})
+    # the bound is checked before constant images fold, even to zero
+    for const in (reg.zero(), reg.const(Fraction(3, 2))):
+        with pytest.raises(BudgetExceeded):
+            (a ** 128 * b).substitute({"a": a * b, "b": const})
     with pytest.raises(BudgetExceeded):
         det(PolyMatrix.from_rows([[a ** 200, b], [a, b ** 100]]))
     with pytest.raises(BudgetExceeded):

@@ -67,15 +67,33 @@ def test_ring_axioms(f, g, h):
         assert_normalised(p)
 
 
+def substitution_images(registry: VarRegistry):
+    """Substitution images: constants (0, an int, a Fraction), which
+    `substitute` folds before expanding, mixed with polynomials."""
+    consts = st.one_of(
+        st.just(0), st.integers(-6, 6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    return st.one_of(consts.map(registry.const),
+                     polynomials(registry, max_exponent=2))
+
+
 @settings
 @given(polynomials(SOURCE), polynomials(SOURCE),
-       st.lists(polynomials(TARGET, max_exponent=2), min_size=3, max_size=3))
-def test_substitute_is_a_ring_homomorphism(f, g, images):
+       st.lists(substitution_images(TARGET), min_size=3, max_size=3),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=2, max_size=2))
+def test_substitute_is_a_ring_homomorphism(f, g, images, point):
     phi = dict(zip(SOURCE.var_ids, images))
     assert (f + g).substitute(phi) == f.substitute(phi) + g.substitute(phi)
     assert (f * g).substitute(phi) == f.substitute(phi) * g.substitute(phi)
     assert SOURCE.one().substitute(phi) == TARGET.one()
     assert_normalised(f.substitute(phi))
+    # evaluation after substitution is evaluation at the images' values,
+    # an oracle that shares no code with the constant folding
+    at = dict(zip(TARGET.var_ids, point))
+    values = {v: img.eval(at) for v, img in phi.items()}
+    for p in (f, f * g):
+        assert p.substitute(phi).eval(at) == p.eval(values)
 
 
 @settings
