@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, poly_sum,
-                   rank, rank_rational, sparse_nullspace)
+                   rank, rank_rational, sparse_nullspace, variable_mask)
 from .reports import Report
 
 _KINDS = ("h", "xm", "xp", "ym", "yp", "z")
@@ -162,6 +162,8 @@ class GnAlgebra:
     basis: GnBasis
     constants: StructureConstants
     generator_of_var: dict[int, Generator]
+    # every exponent bit of the generator variables (a `variable_mask`)
+    domain_mask: int
 
     @property
     def n(self) -> int:
@@ -171,22 +173,21 @@ class GnAlgebra:
     def registry(self) -> VarRegistry:
         return self.basis.registry
 
-    def _check_domain(self, p: Polynomial) -> frozenset[int]:
-        """Raise unless `p` is in the generator variables; returns its
-        support indices."""
+    def _check_domain(self, p: Polynomial) -> None:
+        """Raise unless `p` is in the generator variables."""
         if p.registry is not self.registry:
             raise ValueError("polynomial uses a different registry")
-        support = p.support_indices()
-        foreign = support - self.generator_of_var.keys()
+        foreign = p.support_outside(self.domain_mask)
         if foreign:
             names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
             raise ValueError(f"foreign variables present: {names}")
-        return support
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Lie-Poisson bracket of two polynomials in generator variables."""
-        fsup = sorted(self._check_domain(f))
-        gsup = sorted(self._check_domain(g))
+        self._check_domain(f)
+        self._check_domain(g)
+        fsup = sorted(f.support_indices())
+        gsup = sorted(g.support_indices())
         products = []
         gparts = {j: g.partial(self.registry.var_ids[j]) for j in gsup}
         for i in fsup:
@@ -215,7 +216,8 @@ def build_gn(n: int, registry: VarRegistry | None = None) -> GnAlgebra:
         vid = reg.add(g.name)
         gen_of_var[vid.index] = g
     basis = GnBasis(n, order, reg)
-    return GnAlgebra(basis, StructureConstants(basis), gen_of_var)
+    return GnAlgebra(basis, StructureConstants(basis), gen_of_var,
+                     variable_mask(gen_of_var))
 
 
 # ----------------------------------------------------------------------

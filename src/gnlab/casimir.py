@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
                       y_minus, y_plus)
-from .poly import (BudgetExceeded, Polynomial, PolyMatrix, det, exponents,
-                   monomial, rank_rational, sparse_nullspace)
+from .poly import (BudgetExceeded, Polynomial, PolyMatrix, derive, det,
+                   exponents, monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
@@ -166,6 +166,31 @@ def check_grading(n: int, algebra: GnAlgebra | None = None) -> Report:
     return Report("grading", {"n": n, "terms": len(c.terms)}, fails)
 
 
+def _weight_zero_monomials(alg: GnAlgebra,
+                           grading: dict[int, tuple[int, ...]],
+                           degree: int) -> list[int]:
+    """The degree-d monomials of h-weight 0, in the order
+    `combinations_with_replacement` gives over the canonical generators.
+    A variable's h-weight is at most 2 in size, so a partial product whose
+    weight exceeds twice the remaining degree is pruned."""
+    units = [(monomial({v.index: 1}), grading[v.index][0])
+             for v in map(alg.basis.var, alg.basis.order)]
+    out: list[int] = []
+
+    def extend(start: int, left: int, mono: int, weight: int) -> None:
+        if not left:
+            out.append(mono)
+            return
+        left -= 1
+        for k in range(start, len(units)):
+            unit, w = units[k]
+            if abs(weight + w) <= 2 * left:
+                extend(k, left, mono + unit, weight + w)
+
+    extend(0, degree, 0, 0)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class AnsatzSolution:
     n: int
@@ -187,10 +212,11 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
     order over the canonical generators.  The fields preserve the grading,
     so the system splits into one block per grade; a column of nonzero
     h-weight is a pivot (the h field scales it by its weight), so only the
-    weight-0 blocks are solved.  Reduced-echelon pivots are the columns
-    independent of those to their left, so the union of the block bases,
-    ordered by free column, is the reduced-echelon basis of the whole
-    system.  `monomials` counts every degree-d monomial.
+    weight-0 monomials are enumerated and only their blocks are solved.
+    Reduced-echelon pivots are the columns independent of those to their
+    left, so the union of the block bases, ordered by free column, is the
+    reduced-echelon basis of the whole system.  `monomials` counts every
+    degree-d monomial.
     """
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
@@ -201,23 +227,23 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
         raise BudgetExceeded(
             f"{count} monomials of degree {degree} exceed the budget {budget}")
     grading = _grading(alg)
-    units = [monomial({alg.basis.var(g).index: 1}) for g in alg.basis.order]
     blocks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for col, combo in enumerate(combinations_with_replacement(units, degree)):
-        mono = sum(combo)
-        grade = _grade_of(grading, mono, n - 1)
-        if grade[0] == 0:
-            blocks.setdefault(grade, []).append((col, mono))
+    for col, mono in enumerate(_weight_zero_monomials(alg, grading, degree)):
+        blocks.setdefault(_grade_of(grading, mono, n - 1), []).append(
+            (col, mono))
     reg = alg.registry
-    fields = [f for f in build_coadjoint(n, alg) if not f.is_zero]
+    # the columns are built from generator units, so no domain check
+    fields = [(f.terms, f.degree) for f in build_coadjoint(n, alg)
+              if not f.is_zero]
     found: list[tuple[int, Polynomial]] = []
     for block in blocks.values():
         # rows keyed by (field position, produced monomial): one equation
         rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for j, (_, mono) in enumerate(block):
-            p = Polynomial(reg, {mono: 1})
-            for fi, field in enumerate(fields):
-                for m2, c2 in field.apply(p).terms.items():
+            column = {mono: 1}
+            for fi, (terms, field_degree) in enumerate(fields):
+                for m2, c2 in derive(column, degree, terms,
+                                     field_degree).items():
                     rows.setdefault((fi, m2), {})[j] = c2
         vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
                                    ncols=len(block))

@@ -29,8 +29,8 @@ from itertools import combinations
 
 from .algebra import Generator, X_MINUS, X_PLUS, build_gn
 from .casimir import casimir
-from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, det,
-                   poly_sum, rank_rational)
+from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, derive, det,
+                   poly_sum, rank_rational, variable_mask)
 from .reports import Report
 
 
@@ -67,7 +67,7 @@ class PhaseContext:
         for k in range(1, N + 1):
             self._q.append(registry.add(f"q{k}"))
             self._p.append(registry.add(f"p{k}"))
-        self._phase = frozenset(v.index for v in self._q + self._p)
+        self._phase_mask = variable_mask(v.index for v in self._q + self._p)
         rows: dict[int, tuple[Fraction, ...]] = {}
         if alpha_rows is None:
             alpha_rows = {}
@@ -81,6 +81,9 @@ class PhaseContext:
         self.alpha_rows = rows
         self.alpha_seed = alpha_seed
         self._casimir: Polynomial | None = None
+        # memoised window images by (side, m) and integrals by side
+        self._images: dict[tuple[str, int], dict[VarId, Polynomial]] = {}
+        self._integrals: dict[str, dict[int, Polynomial]] = {}
 
     @classmethod
     def seeded(cls, n: int, N: int, alpha_seed: int = 1) -> "PhaseContext":
@@ -117,7 +120,7 @@ class PhaseContext:
         and p variables only."""
         if f.registry is not self.registry:
             raise ValueError("polynomial belongs to a different context")
-        foreign = f.support_indices() - self._phase
+        foreign = f.support_outside(self._phase_mask)
         if foreign:
             names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
             raise ValueError(f"non-phase variables present: {names}")
@@ -132,10 +135,10 @@ class PhaseContext:
     def realize(self, g: Generator, side: str = "left",
                 m: int | None = None) -> Polynomial:
         """Image of one generator over a site window."""
-        m = self.N if m is None else m
-        a, b = window(side, m, self.N)
+        return self.realization_images(side, m)[self.algebra.basis.var(g)]
+
+    def _image(self, g: Generator, sites: range) -> Polynomial:
         reg = self.registry
-        sites = range(a, b + 1)
         if g.kind == "h":
             return sum((self.q(k) * self.p(k) for k in sites), reg.zero())
         if g.kind == "xm":
@@ -156,8 +159,16 @@ class PhaseContext:
 
     def realization_images(self, side: str = "left",
                            m: int | None = None) -> dict[VarId, Polynomial]:
-        return {self.algebra.basis.var(g): self.realize(g, side, m)
+        """The image of every generator over a site window, built once per
+        (side, m) and shared between callers, which must not mutate it."""
+        m = self.N if m is None else m
+        images = self._images.get((side, m))
+        if images is None:
+            a, b = window(side, m, self.N)
+            images = self._images[(side, m)] = {
+                self.algebra.basis.var(g): self._image(g, range(a, b + 1))
                 for g in self.algebra.basis.order}
+        return images
 
     def realize_poly(self, f: Polynomial, side: str = "left",
                      m: int | None = None) -> Polynomial:
@@ -178,15 +189,24 @@ def harmonic_hamiltonian(ctx: PhaseContext, omega: Fraction | int = 1) -> Polyno
 
 def canonical_bracket(ctx: PhaseContext, f: Polynomial,
                       g: Polynomial) -> Polynomial:
-    """{f,g} = sum_k df/dq_k dg/dp_k - dg/dq_k df/dp_k, exact."""
+    """{f,g} = sum_k df/dq_k dg/dp_k - dg/dq_k df/dp_k, exact, computed as
+    the Hamiltonian field X_g = sum_k (dg/dp_k d/dq_k - dg/dq_k d/dp_k)
+    applied to f."""
     ctx.check_phase(f)
     ctx.check_phase(g)
-    products = []
+    # g scaled to integer coefficients, so that `derive` multiplies
+    # integers only; the scale is divided out of the result
+    den = g.denominator()
+    g = g * den
+    field: dict[int, dict] = {}
     for k in range(1, ctx.N + 1):
         qv, pv = ctx.qvar(k), ctx.pvar(k)
-        products.append(f.partial(qv) * g.partial(pv))
-        products.append(-(g.partial(qv) * f.partial(pv)))
-    return poly_sum(ctx.registry, products)
+        field[qv.index] = g.partial(pv).terms
+        field[pv.index] = (-g.partial(qv)).terms
+    # a nonconstant g has a partial of degree deg g - 1
+    return Polynomial(ctx.registry, derive(
+        f.terms, f.total_degree(), field,
+        g.total_degree() - 1)) * Fraction(1, den)
 
 
 def integrals_via_coproduct(ctx: PhaseContext, side: str, m: int) -> Polynomial:
@@ -250,9 +270,14 @@ def integrals_via_sum_of_squares(ctx: PhaseContext, side: str,
 
 def integral_set(ctx: PhaseContext, side: str) -> dict[int, Polynomial]:
     """Conserved quantities for every admissible window m = n..N, keyed by
-    window size."""
-    return {m: integrals_via_sum_of_squares(ctx, side, m)
+    window size, from the sum-of-squares route.  Built once per context
+    and side and shared between callers, which must not mutate it."""
+    members = ctx._integrals.get(side)
+    if members is None:
+        members = ctx._integrals[side] = {
+            m: integrals_via_sum_of_squares(ctx, side, m)
             for m in range(ctx.n, ctx.N + 1)}
+    return members
 
 
 def integral_family(ctx: PhaseContext) -> dict[str, Polynomial]:
@@ -293,10 +318,9 @@ def check_route_equivalence(ctx: PhaseContext) -> Report:
     fails: list[str] = []
     compared = 0
     for side in ("left", "right"):
-        for m in range(ctx.n, ctx.N + 1):
+        for m, via_sq in integral_set(ctx, side).items():
             compared += 1
             via_sub = integrals_via_coproduct(ctx, side, m)
-            via_sq = integrals_via_sum_of_squares(ctx, side, m)
             if via_sub != via_sq:
                 fails.append(f"routes differ at side={side}, m={m}")
     return Report("route_equivalence",

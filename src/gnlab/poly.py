@@ -11,9 +11,9 @@ while it is integral and a ``Fraction`` once a denominator appears.
 
 The packing is private to this module: other modules read a monomial with
 `exponents` and build one with `monomial`.  An 8-bit field caps exponents
-at 255, so every product, power, substitution and determinant first checks
-from its operands' degrees that the result stays within total degree 255,
-and raises ``BudgetExceeded`` otherwise.
+at 255, so every product, power, substitution, derivation and determinant
+first checks from its operands' degrees that the result stays within total
+degree 255, and raises ``BudgetExceeded`` otherwise.
 
 Variables live in a registry that assigns dense indices in insertion order,
 and two polynomials interoperate only when they share a registry (mixing
@@ -82,6 +82,13 @@ def monomial(exps: Mapping[int, int]) -> int:
         _check_degree(e, "a monomial")
         mono += e << (_BITS * i)
     return mono
+
+
+def variable_mask(indices: Iterable[int]) -> int:
+    """Every exponent bit of the given variable indices: a polynomial is in
+    those variables exactly when `Polynomial.support_outside` of the mask
+    is empty."""
+    return sum(MAX_DEGREE << (_BITS * i) for i in set(indices))
 
 
 def exponents(mono: int) -> list[tuple[int, int]]:
@@ -315,10 +322,25 @@ class Polynomial:
         return self._degree
 
     def support_indices(self) -> frozenset[int]:
+        return self.support_outside(0)
+
+    def support_outside(self, mask: int) -> frozenset[int]:
+        """Indices of the variables of self that `mask` (a `variable_mask`)
+        leaves out.  One OR of the monomials is tested against the mask, and
+        exponents are decoded only when a variable lies outside it."""
         union = 0
         for m in self.terms:
             union |= m
-        return frozenset(i for i, _ in exponents(union))
+        outside = union & ~mask
+        if not outside:
+            return frozenset()
+        return frozenset(i for i, _ in exponents(outside))
+
+    def denominator(self) -> int:
+        """The lcm of the coefficient denominators: the least positive
+        integer whose multiple of self has integer coefficients."""
+        return math.lcm(*(c.denominator for c in self.terms.values()
+                          if type(c) is not int))
 
     def coefficient(self, mono: Mapping[str, int]) -> Fraction:
         """Coefficient of the monomial given as {name: exponent}."""
@@ -430,9 +452,7 @@ class Polynomial:
             d = 1 if type(c) is int else c.denominator
             for i, e in exps:
                 if i not in den:
-                    den[i] = math.lcm(*(v.denominator
-                                        for v in imap[i].terms.values()
-                                        if type(v) is not int))
+                    den[i] = imap[i].denominator()
                 d *= den[i] ** e
             common = math.lcm(common, d)
             decoded.append((exps, c, d))
@@ -562,6 +582,46 @@ def poly_sum(registry: VarRegistry, polys: Iterable[Polynomial]) -> Polynomial:
         for m, c in p.terms.items():
             acc[m] = get(m, 0) + c
     return Polynomial._make(registry, _clean(acc))
+
+
+def derive(terms: Mapping[int, Fraction | int], degree: int,
+           field: Mapping[int, Mapping[int, Fraction | int]],
+           field_degree: int) -> dict:
+    """The vector field sum_v a_v d/dv applied to the polynomial with term
+    dict `terms`, as a clean term dict, in one pass.
+
+    `field` maps the index of each variable v to the term dict of a_v
+    (variables without an entry have a_v = 0).  `degree` and
+    `field_degree` bound the total degrees of f and of every a_v, and the
+    result's bound degree - 1 + field_degree is checked before anything
+    runs.  Each term c*m with exponent e on v adds c*e*k to the monomial
+    m / v * u for every term k*u of a_v.
+
+    f is carried times the lcm of its denominators, so with integer a_v
+    every product is an integer one and only the final division makes
+    Fractions.
+    """
+    _check_degree(degree - 1 + field_degree, "a derivation")
+    den = math.lcm(*(c.denominator for c in terms.values()
+                     if type(c) is not int))
+    if den != 1:
+        terms = {m: c.numerator * (den // c.denominator)
+                 for m, c in terms.items()}
+    acc: dict = {}
+    get = acc.get
+    for m, c in terms.items():
+        for i, e in exponents(m):
+            a = field.get(i)
+            if a is None:
+                continue
+            base = m - (1 << (_BITS * i))
+            ce = c * e
+            for u, k in a.items():
+                key = base + u
+                acc[key] = get(key, 0) + ce * k
+    if den != 1:
+        return {m: _rational(Fraction(c, den)) for m, c in acc.items() if c}
+    return _clean(acc)
 
 
 def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:

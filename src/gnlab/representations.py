@@ -16,12 +16,13 @@ when every field annihilates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Generator, GnAlgebra, build_gn
-from .poly import Polynomial, PolyMatrix, VarId, poly_sum, sparse_nullspace
+from .poly import (Polynomial, PolyMatrix, VarId, derive, poly_sum,
+                   sparse_nullspace)
 from .reports import Report
 
 
@@ -144,10 +145,21 @@ def check_homomorphism(rep: MatrixRep, n: int,
 
 @dataclass(frozen=True, eq=False)
 class CoadjointField:
-    """Derivation sum coeffs[v] d/dv attached to one source generator."""
+    """Derivation sum coeffs[v] d/dv attached to one source generator.
+
+    `terms` and `degree` are the field as `derive` takes it: the term dict
+    of each coefficient by variable index, and their largest degree."""
     source: Generator
     coeffs: dict[VarId, Polynomial]
     algebra: GnAlgebra
+    terms: dict[int, dict] = field(init=False, repr=False)
+    degree: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", {v.index: c.terms
+                                           for v, c in self.coeffs.items()})
+        object.__setattr__(self, "degree", max(
+            (c.total_degree() for c in self.coeffs.values()), default=0))
 
     @property
     def is_zero(self) -> bool:
@@ -157,11 +169,9 @@ class CoadjointField:
         return self.coeffs.get(v, self.algebra.registry.zero())
 
     def apply(self, p: Polynomial) -> Polynomial:
-        support = self.algebra._check_domain(p)
-        return poly_sum(self.algebra.registry,
-                        (coeff * p.partial(v)
-                         for v, coeff in self.coeffs.items()
-                         if v.index in support))
+        self.algebra._check_domain(p)
+        return Polynomial(p.registry, derive(p.terms, p.total_degree(),
+                                             self.terms, self.degree))
 
 
 def build_coadjoint(n: int,

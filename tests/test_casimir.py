@@ -7,6 +7,7 @@ ungraded oracle.
 import hashlib
 import importlib
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -18,6 +19,7 @@ from gnlab import (BudgetExceeded, PolyMatrix, Polynomial, build_coadjoint,
                    check_uniqueness, solve_ansatz, sparse_nullspace,
                    verify_annihilation, verify_intertwining)
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
+from gnlab.poly import monomial
 
 # the package exports the function `casimir`, which hides the module
 casimir_module = importlib.import_module("gnlab.casimir")
@@ -222,6 +224,20 @@ def _ungraded_ansatz(n, degree):
                               for i, v in vec.items()})
              for vec in vectors]
     return len(columns), basis
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_weight_zero_columns_keep_the_full_enumeration_order(n):
+    alg = build_gn(n)
+    grading = casimir_module._grading(alg)
+    weight = {"xp": 2, "xm": -2, "yp": 1, "ym": -1}
+    for degree in range(1, 5):
+        want = [monomial(Counter(alg.basis.var(g).index for g in combo))
+                for combo in combinations_with_replacement(alg.basis.order,
+                                                           degree)
+                if sum(weight.get(g.kind, 0) for g in combo) == 0]
+        got = casimir_module._weight_zero_monomials(alg, grading, degree)
+        assert got == want
 
 
 @pytest.mark.parametrize("n,degree", [(3, 3), (4, 3), (4, 4), (5, 3)])

@@ -53,6 +53,10 @@ OUTPUT_SHA256 = {
         "34a6d51e04b4d0c0688caa8444d15278221b9c92805f0727b1d362bb56ae6649",
     "ansatz --n 4 --degree 4 --format json":
         "fc8b6cc35524c892027a12b76097ba9e8f8f85a0a4727dae17d3c09383f54620",
+    "ansatz --n 5 --degree 4 --format json":
+        "06de4391b5ee089ea2d41f2c1491b829039724d241dd180f3d24abf5ed61cc56",
+    "verify --n 5 --N 6 --seed 3 --format json":
+        "67f6a3e1042032a4bbdf689746b42cfb33e6542dbfffa64b6accbcd1efb3eb2a",
 }
 
 

@@ -9,11 +9,12 @@ comparing exactly.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from gnlab import (GnAlgebra, Generator, PhaseContext, Polynomial, VarId,
-                   VarRegistry, build_gn, building_block,
+from gnlab import (BudgetExceeded, GnAlgebra, Generator, PhaseContext,
+                   Polynomial, VarId, VarRegistry, build_gn, building_block,
                    building_block_expansion, canonical_bracket, casimir,
                    check_independence, check_involution,
                    check_realization_homomorphism, check_route_equivalence,
@@ -191,6 +192,50 @@ def test_canonical_bracket_basics():
         canonical_bracket(ctx, ctx.algebra.basis.poly(H), ctx.q(1))
 
 
+def textbook_bracket(ctx, f, g):
+    """sum_k df/dq_k dg/dp_k - dg/dq_k df/dp_k with polynomial products."""
+    total = ctx.registry.zero()
+    for k in range(1, ctx.N + 1):
+        q, p = ctx.qvar(k), ctx.pvar(k)
+        total = (total + f.partial(q) * g.partial(p)
+                 - g.partial(q) * f.partial(p))
+    return total
+
+
+@pytest.mark.parametrize("n,N", [(3, 5), (4, 6)])
+def test_canonical_bracket_matches_textbook_definition(n, N):
+    rng = random.Random(f"bracket:{n}:{N}")
+    rows = {i: [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 4)) for _ in range(N)]
+            for i in range(1, n - 1)}
+    ctx = PhaseContext(n, N, rows)
+    q, p = ctx.q, ctx.p
+    family = list(integral_family(ctx).values())
+    others = [ctx.realize(g, side, m) for g in ctx.algebra.basis.order
+              for side, m in (("left", N), ("right", n - 1))]
+    others += [Fraction(2, 3) * q(1) * p(2) ** 2 - q(N) ** 3,
+               Fraction(-1, 5) * p(1) * p(N) + 7 * q(2) * q(1) * p(1),
+               ctx.registry.const(Fraction(4, 7))]
+    nonzero = 0
+    for f, g in [(family[0], family[-1]), *product(family[:2], others),
+                 *product(others[-3:], others)]:
+        got = canonical_bracket(ctx, f, g)
+        assert got == textbook_bracket(ctx, f, g)
+        assert canonical_bracket(ctx, g, f) == -got
+        nonzero += not got.is_zero
+    assert nonzero > 0
+
+
+def test_canonical_bracket_above_the_degree_limit_raises():
+    ctx = PhaseContext(2, 2)
+    q1, p1 = ctx.q(1), ctx.p(1)
+    with pytest.raises(BudgetExceeded, match="above the limit 255"):
+        canonical_bracket(ctx, q1 ** 200, p1 ** 100)
+    # degree 199 + 56 = 255 is the limit itself
+    assert canonical_bracket(ctx, q1 ** 200, p1 ** 57) == \
+        200 * 57 * q1 ** 199 * p1 ** 56
+
+
 def test_realization_homomorphism():
     for (n, N) in ((2, 3), (3, 4), (4, 5)):
         assert check_realization_homomorphism(PhaseContext.seeded(n, N)).passed
@@ -271,6 +316,33 @@ def test_integral_set_matches_coproduct_route():
         assert list(members) == [2, 3]
         for m, p in members.items():
             assert p == integrals_via_coproduct(ctx, side, m)
+
+
+def test_memoised_images_and_integrals_match_a_fresh_context():
+    ctx = PhaseContext.seeded(4, 6)
+    windows = (("left", 4), ("right", 5), ("left", 6), ("right", 1))
+    images = {w: ctx.realization_images(*w) for w in windows}
+    sets = {side: integral_set(ctx, side) for side in ("left", "right")}
+    # the checks that read the shared results leave them as they were
+    assert check_realization_homomorphism(ctx).passed
+    assert check_route_equivalence(ctx).passed
+    assert check_vanishing(ctx).passed
+    assert check_involution(ctx).passed
+    assert check_independence(ctx).independent
+    fresh = PhaseContext.seeded(4, 6)
+
+    def plain(polys):
+        return {key: p.terms for key, p in polys.items()}
+
+    assert ctx.realization_images("left") is images[("left", 6)]
+    for w, imgs in images.items():
+        assert ctx.realization_images(*w) is imgs
+        assert plain(imgs) == plain(fresh.realization_images(*w))
+        for g in ctx.algebra.basis.order:
+            assert ctx.realize(g, *w).terms == fresh.realize(g, *w).terms
+    for side, members in sets.items():
+        assert integral_set(ctx, side) is members
+        assert plain(members) == plain(integral_set(fresh, side))
 
 
 def test_integral_family_order_and_members():

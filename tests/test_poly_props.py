@@ -1,7 +1,8 @@
 """Oracles for the polynomial core that share no code with it.
 
 Property tests (hypothesis) check the ring axioms, substitution as a ring
-homomorphism and the Leibniz rule on polynomials whose coefficients mix
+homomorphism, the Leibniz rule and the one-pass vector field kernel
+against sums of partial derivatives, on polynomials whose coefficients mix
 integers and non-integral rationals.  sympy's Berkowitz determinant is an
 independent oracle for the invariants C_n = -det M_n at small levels.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import poly_from_json, poly_json_reference
 from gnlab import Polynomial, VarRegistry, casimir
-from gnlab.poly import monomial
+from gnlab.poly import derive, monomial, poly_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -43,9 +44,10 @@ def polynomials(registry: VarRegistry, max_exponent: int = 3):
     return st.lists(st.tuples(exps, coeffs), max_size=5).map(build)
 
 
-def assert_normalised(p: Polynomial) -> None:
-    """Coefficients are nonzero, and int exactly when integral."""
-    for c in p.terms.values():
+def assert_normalised(p: Polynomial | dict) -> None:
+    """Coefficients (of a polynomial or a term dict) are nonzero, and int
+    exactly when integral."""
+    for c in (p if isinstance(p, dict) else p.terms).values():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
@@ -103,6 +105,45 @@ def test_partial_obeys_leibniz(f, g, name):
     assert (f * g).partial(name) == f.partial(name) * g + f * g.partial(name)
     assert (f + g).partial(name) == f.partial(name) + g.partial(name)
     assert_normalised(f.partial(name))
+
+
+def general_fields():
+    """(f, field, False): any polynomial and any field over SOURCE, the
+    field as {variable index: coefficient}."""
+    return st.tuples(
+        polynomials(SOURCE),
+        st.dictionaries(st.integers(0, len(SOURCE) - 1), polynomials(SOURCE),
+                        max_size=len(SOURCE)),
+        st.just(False))
+
+
+def cancelling_fields():
+    """(f, field, True): the rotation field s*(b d/da - a d/db) and a
+    polynomial in a^2 + b^2 and c, which it kills: the kernel's terms
+    cancel to zero."""
+    a, b, c = (SOURCE.poly(name) for name in "abc")
+
+    def build(h, s):
+        f = h.substitute({"a": a * a + b * b, "b": c, "c": c * c})
+        return f, {0: s * b, 1: -(s * a)}, True
+
+    return st.builds(build, polynomials(SOURCE, max_exponent=2),
+                     polynomials(SOURCE, max_exponent=2))
+
+
+@settings
+@given(st.one_of(general_fields(), cancelling_fields()))
+def test_derive_is_the_sum_of_coefficients_times_partials(case):
+    f, field, cancels = case
+    want = poly_sum(SOURCE, (a * f.partial(SOURCE.var_ids[i])
+                             for i, a in field.items()))
+    got = derive(f.terms, f.total_degree(),
+                 {i: a.terms for i, a in field.items()},
+                 max((a.total_degree() for a in field.values()), default=0))
+    assert got == want.terms
+    assert_normalised(got)
+    if cancels:
+        assert got == {}
 
 
 @settings
