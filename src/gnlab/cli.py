@@ -150,12 +150,14 @@ _SLOT = "\0polynomial {}\0"
 _SLOT_JSON = re.compile(r'"\\u0000polynomial (\d+)\\u0000"')
 
 
-def _json_chunks(payload) -> list[str]:
-    """`payload` as ``json.dumps(indent=2, sort_keys=True)`` text, in pieces.
+def _json_writer(payload):
+    """A function writing `payload` as ``json.dumps(indent=2,
+    sort_keys=True)`` text into a `write` callable.
 
-    Each Polynomial in the payload is swapped for a numbered placeholder,
-    the envelope left is dumped, and each polynomial's own `to_json` text
-    goes where its placeholder was, indented like that line."""
+    Each Polynomial in the payload is swapped for a numbered placeholder
+    and the envelope left is dumped here, before anything is written.
+    The writer then streams the envelope text, and each polynomial's own
+    `to_json` text where its placeholder was, indented like that line."""
     polys: list[Polynomial] = []
 
     def swap(value):
@@ -175,28 +177,39 @@ def _json_chunks(payload) -> list[str]:
     if sorted(slots) != list(range(len(polys))):
         raise RuntimeError(f"{len(polys)} polynomials placed, but the "
                            f"envelope holds slots {sorted(slots)}")
-    chunks = []
-    for before, k in zip(pieces[::2], slots):
-        line = before[before.rfind("\n") + 1:]
-        pad = line[:len(line) - len(line.lstrip(" "))]
-        chunks += [before, polys[k].to_json(pad)]
-    chunks.append(pieces[-1] + "\n")
-    return chunks
+
+    def write_json(write) -> None:
+        for before, k in zip(pieces[::2], slots):
+            write(before)
+            line = before[before.rfind("\n") + 1:]
+            polys[k].to_json(write, line[:len(line) - len(line.lstrip(" "))])
+        write(pieces[-1] + "\n")
+
+    return write_json
 
 
 def _emit(cfg: RunConfig, payload, text) -> None:
     """Write the JSON payload or the text report; `payload` and `text` are
-    callables, so only the printed one is built."""
+    callables, so only the printed one is built.  An `--out` file that a
+    failure leaves partly written is removed before the error goes on."""
     if cfg.fmt == "json":
-        chunks = _json_chunks(payload())
+        writer = _json_writer(payload())
     else:
         body = text()
-        chunks = [body if body.endswith("\n") else body + "\n"]
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+        body = body if body.endswith("\n") else body + "\n"
+
+        def writer(write) -> None:
+            write(body)
+    if not cfg.out:
+        writer(sys.stdout.write)
+        return
+    fh = open(cfg.out, "w", encoding="utf-8")
+    try:
+        with fh:
+            writer(fh.write)
+    except BaseException:
+        os.remove(cfg.out)
+        raise
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,10 @@ while it is integral and a ``Fraction`` once a denominator appears.
 
 The packing is private to this module: other modules read a monomial with
 `exponents` and build one with `monomial`.  An 8-bit field caps exponents
-at 255, so every product, power, substitution, derivation and determinant
-first checks from its operands' degrees that the result stays within total
-degree 255, and raises ``BudgetExceeded`` otherwise.
+at 255, so `monomial` and every product, power, substitution, derivation
+and determinant first check that the result stays within total degree
+255 (from the operands' degrees), and raise ``BudgetExceeded`` otherwise.
+The degree helper relies on that bound.
 
 Variables live in a registry that assigns dense indices in insertion order,
 and two polynomials interoperate only when they share a registry (mixing
@@ -24,7 +25,7 @@ terms by descending (total degree, dense exponent vector) and factors inside
 a monomial by descending variable index, so ``h^2 + 4*xp*xm`` renders
 exactly like that once ``h`` precedes ``xm`` and ``xp`` in the registry.
 The little-endian bytes of a monomial are its dense exponent vector, so the
-canonical sort key is built without decoding any exponent.
+canonical order is sorted on them with no Python call per monomial.
 
 The module also carries the exact linear algebra used everywhere else:
 
@@ -40,8 +41,10 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 import random
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # One byte per exponent: the helpers below read monomials with int.to_bytes.
@@ -74,13 +77,15 @@ def _check_degree(degree: int, what: str) -> None:
 
 def monomial(exps: Mapping[int, int]) -> int:
     """The monomial with exponent ``e`` on variable index ``i`` for every
-    ``(i, e)`` in `exps`."""
+    ``(i, e)`` in `exps`; its total degree is checked against the cap."""
     mono = 0
+    degree = 0
     for i, e in exps.items():
         if e < 0:
             raise ValueError(f"negative exponent {e}")
-        _check_degree(e, "a monomial")
+        degree += e
         mono += e << (_BITS * i)
+    _check_degree(degree, "a monomial")
     return mono
 
 
@@ -98,17 +103,16 @@ def exponents(mono: int) -> list[tuple[int, int]]:
         mono.to_bytes((mono.bit_length() + 7) >> 3, "little")) if e]
 
 
-def _mono_degree(mono: int) -> int:
-    return sum(mono.to_bytes((mono.bit_length() + 7) >> 3, "little"))
-
-
-def _canonical_key(size: int):
-    """Sort key for monomials over `size` variables: (total degree, dense
-    exponent vector), the vector being the monomial's little-endian bytes."""
-    def key(mono: int):
-        vec = mono.to_bytes(size, "little")
-        return (sum(vec), vec)
-    return key
+def _degrees(monos: Iterable[int]) -> list[int]:
+    """The total degree of each monomial, in one pass with no Python call
+    per monomial.  Since 256 = 1 (mod 255), a monomial is congruent to its
+    byte sum, which is its degree, mod 255.  Degrees never exceed 255, so
+    only degree 255 reads as 0 besides the unit monomial, and is mended."""
+    monos = list(monos)
+    degrees = list(map(operator.mod, monos, repeat(MAX_DEGREE)))
+    if 0 in degrees:
+        degrees = [d or (m and MAX_DEGREE) for m, d in zip(monos, degrees)]
+    return degrees
 
 
 def _rational(value):
@@ -318,7 +322,7 @@ class Polynomial:
     # ------------------------------------------------------------------
     def total_degree(self) -> int:
         if self._degree is None:
-            self._degree = max(map(_mono_degree, self.terms), default=0)
+            self._degree = max(_degrees(self.terms), default=0)
         return self._degree
 
     def support_indices(self) -> frozenset[int]:
@@ -475,11 +479,24 @@ class Polynomial:
         return Polynomial._make(target, _clean(acc))
 
     # ------------------------------------------------------------------
+    def _sorted_monomials(self) -> list[int]:
+        """The monomials in canonical order: descending (degree, exponent
+        vector).  They are sorted by their little-endian bytes, the dense
+        exponent vector, and then stably by degree unless all degrees are
+        equal; both keys are computed without a Python call per monomial."""
+        monos = sorted(self.terms, reverse=True, key=operator.methodcaller(
+            "to_bytes", len(self.registry), "little"))
+        degrees = _degrees(monos)
+        if min(degrees, default=0) != max(degrees, default=0):
+            order = sorted(range(len(monos)), key=degrees.__getitem__,
+                           reverse=True)
+            monos = list(map(monos.__getitem__, order))
+        return monos
+
     def sorted_terms(self) -> list[tuple[int, Fraction | int]]:
         """Terms in canonical order: descending (degree, exponent vector)."""
-        terms = self.terms
-        return [(m, terms[m]) for m in sorted(
-            terms, key=_canonical_key(len(self.registry)), reverse=True)]
+        monos = self._sorted_monomials()
+        return list(zip(monos, map(self.terms.__getitem__, monos)))
 
     def _rendered_terms(self, order: list[int], factor):
         """Each term in canonical order as (coefficient, factors), where
@@ -489,30 +506,25 @@ class Polynomial:
         One string per (variable, exponent) is made up front for the
         variables that occur.  They are cut, in `order`, into groups of
         `_RENDER_GROUP`, and the factors of each group's part of a monomial
-        are memoised, since the same part recurs across many monomials."""
+        are memoised, since the same part recurs across many monomials.
+        Each group's column of parts is read through its memo, and the
+        columns are joined term by term."""
         names = [v.name for v in self.registry.var_ids]
-        size = len(names)
         top = self.total_degree()
         present = self.support_indices()
         order = [i for i in order if i in present]
-        groups = []
+        monos = self._sorted_monomials()
+        columns = []
         for start in range(0, len(order), _RENDER_GROUP):
             idx = order[start:start + _RENDER_GROUP]
-            tables = [[""] + [factor(names[i], e) for e in range(1, top + 1)]
-                      for i in idx]
-            groups.append((sum(MAX_DEGREE << (_BITS * i) for i in idx),
-                           {}, list(zip(idx, tables))))
-        for m, c in self.sorted_terms():
-            parts = []
-            for mask, memo, tables in groups:
-                part = m & mask
-                rendered = memo.get(part)
-                if rendered is None:
-                    vec = part.to_bytes(size, "little")
-                    rendered = memo[part] = "".join(
-                        [table[vec[i]] for i, table in tables])
-                parts.append(rendered)
-            yield c, "".join(parts)
+            memo = _RenderMemo(
+                (_BITS * i, [""] + [factor(names[i], e)
+                                    for e in range(1, top + 1)])
+                for i in idx)
+            columns.append(map(memo.__getitem__, map(
+                operator.and_, monos, repeat(variable_mask(idx)))))
+        factors = map("".join, zip(*columns)) if columns else repeat("")
+        return zip(map(self.terms.__getitem__, monos), factors)
 
     def text(self) -> str:
         if not self.terms:
@@ -542,14 +554,16 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
 
-    def to_json(self, pad: str = "") -> str:
-        """The JSON text ``{"terms": [{"coeff", "monomial"}]}``, terms in
+    def to_json(self, write, pad: str = "") -> None:
+        """Write the JSON text ``{"terms": [{"coeff", "monomial"}]}`` into
+        `write` (a callable taking a ``str``), one piece per term, terms in
         canonical order, exactly as ``json.dumps(indent=2, sort_keys=True)``
         lays it out, with every line after the first led by `pad`.  A
         coefficient is its ``str``, which needs no escaping, and a monomial
         maps each variable name to its exponent, in name order."""
         if not self.terms:
-            return f'{{\n{pad}  "terms": []\n{pad}}}'
+            write(f'{{\n{pad}  "terms": []\n{pad}}}')
+            return
         names = [v.name for v in self.registry.var_ids]
         quoted = {name: json.dumps(name) for name in names}
         inner = f"\n{pad}        "
@@ -557,18 +571,33 @@ class Polynomial:
         mid = f'",\n{pad}      "monomial": {{'
         tail = f"\n{pad}      }}\n{pad}    }}"
         bare = f"}}\n{pad}    }}"
-        # each exponent entry ends in a comma, the last one dropped below
-        terms = [
-            f"{head}{c}{mid}{entries[:-1]}{tail}" if entries
-            else f"{head}{c}{mid}{bare}"
-            for c, entries in self._rendered_terms(
+        write(f'{{\n{pad}  "terms": [\n')
+        sep = ""
+        # each exponent entry ends in a comma, the last one dropped here
+        for c, entries in self._rendered_terms(
                 sorted(range(len(names)), key=names.__getitem__),
-                lambda name, e: f"{inner}{quoted[name]}: {e},")]
-        # the opening and closing lines join the first and last terms, so
-        # the text is assembled in one join
-        terms[0] = f'{{\n{pad}  "terms": [\n{terms[0]}'
-        terms[-1] = f"{terms[-1]}\n{pad}  ]\n{pad}}}"
-        return ",\n".join(terms)
+                lambda name, e: f"{inner}{quoted[name]}: {e},"):
+            write(f"{sep}{head}{c}{mid}{entries[:-1]}{tail}" if entries
+                  else f"{sep}{head}{c}{mid}{bare}")
+            sep = ",\n"
+        write(f"\n{pad}  ]\n{pad}}}")
+
+
+class _RenderMemo(dict):
+    """The rendered factors of one variable group's part of a monomial,
+    made on first use from (bit shift, string per exponent) per variable."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: Iterable[tuple[int, list[str]]]):
+        super().__init__()
+        self.tables = list(tables)
+
+    def __missing__(self, part: int) -> str:
+        rendered = self[part] = "".join(
+            [table[(part >> shift) & MAX_DEGREE]
+             for shift, table in self.tables])
+        return rendered
 
 
 def poly_sum(registry: VarRegistry, polys: Iterable[Polynomial]) -> Polynomial:
@@ -744,12 +773,6 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols,
                           [a + b for a, b in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          [a - b for a, b in zip(self.entries, other.entries)])
-
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(self.rows, self.cols, [-e for e in self.entries])
 
@@ -768,16 +791,17 @@ class PolyMatrix:
         return [[self.at(i, j).eval(assignment) for j in range(self.cols)]
                 for i in range(self.rows)]
 
-    def constant_entries(self) -> list[list[Fraction]]:
-        """Entries as rationals; raises if any entry has positive degree."""
-        out: list[list[Fraction]] = []
+    def constant_entries(self) -> list[list[Fraction | int]]:
+        """Entries as exact rationals, int when integral; raises if any
+        entry has positive degree."""
+        out: list[list[Fraction | int]] = []
         for i in range(self.rows):
             row = []
             for j in range(self.cols):
                 e = self.at(i, j)
                 if e.support_indices():
                     raise ValueError("matrix entry is not constant")
-                row.append(e.coefficient({}))
+                row.append(e.terms.get(0, 0))
             out.append(row)
         return out
 
@@ -785,7 +809,8 @@ class PolyMatrix:
 def det(matrix: PolyMatrix) -> Polynomial:
     """Determinant by Laplace expansion along the first remaining row,
     with minors memoised per column subset.  Each minor accumulates its
-    products in one dict and drops zero coefficients once."""
+    products in one dict; zero coefficients are dropped once, from the
+    whole determinant, since a zero left in a minor only costs products."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     size = matrix.rows
@@ -812,10 +837,14 @@ def det(matrix: PolyMatrix) -> Polynomial:
                 _addmul(acc, entry, minor(colmask ^ low))
             negate ^= 1
             mask ^= low
-        result = memo[colmask] = _clean(acc)
-        return result
+        memo[colmask] = acc
+        return acc
 
-    return Polynomial._make(matrix.registry, minor((1 << size) - 1))
+    terms = _clean(minor((1 << size) - 1))
+    # `minor` refers to itself, so the minors would otherwise live until
+    # the cyclic collector runs
+    memo.clear()
+    return Polynomial._make(matrix.registry, terms)
 
 
 def rank(matrix: PolyMatrix, *, seed: int = 0, trials: int = 3) -> int:

@@ -107,31 +107,46 @@ def _bracket_parts(alg: GnAlgebra, a: Generator,
             if (c := br.coefficient({g.name: 1}))]
 
 
+def _add_product(acc: dict, a: list[dict], b: list[dict], scale) -> None:
+    """Add scale * (a @ b) into `acc` ({(row, col): value}), for matrices
+    given as one {col: value} dict of nonzero entries per row."""
+    get = acc.get
+    for i, row in enumerate(a):
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[i, j] = get((i, j), 0) + scale * x * y
+
+
 def check_homomorphism(rep: MatrixRep, n: int,
                        algebra: GnAlgebra | None = None) -> Report:
     """Pairwise commutator test plus kernel extraction.
 
+    Each image is read once as a sparse matrix of its constant entries,
+    and [rho(a), rho(b)] - sum c rho(g) is accumulated entry by entry.
     The kernel of the linear map generator -> matrix is computed exactly;
     the report records its dimension and whether it sits inside the centre.
     """
     alg = algebra or rep.algebra
     order = alg.basis.order
+    mats = [rep.of(g).constant_entries() for g in order]
+    sparse = {g: [{j: v for j, v in enumerate(row) if v} for row in m]
+              for g, m in zip(order, mats)}
+    identity = [{i: 1} for i in range(rep.size)]
     fails: list[str] = []
     pairs = 0
     for a, b in combinations(order, 2):
         pairs += 1
-        lhs = rep.of(a) @ rep.of(b) - rep.of(b) @ rep.of(a)
-        rhs = rep.of(a).map(lambda e: e.registry.zero())
+        diff: dict = {}
+        _add_product(diff, sparse[a], sparse[b], 1)
+        _add_product(diff, sparse[b], sparse[a], -1)
         for g, c in _bracket_parts(alg, a, b):
-            rhs = rhs + rep.of(g).map(lambda e, c=c: e * c)
-        if lhs != rhs:
+            _add_product(diff, sparse[g], identity, -c)
+        if any(diff.values()):
             fails.append(f"commutator mismatch on ({a.name}, {b.name})")
-    for g in order:
-        tr = sum((rep.of(g).at(i, i).coefficient({})
-                  for i in range(rep.size)), Fraction(0))
+    for g, m in zip(order, mats):
+        tr = sum((m[i][i] for i in range(rep.size)), Fraction(0))
         if tr:
             fails.append(f"image of {g.name} has trace {tr}")
-    mats = [rep.of(g).constant_entries() for g in order]
     rows = ({j: m[r][c] for j, m in enumerate(mats)}
             for r in range(rep.size) for c in range(rep.size))
     kernel = sparse_nullspace(rows, len(order))

@@ -1,6 +1,6 @@
-"""Shared test helpers: an independent determinant oracle, a reference
-writer and a reader for the JSON polynomial form, and small random
-polynomial generators.
+"""Shared test helpers: an independent determinant oracle, an independent
+canonical term order, a reference writer and a reader for the JSON
+polynomial form, and small random polynomial generators.
 
 The oracle expands along the last column with no memoization, so it shares
 no code path with the library's memoized first-row expansion.
@@ -38,22 +38,44 @@ def cofactor_det(rows):
     return out
 
 
+def poly_json(p: Polynomial, pad: str = "") -> str:
+    """The text ``Polynomial.to_json`` writes, collected into one string."""
+    pieces: list[str] = []
+    p.to_json(pieces.append, pad)
+    return "".join(pieces)
+
+
+def canonical_order(p: Polynomial) -> list:
+    """The terms of `p` by descending (total degree, dense exponent tuple),
+    the tuple built from `exponents`, so the order shares no code with
+    ``Polynomial.sorted_terms``."""
+    size = len(p.registry)
+
+    def key(term):
+        dense = [0] * size
+        for i, e in exponents(term[0]):
+            dense[i] = e
+        return sum(dense), tuple(dense)
+
+    return sorted(p.terms.items(), key=key, reverse=True)
+
+
 def poly_json_reference(p: Polynomial, pad: str = "") -> str:
-    """The text ``Polynomial.to_json(pad)`` must write, made the slow way:
-    a dict with one ``{"coeff", "monomial"}`` dict per term in canonical
-    order, dumped by ``json.dumps(indent=2, sort_keys=True)``, with `pad`
-    put after every newline."""
+    """The text ``Polynomial.to_json(write, pad)`` must write, made the
+    slow way: a dict with one ``{"coeff", "monomial"}`` dict per term in
+    `canonical_order`, dumped by ``json.dumps(indent=2, sort_keys=True)``,
+    with `pad` put after every newline."""
     names = [v.name for v in p.registry.var_ids]
     data = {"terms": [
         {"coeff": str(c),
          "monomial": {names[i]: e for i, e in exponents(m)}}
-        for m, c in p.sorted_terms()]}
+        for m, c in canonical_order(p)]}
     return json.dumps(data, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def poly_from_json(registry: VarRegistry, data) -> Polynomial:
     """Read back the parsed ``{"terms": [{"coeff", "monomial"}]}`` form,
-    ``json.loads(p.to_json())``.  The library only writes this form, so
+    ``json.loads(poly_json(p))``.  The library only writes this form, so
     the reader lives with the tests that check the round trip."""
     terms: dict = {}
     for term in data["terms"]:

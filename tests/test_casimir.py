@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import cofactor_det
+from conftest import cofactor_det, poly_json
 from gnlab import (BudgetExceeded, PolyMatrix, Polynomial, build_coadjoint,
                    build_gn, casimir, casimir_matrix, check_grading,
                    check_uniqueness, solve_ansatz, sparse_nullspace,
@@ -65,7 +65,7 @@ def test_invariant_level3_coefficients():
     assert c.coefficient({"xm": 1, "y1p": 2}) == -2
 
 
-# SHA-256 of json.dumps(json.loads(C_n.to_json()), sort_keys=True,
+# SHA-256 of json.dumps(json.loads(poly_json(C_n)), sort_keys=True,
 # separators=(",", ":")).
 # The term list keeps its order under sort_keys, so these pin the canonical
 # term order as well as every coefficient.
@@ -79,7 +79,7 @@ CANONICAL_JSON_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(CANONICAL_JSON_SHA256))
 def test_canonical_json_golden(n):
-    text = json.dumps(json.loads(casimir(n).polynomial.to_json()),
+    text = json.dumps(json.loads(poly_json(casimir(n).polynomial)),
                       sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == CANONICAL_JSON_SHA256[n]

@@ -398,3 +398,30 @@ def test_out_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text() == "h^2 + 4*xp*xm\n"
+
+
+def test_failed_write_removes_out_file(tmp_path, capsys, monkeypatch):
+    """The JSON is streamed into --out, so a failure after the first piece
+    has been written must not leave a truncated file behind."""
+    target = tmp_path / "c4.json"
+    written = []
+
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+
+        def write(text):
+            if written:
+                raise MemoryError
+            written.append(text)
+            return type(fh).write(fh, text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, out, err = run(capsys, "casimir", "--n", "4", "--format", "json",
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: MemoryError")
+    assert len(written) == 1
+    assert not target.exists()

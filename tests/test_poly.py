@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (cofactor_det, poly_from_json, poly_json_reference,
-                      random_poly, rational_point)
-from gnlab import (BudgetExceeded, MissingVariable, PolyMatrix,
+from conftest import (cofactor_det, poly_from_json, poly_json,
+                      poly_json_reference, random_poly, rational_point)
+from gnlab import (BudgetExceeded, MissingVariable, PolyMatrix, Polynomial,
                    RegistryMismatch, VarRegistry, det, parse_polynomial, rank,
                    rank_rational, sparse_nullspace)
+from gnlab.poly import monomial
 
 
 def abc_registry():
@@ -358,7 +359,7 @@ def test_json_roundtrip():
     rng = random.Random(47)
     for _ in range(20):
         f = random_poly(reg, rng)
-        assert poly_from_json(reg, json.loads(f.to_json())) == f
+        assert poly_from_json(reg, json.loads(poly_json(f))) == f
 
 
 def _json_cases():
@@ -382,7 +383,7 @@ def _json_cases():
 @pytest.mark.parametrize("label,poly", list(_json_cases()),
                          ids=[label for label, _ in _json_cases()])
 def test_to_json_matches_reference(label, poly, pad):
-    assert poly.to_json(pad) == poly_json_reference(poly, pad)
+    assert poly_json(poly, pad) == poly_json_reference(poly, pad)
 
 
 def test_wide_registry_text():
@@ -418,3 +419,11 @@ def test_degree_overflow_raises_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         poly_from_json(reg, {"terms": [{"coeff": "1",
                                         "monomial": {"a": 256}}]})
+    # the cap is on the total degree, not on each exponent
+    assert Polynomial(reg, {monomial({0: 200, 1: 55}): 1}).total_degree() \
+        == 255
+    with pytest.raises(BudgetExceeded):
+        Polynomial(reg, {monomial({0: 200, 1: 200}): 1})
+    with pytest.raises(BudgetExceeded):
+        poly_from_json(reg, {"terms": [{"coeff": "1",
+                                        "monomial": {"a": 200, "b": 56}}]})

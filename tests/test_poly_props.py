@@ -3,7 +3,8 @@
 Property tests (hypothesis) check the ring axioms, substitution as a ring
 homomorphism, the Leibniz rule and the one-pass vector field kernel
 against sums of partial derivatives, on polynomials whose coefficients mix
-integers and non-integral rationals.  sympy's Berkowitz determinant is an
+integers and non-integral rationals; and the canonical term order against
+one built from decoded exponent tuples.  sympy's Berkowitz determinant is an
 independent oracle for the invariants C_n = -det M_n at small levels.
 """
 
@@ -12,9 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly_from_json, poly_json_reference
+from conftest import (canonical_order, poly_from_json, poly_json,
+                      poly_json_reference)
 from gnlab import Polynomial, VarRegistry, casimir
-from gnlab.poly import derive, monomial, poly_sum
+from gnlab.poly import derive, exponents, monomial, poly_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -149,13 +151,56 @@ def test_derive_is_the_sum_of_coefficients_times_partials(case):
 @settings
 @given(polynomials(SOURCE))
 def test_serialisation_roundtrips(f):
-    assert poly_from_json(SOURCE, json.loads(f.to_json())) == f
+    assert poly_from_json(SOURCE, json.loads(poly_json(f))) == f
 
 
 @settings
 @given(polynomials(LADDER), st.sampled_from(["", "  ", " " * 8]))
 def test_json_writer_matches_reference(f, pad):
-    assert f.to_json(pad) == poly_json_reference(f, pad)
+    assert poly_json(f, pad) == poly_json_reference(f, pad)
+
+
+# 20 variables, so that terms are rendered in two groups of 16, with names
+# out of index order
+WIDE = VarRegistry([f"w{(7 * k) % 20:02d}" for k in range(20)])
+
+
+def wide_polynomials():
+    """Polynomials over WIDE mixing degrees, often with a constant term,
+    and with monomials at the degree cap 255, one exponent 255 or split."""
+    small = st.dictionaries(st.integers(0, len(WIDE) - 1),
+                            st.integers(0, 4), max_size=4)
+    one = st.integers(0, len(WIDE) - 1)
+    capped = st.one_of(
+        one.map(lambda i: {i: 255}),
+        st.tuples(one, one, st.integers(0, 255)).filter(
+            lambda t: t[0] != t[1]).map(
+            lambda t: {t[0]: t[2], t[1]: 255 - t[2]}))
+    exps = st.one_of(small, capped, st.just({}))
+    coeffs = st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+    def build(pairs):
+        terms: dict = {}
+        for e, c in pairs:
+            m = monomial(e)
+            terms[m] = terms.get(m, 0) + c
+        return Polynomial(WIDE, terms)
+
+    return st.lists(st.tuples(exps, coeffs), max_size=8).map(build)
+
+
+@settings
+@given(wide_polynomials())
+@hypothesis.example(Polynomial(WIDE, {0: 3, monomial({4: 255}): -1,
+                                      monomial({2: 1, 19: 254}): 2,
+                                      monomial({5: 2}): 1}))
+def test_canonical_order_matches_independent_order(f):
+    assert f.sorted_terms() == canonical_order(f)
+    assert f.total_degree() == max(
+        (sum(e for _, e in exponents(m)) for m in f.terms), default=0)
+    assert poly_json(f) == poly_json_reference(f)
 
 
 # ----------------------------------------------------------------------
@@ -190,5 +235,5 @@ def test_casimir_matches_sympy_berkowitz(n):
         for exps, c in sympy.Poly(expr, *gens).terms()}
     got = {
         frozenset(term["monomial"].items()): Fraction(term["coeff"])
-        for term in json.loads(casimir(n).polynomial.to_json())["terms"]}
+        for term in json.loads(poly_json(casimir(n).polynomial))["terms"]}
     assert got == want

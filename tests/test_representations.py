@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from gnlab import (PhaseContext, build_coadjoint, build_faithful_rep,
-                   build_gn, build_quotient_rep, check_field_homomorphism,
-                   check_homomorphism, triangular)
+from gnlab import (PhaseContext, PolyMatrix, build_coadjoint,
+                   build_faithful_rep, build_gn, build_quotient_rep,
+                   check_field_homomorphism, check_homomorphism, triangular)
 from conftest import random_poly
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
+from gnlab.representations import MatrixRep
 
 
 def ints(matrix):
@@ -65,6 +66,26 @@ def test_homomorphism_and_kernels():
         assert quotient.passed
         assert quotient.data["kernel_dim"] == triangular(n - 2)
         assert quotient.data["kernel_in_centre"]
+
+
+def test_homomorphism_reports_broken_images():
+    """Doubling the image of x+ breaks its brackets with x- and y1-, whose
+    images it does not double, and shifting the image of h by the identity
+    gives it a trace."""
+    alg = build_gn(3)
+    rep = build_faithful_rep(3, alg)
+    size = rep.size
+    shifted = PolyMatrix(size, size, [
+        rep.of(H).at(i, j) + (1 if i == j else 0)
+        for i in range(size) for j in range(size)])
+    broken = MatrixRep("broken", size, {
+        **rep.image, H: shifted,
+        X_PLUS: rep.of(X_PLUS).map(lambda e: 2 * e)}, alg)
+    report = check_homomorphism(broken, 3, alg)
+    assert report.failures == ["commutator mismatch on (xm, xp)",
+                               "commutator mismatch on (xp, y1m)",
+                               "image of h has trace 4"]
+    assert report.data["kernel_dim"] == 0
 
 
 def test_images_are_traceless():
