@@ -2,15 +2,16 @@
 
 Subcommands: casimir, verify, integrals, simulate, dump-rep, rank, ansatz.
 Exit codes: 0 success, 1 verification or conservation failure, 2 usage or
-configuration error, an exceeded size budget, or an arithmetic or memory
-error.  JSON output carries a schema version and is
-byte-identical across runs with the same configuration and seeds; the
+configuration error, an exceeded size budget, an unwritable output file,
+or an arithmetic or memory error.  JSON output carries a schema version and
+is byte-identical across runs with the same configuration and seeds; the
 GN_LAB_SEED environment variable overrides --seed when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -28,7 +29,8 @@ from .coalgebra import (PhaseContext, check_independence, check_involution,
                         check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
                         integral_family, integral_set, window)
-from .dynamics import HamiltonianSystem, drift_report, integrate
+from .dynamics import (HamiltonianSystem, check_trajectory_budget,
+                       drift_report, integrate)
 from .poly import (BudgetExceeded, MissingVariable, Polynomial,
                    parse_polynomial)
 from .representations import (build_faithful_rep, build_quotient_rep,
@@ -188,6 +190,21 @@ def _json_writer(payload):
     return write_json
 
 
+@contextlib.contextmanager
+def _out_file(path: str, newline: str | None = None):
+    """Open `path` for writing; a failure inside the block closes and
+    removes the partly written file before the error goes on (a symlink
+    or a device, such as /dev/stdout, is left in place)."""
+    fh = open(path, "w", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
+
+
 def _emit(cfg: RunConfig, payload, text) -> None:
     """Write the JSON payload or the text report; `payload` and `text` are
     callables, so only the printed one is built.  An `--out` file that a
@@ -203,13 +220,8 @@ def _emit(cfg: RunConfig, payload, text) -> None:
     if not cfg.out:
         writer(sys.stdout.write)
         return
-    fh = open(cfg.out, "w", encoding="utf-8")
-    try:
-        with fh:
-            writer(fh.write)
-    except BaseException:
-        os.remove(cfg.out)
-        raise
+    with _out_file(cfg.out) as fh:
+        writer(fh.write)
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +375,17 @@ def cmd_simulate(args) -> int:
         x0 = [round(rng.uniform(-1.0, 1.0), 6) for _ in range(2 * cfg.N)]
     observables = integral_family(ctx)
     names = list(observables)
-    traj = integrate(system, x0, args.step, args.t_end, scheme=args.scheme,
-                     observables=observables)
+    # Check the budget, then open the CSV, both before integrating: a bad
+    # path fails at once, and an over-budget run leaves --out untouched.
+    check_trajectory_budget(cfg.N, args.step, args.t_end,
+                            len({*names, "H"}))
+    out = _out_file(cfg.out, newline="") if cfg.out \
+        else contextlib.nullcontext()
+    with out as fh:
+        traj = integrate(system, x0, args.step, args.t_end,
+                         scheme=args.scheme, observables=observables)
+        if fh is not None:
+            _write_trajectory(fh, cfg.N, names, traj)
     drifts = drift_report(traj)
     # a NaN compares false both ways, so test every drift, not their max
     passed = all(math.isfinite(d.max_relative_deviation)
@@ -385,22 +406,29 @@ def cmd_simulate(args) -> int:
         "threshold": args.drift_threshold,
         "passed": passed,
     }
-    if cfg.out:
-        with open(cfg.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = (["t"] + [f"q{k}" for k in range(1, cfg.N + 1)]
-                      + [f"p{k}" for k in range(1, cfg.N + 1)]
-                      + ["H"] + names)
-            writer.writerow(header)
-            for i in range(traj.times.shape[0]):
-                row = [repr(float(traj.times[i]))]
-                row += [repr(float(v)) for v in traj.states[i]]
-                row.append(repr(float(traj.observables["H"][i])))
-                row += [repr(float(traj.observables[nm][i])) for nm in names]
-                writer.writerow(row)
     sys.stdout.write(json.dumps(_finite_or_null(payload), indent=2,
                                 sort_keys=True, allow_nan=False) + "\n")
     return 0 if passed else 1
+
+
+def _write_trajectory(fh, N: int, names: list[str], traj) -> None:
+    """Write the trajectory as CSV: t, q1..qN, p1..pN, H and the named
+    observables, one row per sample, each float as its `repr`."""
+    import numpy as np
+
+    writer = csv.writer(fh)
+    writer.writerow(["t"] + [f"q{k}" for k in range(1, N + 1)]
+                    + [f"p{k}" for k in range(1, N + 1)] + ["H"] + names)
+    table = np.column_stack([traj.times, traj.states, traj.observables["H"]]
+                            + [traj.observables[nm] for nm in names])
+    # csv writes a float as its repr, which never needs quoting, so joining
+    # the reprs writes the same bytes in about two thirds of csv's time.
+    # Only 1,024 rows at a time become Python floats, so the peak memory
+    # does not grow with the trajectory.
+    end = writer.dialect.lineterminator
+    for start in range(0, len(table), 1024):
+        fh.writelines([",".join(map(repr, row)) + end
+                       for row in table[start:start + 1024].tolist()])
 
 
 def _finite_or_null(value):
@@ -567,7 +595,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, MissingVariable, BudgetExceeded) as exc:
+    except (ValueError, MissingVariable, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, MemoryError) as exc:

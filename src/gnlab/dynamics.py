@@ -2,20 +2,24 @@
 
 Hamilton's equations are generated symbolically (exact partial
 derivatives); floating point enters only when trajectories are stepped.
-Each polynomial is compiled once into a flat arithmetic expression over a
-state `s`, where `s[k]` is one slot of the state.
+Polynomials are compiled once into a generated `def f(s)`, where `s`
+holds one value per state slot.  f unpacks the slots into locals, computes
+each power a term uses once (`s3_2 = s3**2`), and sums the terms left to
+right in canonical order, in statements of a bounded number of terms so
+that CPython's compiler takes a sum of any length.  Computing a power once
+or many times gives the same float, so hoisting changes no result.
 
-Stepping runs on plain Python floats: dq/dt and dp/dt compile into one
-`lambda s: [...]` that returns every component of the right-hand side,
-and each step is a few list comprehensions in the same float operation
-order as the vector formulas of RK4 and leapfrog.  Each step is written
-into a preallocated array.  Python raises OverflowError where a power
+Stepping runs on plain Python floats: dq/dt and dp/dt compile into one f
+that returns every component of the right-hand side as a list, and each
+step is a few list comprehensions in the same float operation order as
+the vector formulas of RK4 and leapfrog.  Each step is written into a
+preallocated array.  Python raises OverflowError where a power
 overflows; the rows from there on are NaN, so the run reports non-finite
 drift instead of raising.
 
 Sampling runs on whole columns: each observable's evaluator is called
-once with `s = states.T`, so `s[k]` is the whole column of slot k and one
-call evaluates the observable at every sample.
+once with `s = states.T`, so each slot is a whole column and one call
+evaluates the observable at every sample.
 
 NumPy is imported inside `integrate` and `drift_report` only, so the exact
 commands never load it.
@@ -39,39 +43,55 @@ from .poly import BudgetExceeded, Polynomial, exponents
 MAX_TRAJECTORY_FLOATS = 10**8
 
 
-def _expression(poly: Polynomial, slot_of: Mapping[int, int]) -> str:
-    """The polynomial as a flat arithmetic expression over `s[slot]`."""
-    if not poly.terms:
-        return "0.0"
-    chunks = []
-    for mono, coeff in poly.sorted_terms():
-        factors = [repr(float(coeff))]
-        for idx, exp in exponents(mono):
-            slot = slot_of[idx]
-            factors.append(f"s[{slot}]" if exp == 1 else f"s[{slot}]**{exp}")
-        chunks.append("*".join(factors))
-    return " + ".join(chunks)
+# Most terms one generated statement sums: CPython's compiler recurses once
+# per `+`, so a single sum of a few thousand terms overflows its stack.
+SUM_CHUNK = 100
 
 
-def _compile(body: str) -> Callable:
-    source = "lambda s: " + body
-    return eval(compile(source, "<polynomial>", "eval"), {"__builtins__": {}})
+def _compile(polys: Sequence[Polynomial],
+             slot_of: Mapping[int, int]) -> Callable:
+    """Compile polynomials into one `def f(s)` over state slots (see the
+    module docstring) that returns the list of their values."""
+    powers: dict[str, str] = {}
+    sums: list[str] = []
+    values = []
+    for i, poly in enumerate(polys):
+        terms = []
+        for mono, coeff in poly.sorted_terms():
+            factors = [repr(float(coeff))]
+            for idx, exp in exponents(mono):
+                name = f"s{slot_of[idx]}"
+                if exp > 1:
+                    powers[f"{name}_{exp}"] = f"{name}**{exp}"
+                    name += f"_{exp}"
+                factors.append(name)
+            terms.append("*".join(factors))
+        head, *rest = [" + ".join(terms[j:j + SUM_CHUNK])
+                       for j in range(0, len(terms), SUM_CHUNK)] or ["0.0"]
+        if rest:
+            sums.append(f"r{i} = {head}")
+            sums += [f"r{i} = r{i} + {chunk}" for chunk in rest]
+            head = f"r{i}"
+        values.append(head)
+    slots = [f"s{k}" for k in range(max(slot_of.values(), default=-1) + 1)]
+    body = [", ".join(slots) + ", = s"] if slots else []
+    body += [f"{name} = {power}" for name, power in powers.items()] + sums
+    source = "def f(s):\n" + "".join(
+        f"    {line}\n" for line in body + [f"return [{', '.join(values)}]"])
+    namespace: dict = {}
+    exec(compile(source, "<polynomial>", "exec"), {"__builtins__": {}},
+         namespace)
+    return namespace["f"]
 
 
 def compile_evaluator(poly: Polynomial,
                       slot_of: Mapping[int, int]) -> Callable:
-    """Compile a polynomial into `lambda s: ...` over state slots.
+    """Compile a polynomial into `def f(s)` over state slots.
 
-    `s[k]` may be a float or a NumPy column; a constant polynomial
-    evaluates to a float either way."""
-    return _compile(_expression(poly, slot_of))
-
-
-def _compile_vector(polys: Sequence[Polynomial],
-                    slot_of: Mapping[int, int]) -> Callable:
-    """Compile polynomials into one `lambda s: [e_0, e_1, ...]`."""
-    return _compile(
-        "[" + ", ".join(_expression(p, slot_of) for p in polys) + "]")
+    `s` holds one float or one NumPy column per slot; a constant
+    polynomial evaluates to a float either way."""
+    f = _compile([poly], slot_of)
+    return lambda s: f(s)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +156,19 @@ def _leapfrog(kick: Callable, drift: Callable, s: list[float], n: int,
         yield q + p
 
 
+def check_trajectory_budget(N: int, step: float, t_end: float,
+                            n_observables: int) -> None:
+    """Raise BudgetExceeded when a trajectory of 2N slots and
+    `n_observables` observables, sampled every `step` up to `t_end`, would
+    hold more than MAX_TRAJECTORY_FLOATS floats."""
+    samples = t_end / step + 1  # a float, so a huge ratio cannot overflow
+    width = 1 + 2 * N + n_observables
+    if samples * width > MAX_TRAJECTORY_FLOATS:
+        raise BudgetExceeded(
+            f"{samples:.4g} samples of {width} floats each exceed the "
+            f"budget of {MAX_TRAJECTORY_FLOATS} floats")
+
+
 def integrate(system: HamiltonianSystem, x0, step: float, t_end: float,
               scheme: str = "rk4",
               observables: Mapping[str, Polynomial] | None = None) -> Trajectory:
@@ -164,21 +197,16 @@ def integrate(system: HamiltonianSystem, x0, step: float, t_end: float,
             "leapfrog requires a Hamiltonian that splits as T(p) + V(q)")
     obs = dict(observables) if observables else {}
     obs.setdefault("H", system.hamiltonian)
-    samples = t_end / step + 1  # a float, so a huge ratio cannot overflow
-    width = 1 + twoN + len(obs)
-    if samples * width > MAX_TRAJECTORY_FLOATS:
-        raise BudgetExceeded(
-            f"{samples:.4g} samples of {width} floats each exceed the "
-            f"budget of {MAX_TRAJECTORY_FLOATS} floats")
+    check_trajectory_budget(ctx.N, step, t_end, len(obs))
     nsteps = int(round(t_end / step))
 
     slot_of = {v.index: i for i, v in enumerate(ctx.state_vars())}
     if scheme == "rk4":
-        rhs = _compile_vector(system.dq_dt + system.dp_dt, slot_of)
+        rhs = _compile(system.dq_dt + system.dp_dt, slot_of)
         steps = _rk4(rhs, state0, step, nsteps)
     else:
-        steps = _leapfrog(_compile_vector(system.dp_dt, slot_of),
-                          _compile_vector(system.dq_dt, slot_of),
+        steps = _leapfrog(_compile(system.dp_dt, slot_of),
+                          _compile(system.dq_dt, slot_of),
                           state0, ctx.N, step, nsteps)
     states = np.empty((nsteps + 1, twoN))
     states[0] = state0

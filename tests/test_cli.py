@@ -5,6 +5,7 @@ byte determinism.  Everything goes through main(argv) in-process.
 import csv
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnlab import cli
+from gnlab import BudgetExceeded, cli, integrate
 from gnlab.cli import main
 
 
@@ -255,6 +256,88 @@ def test_simulate_stepping_golden(tmp_path, capsys):
     text = "\n".join(",".join(row[:7]) for row in rows)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "c7a5713b123281a0f5dc9ad4d2e4e0314292c80d5237ffd09d88a947f7380304")
+
+
+def per_cell_csv(N, names, traj):
+    """The trajectory CSV as the per-cell writer wrote it: `repr(float(v))`
+    for every cell, one `writerow` per sample."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"q{k}" for k in range(1, N + 1)]
+                    + [f"p{k}" for k in range(1, N + 1)] + ["H"] + names)
+    for i in range(traj.times.shape[0]):
+        row = [repr(float(traj.times[i]))]
+        row += [repr(float(v)) for v in traj.states[i]]
+        row.append(repr(float(traj.observables["H"][i])))
+        row += [repr(float(traj.observables[nm][i])) for nm in names]
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, expect", [
+    (["--n", "2", "--N", "3", "--t-end", "2.5"], 0),  # 2,501 rows
+    (["--H", "xp + xm^3", "--x0", "3,3,3,0,0,0", "--step", "0.01",
+      "--t-end", "5"], 1),  # diverges: NaN rows, and the CSV is kept
+])
+def test_simulate_csv_matches_the_per_cell_writer(tmp_path, capsys,
+                                                  monkeypatch, argv, expect):
+    runs = []
+
+    def recording(system, x0, step, t_end, **kwargs):
+        traj = integrate(system, x0, step, t_end, **kwargs)
+        runs.append((system.ctx.N, list(kwargs["observables"]), traj))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = run(capsys, "simulate", *argv, "--out", str(out_csv))
+    assert code == expect and len(runs) == 1
+    N, names, traj = runs[0]
+    assert np.isnan(traj.states[-1]).all() == bool(expect)
+    assert out_csv.read_bytes() == per_cell_csv(N, names, traj)
+
+
+def test_unwritable_out_exits_2_before_integrating(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before opening --out")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    missing = tmp_path / "missing" / "out.txt"
+    for argv in (["casimir", "--n", "3"],
+                 ["simulate", "--t-end", "0.1"]):
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+
+
+def test_simulate_removes_its_csv_when_integration_fails(tmp_path, capsys,
+                                                         monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise BudgetExceeded("trajectory over budget")
+
+    monkeypatch.setattr(cli, "integrate", over_budget)
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "simulate", "--out", str(out_csv))
+    assert code == 2 and out == "" and "budget" in err
+    assert not out_csv.exists()
+    # a symlink (such as /dev/stdout) is not removed, only its target cut
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "simulate", "--out", str(link))
+    assert code == 2 and link.is_symlink() and target.read_text() == ""
+
+
+def test_simulate_over_budget_leaves_an_existing_out_file(tmp_path, capsys):
+    out_csv = tmp_path / "traj.csv"
+    out_csv.write_text("kept\n")
+    code, out, err = run(capsys, "simulate", "--step", "1e-9",
+                         "--out", str(out_csv))
+    assert code == 2 and out == "" and "budget" in err
+    assert out_csv.read_text() == "kept\n"
 
 
 def strict_json(text):
