@@ -11,9 +11,8 @@ from .casimir import (AnsatzSolution, CasimirResult, casimir, casimir_matrix,
                       check_grading, check_uniqueness, solve_ansatz,
                       verify_annihilation, verify_intertwining)
 from .coalgebra import (IndependenceResult, PhaseContext, building_block,
-                        building_block_expansion, canonical_bracket,
-                        check_independence, check_involution,
-                        check_realization_homomorphism,
+                        canonical_bracket, check_independence,
+                        check_involution, check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
                         harmonic_hamiltonian, integral_family, integral_set,
                         integrals_via_coproduct, integrals_via_sum_of_squares,

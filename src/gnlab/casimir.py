@@ -29,12 +29,15 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
-                      y_minus, y_plus)
+                      triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, PolyMatrix, derive, det,
                    exponents, monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
+
+# Most degree-d monomials `solve_ansatz` takes as columns by default.
+ANSATZ_BUDGET = 100_000
 
 # Highest level `casimir` expands.  C_10 already has 1,436,714 terms and
 # takes about 1 GB, and each level has about 9.4 times the terms of the one
@@ -67,14 +70,19 @@ class CasimirResult:
     degree: int
 
 
-def casimir(n: int, algebra: GnAlgebra | None = None) -> CasimirResult:
-    """C_n = -det of the bordered matrix; homogeneous of degree n.  Levels
-    above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
+def check_casimir_level(n: int) -> None:
+    """Raise BudgetExceeded for a level above `MAX_CASIMIR_N`."""
     if n > MAX_CASIMIR_N:
         raise BudgetExceeded(
             f"C_{n} is too large to expand: levels above {MAX_CASIMIR_N} "
             f"are refused (C_{MAX_CASIMIR_N} already has 1,436,714 terms, "
             f"and each level has about 9.4 times the terms of the one below)")
+
+
+def casimir(n: int, algebra: GnAlgebra | None = None) -> CasimirResult:
+    """C_n = -det of the bordered matrix; homogeneous of degree n.  Levels
+    above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
+    check_casimir_level(n)
     alg = algebra or build_gn(n)
     m = casimir_matrix(n, alg)
     c = -det(m)
@@ -203,8 +211,22 @@ class AnsatzSolution:
         return len(self.basis)
 
 
+def ansatz_monomials(n: int, degree: int,
+                     budget: int = ANSATZ_BUDGET) -> int:
+    """The number of degree-`degree` monomials in the T_n generators of
+    g_n, the columns of the ansatz.  A degree below 1 raises ValueError and
+    a count above `budget` BudgetExceeded, before anything is built."""
+    if degree < 1:
+        raise ValueError("ansatz degree must be >= 1")
+    count = math.comb(triangular(n) + degree - 1, degree)
+    if count > budget:
+        raise BudgetExceeded(
+            f"{count} monomials of degree {degree} exceed the budget {budget}")
+    return count
+
+
 def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
-                 budget: int = 100_000) -> AnsatzSolution:
+                 budget: int = ANSATZ_BUDGET) -> AnsatzSolution:
     """All polynomials of the exact given degree killed by every coadjoint
     field, found by exact sparse linear algebra over the monomial basis.
 
@@ -218,14 +240,8 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
     reduced-echelon basis of the whole system.  `monomials` counts every
     degree-d monomial.
     """
-    if degree < 1:
-        raise ValueError("ansatz degree must be >= 1")
+    count = ansatz_monomials(n, degree, budget)
     alg = algebra or build_gn(n)
-    nvars = alg.basis.dim
-    count = math.comb(nvars + degree - 1, degree)
-    if count > budget:
-        raise BudgetExceeded(
-            f"{count} monomials of degree {degree} exceed the budget {budget}")
     grading = _grading(alg)
     blocks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for col, mono in enumerate(_weight_zero_monomials(alg, grading, degree)):
@@ -257,7 +273,7 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
 
 def check_uniqueness(n: int, max_degree: int | None = None,
                      algebra: GnAlgebra | None = None,
-                     budget: int = 100_000) -> Report:
+                     budget: int = ANSATZ_BUDGET) -> Report:
     """Below degree n every invariant is a polynomial in the central
     variables alone; at degree n (when swept) the solution space contains
     C_n, and the report states the dimension found without asserting it."""

@@ -21,10 +21,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (build_gn, check_jacobi, check_levi,
+from .algebra import (beltrametti_blasi, build_gn, check_jacobi, check_levi,
                       check_subalgebra_chain, check_structure, triangular)
-from .casimir import casimir, check_grading, check_uniqueness, solve_ansatz
-from .casimir import verify_annihilation, verify_intertwining
+from .casimir import (ANSATZ_BUDGET, ansatz_monomials, casimir,
+                      check_casimir_level, check_grading, check_uniqueness,
+                      solve_ansatz, verify_annihilation, verify_intertwining)
 from .coalgebra import (PhaseContext, check_independence, check_involution,
                         check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
@@ -205,23 +206,27 @@ def _out_file(path: str, newline: str | None = None):
         raise
 
 
-def _emit(cfg: RunConfig, payload, text) -> None:
-    """Write the JSON payload or the text report; `payload` and `text` are
-    callables, so only the printed one is built.  An `--out` file that a
-    failure leaves partly written is removed before the error goes on."""
-    if cfg.fmt == "json":
-        writer = _json_writer(payload())
-    else:
-        body = text()
-        body = body if body.endswith("\n") else body + "\n"
+@contextlib.contextmanager
+def _report(cfg: RunConfig):
+    """Open `--out` (or take stdout) and yield ``emit(payload, text)``,
+    which writes the JSON payload or the text report there; `payload` and
+    `text` are callables, so only the printed one is built.
 
-        def writer(write) -> None:
-            write(body)
-    if not cfg.out:
-        writer(sys.stdout.write)
-        return
-    with _out_file(cfg.out) as fh:
-        writer(fh.write)
+    A command enters this after validating its arguments and before
+    computing, so a bad path fails at once and a refusal leaves an
+    existing `--out` untouched.  An `--out` file that a failure leaves
+    empty or partly written is removed before the error goes on."""
+    out = _out_file(cfg.out) if cfg.out else \
+        contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        def emit(payload, text) -> None:
+            if cfg.fmt == "json":
+                _json_writer(payload())(fh.write)
+                return
+            body = text()
+            fh.write(body if body.endswith("\n") else body + "\n")
+
+        yield emit
 
 
 # ----------------------------------------------------------------------
@@ -229,18 +234,21 @@ def _emit(cfg: RunConfig, payload, text) -> None:
 
 def cmd_casimir(args) -> int:
     cfg = _resolve_config(args, need_N=False)
-    result = casimir(cfg.n)
-    poly, matrix = result.polynomial, result.matrix
+    check_casimir_level(cfg.n)
+    with _report(cfg) as emit:
+        result = casimir(cfg.n)
+        poly, matrix = result.polynomial, result.matrix
 
-    def payload() -> dict:
-        return {**_header(cfg),
-                "degree": result.degree,
-                "terms": len(poly.terms),
-                "polynomial": poly,
-                "matrix": [[matrix.at(i, j).text() for j in range(matrix.cols)]
-                           for i in range(matrix.rows)]}
+        def payload() -> dict:
+            return {**_header(cfg),
+                    "degree": result.degree,
+                    "terms": len(poly.terms),
+                    "polynomial": poly,
+                    "matrix": [[matrix.at(i, j).text()
+                                for j in range(matrix.cols)]
+                               for i in range(matrix.rows)]}
 
-    _emit(cfg, payload, poly.text)
+        emit(payload, poly.text)
     return 0
 
 
@@ -255,7 +263,7 @@ def _wrap_independence(ctx: PhaseContext, seed: int) -> Report:
 
 
 def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
-                    max_ansatz_degree: int) -> list[Report]:
+                    sweep: int) -> list[Report]:
     n = cfg.n
     alg = ctx.algebra
 
@@ -280,8 +288,7 @@ def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
         verify_annihilation(n, alg),
         verify_intertwining(n, alg),
         check_grading(n, alg),
-        check_uniqueness(n, max_degree=min(n - 1, max_ansatz_degree),
-                         algebra=alg),
+        check_uniqueness(n, max_degree=sweep, algebra=alg),
         check_realization_homomorphism(ctx),
         check_route_equivalence(ctx),
         check_vanishing(ctx),
@@ -297,22 +304,27 @@ def cmd_verify(args) -> int:
             f"n = {cfg.n} above the verification ceiling {cfg.ceiling_n}")
     if cfg.N < cfg.n:
         raise UsageError("N must be at least n so that integrals exist")
+    # the uniqueness sweep's top degree, whose ansatz must fit the budget
+    sweep = min(cfg.n - 1, args.max_ansatz_degree)
+    if sweep >= 1:
+        ansatz_monomials(cfg.n, sweep)
     ctx = _context(cfg)
-    reports = _verify_reports(cfg, ctx, args.max_ansatz_degree)
-    passed = all(r.passed for r in reports)
+    with _report(cfg) as emit:
+        reports = _verify_reports(cfg, ctx, sweep)
+        passed = all(r.passed for r in reports)
 
-    def payload() -> dict:
-        return {**_header(cfg, ctx),
-                "checks": [r.to_dict() for r in reports],
-                "passed": passed}
+        def payload() -> dict:
+            return {**_header(cfg, ctx),
+                    "checks": [r.to_dict() for r in reports],
+                    "passed": passed}
 
-    def text() -> str:
-        lines = [f"verify n={cfg.n} N={cfg.N} seed={cfg.seed}"]
-        lines += [f"  {r}" for r in reports]
-        lines.append("all checks passed" if passed else "FAILED")
-        return "\n".join(lines)
+        def text() -> str:
+            lines = [f"verify n={cfg.n} N={cfg.N} seed={cfg.seed}"]
+            lines += [f"  {r}" for r in reports]
+            lines.append("all checks passed" if passed else "FAILED")
+            return "\n".join(lines)
 
-    _emit(cfg, payload, text)
+        emit(payload, text)
     return 0 if passed else 1
 
 
@@ -322,26 +334,27 @@ def cmd_integrals(args) -> int:
         raise UsageError("N must be at least n so that integrals exist")
     ctx = _context(cfg)
     sides = ("left", "right") if args.side == "both" else (args.side,)
-    sets = {side: integral_set(ctx, side) for side in sides}
+    with _report(cfg) as emit:
+        sets = {side: integral_set(ctx, side) for side in sides}
 
-    def payload() -> dict:
-        return {**_header(cfg, ctx),
-                "sides": {side: [{"m": m,
-                                  "window": list(window(side, m, cfg.N)),
-                                  "terms": len(p.terms),
-                                  "polynomial": p}
-                                 for m, p in members.items()]
-                          for side, members in sets.items()}}
+        def payload() -> dict:
+            return {**_header(cfg, ctx),
+                    "sides": {side: [{"m": m,
+                                      "window": list(window(side, m, cfg.N)),
+                                      "terms": len(p.terms),
+                                      "polynomial": p}
+                                     for m, p in members.items()]
+                              for side, members in sets.items()}}
 
-    def text() -> str:
-        lines = []
-        for side, members in sets.items():
-            for m, p in members.items():
-                a, b = window(side, m, cfg.N)
-                lines.append(f"{side} m={m} sites=[{a},{b}]: {p.text()}")
-        return "\n".join(lines)
+        def text() -> str:
+            lines = []
+            for side, members in sets.items():
+                for m, p in members.items():
+                    a, b = window(side, m, cfg.N)
+                    lines.append(f"{side} m={m} sites=[{a},{b}]: {p.text()}")
+            return "\n".join(lines)
 
-    _emit(cfg, payload, text)
+        emit(payload, text)
     return 0
 
 
@@ -445,65 +458,62 @@ def _finite_or_null(value):
 
 def cmd_dump_rep(args) -> int:
     cfg = _resolve_config(args, need_N=False)
-    alg = build_gn(cfg.n)
-    rep = build_quotient_rep(cfg.n, alg) if args.quotient else \
-        build_faithful_rep(cfg.n, alg)
-    images = []
-    for g in alg.basis.order:
-        rows = rep.of(g).constant_entries()
-        images.append({"generator": g.name,
-                       "matrix": [[int(v) for v in row] for row in rows]})
+    with _report(cfg) as emit:
+        alg = build_gn(cfg.n)
+        rep = build_quotient_rep(cfg.n, alg) if args.quotient else \
+            build_faithful_rep(cfg.n, alg)
+        images = []
+        for g in alg.basis.order:
+            rows = rep.of(g).constant_entries()
+            images.append({"generator": g.name,
+                           "matrix": [[int(v) for v in row] for row in rows]})
 
-    def payload() -> dict:
-        return {**_header(cfg), "representation": rep.name,
-                "size": rep.size, "images": images}
+        def payload() -> dict:
+            return {**_header(cfg), "representation": rep.name,
+                    "size": rep.size, "images": images}
 
-    def text() -> str:
-        lines = []
-        for img in images:
-            lines.append(img["generator"])
-            for row in img["matrix"]:
-                lines.append("  " + " ".join(f"{v:3d}" for v in row))
-        return "\n".join(lines)
+        def text() -> str:
+            lines = []
+            for img in images:
+                lines.append(img["generator"])
+                for row in img["matrix"]:
+                    lines.append("  " + " ".join(f"{v:3d}" for v in row))
+            return "\n".join(lines)
 
-    _emit(cfg, payload, text)
+        emit(payload, text)
     return 0
 
 
 def cmd_rank(args) -> int:
     cfg = _resolve_config(args, need_N=False)
-    from .algebra import beltrametti_blasi
-    bb = beltrametti_blasi(cfg.n, seed=cfg.seed, trials=args.trials)
-    _emit(cfg,
-          lambda: {**_header(cfg), "dim": triangular(cfg.n), "rank": bb.rank,
-                   "certified_rank": bb.certified_rank, "nu": bb.nu,
-                   "trials": bb.trials},
-          lambda: f"rank {bb.rank} (certified {bb.certified_rank}), "
-                  f"nu {bb.nu}")
+    with _report(cfg) as emit:
+        bb = beltrametti_blasi(cfg.n, seed=cfg.seed, trials=args.trials)
+        emit(lambda: {**_header(cfg), "dim": triangular(cfg.n),
+                      "rank": bb.rank, "certified_rank": bb.certified_rank,
+                      "nu": bb.nu, "trials": bb.trials},
+             lambda: f"rank {bb.rank} (certified {bb.certified_rank}), "
+                     f"nu {bb.nu}")
     return 0 if bb.consistent else 1
 
 
 def cmd_ansatz(args) -> int:
     cfg = _resolve_config(args, need_N=False)
-    if args.degree < 1:
-        raise UsageError("degree must be at least 1")
-    try:
+    ansatz_monomials(cfg.n, args.degree, args.budget)
+    with _report(cfg) as emit:
         sol = solve_ansatz(cfg.n, args.degree, budget=args.budget)
-    except BudgetExceeded as exc:
-        raise UsageError(str(exc)) from None
 
-    def payload() -> dict:
-        return {**_header(cfg), "degree": sol.degree,
-                "monomials": sol.monomials, "dimension": sol.dimension,
-                "basis": sol.basis}
+        def payload() -> dict:
+            return {**_header(cfg), "degree": sol.degree,
+                    "monomials": sol.monomials, "dimension": sol.dimension,
+                    "basis": sol.basis}
 
-    def text() -> str:
-        lines = [f"degree {sol.degree}: {sol.dimension} solution(s) over "
-                 f"{sol.monomials} monomials"]
-        lines += [f"  {p.text()}" for p in sol.basis]
-        return "\n".join(lines)
+        def text() -> str:
+            lines = [f"degree {sol.degree}: {sol.dimension} solution(s) "
+                     f"over {sol.monomials} monomials"]
+            lines += [f"  {p.text()}" for p in sol.basis]
+            return "\n".join(lines)
 
-    _emit(cfg, payload, text)
+        emit(payload, text)
     return 0
 
 
@@ -585,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve for all invariants of one degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=ANSATZ_BUDGET)
     p.set_defaults(fn=cmd_ansatz)
     return parser
 

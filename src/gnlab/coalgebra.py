@@ -233,29 +233,6 @@ def building_block(ctx: PhaseContext, indices) -> Polynomial:
     return det(PolyMatrix.from_rows(rows))
 
 
-def building_block_expansion(ctx: PhaseContext, indices) -> Polynomial:
-    """The same block as a signed sum of parameter minors times the
-    elementary angular-momentum blocks q_a p_b - q_b p_a."""
-    idx = tuple(indices)
-    n = ctx.n
-    if len(idx) != n:
-        raise ValueError(f"need exactly {n} site indices")
-    reg = ctx.registry
-    products = []
-    for a, b in combinations(range(n), 2):
-        if n == 2:
-            minor = reg.one()
-        else:
-            cols = [idx[c] for c in range(n) if c not in (a, b)]
-            minor_rows = [[reg.const(ctx.alpha(i, k)) for k in cols]
-                          for i in range(1, n - 1)]
-            minor = det(PolyMatrix.from_rows(minor_rows))
-        sign = (-1) ** (a + b + 1)  # (a+1) + (b+1) - 1 with 1-based slots
-        block = ctx.q(idx[a]) * ctx.p(idx[b]) - ctx.q(idx[b]) * ctx.p(idx[a])
-        products.append(sign * minor * block)
-    return poly_sum(reg, products)
-
-
 def integrals_via_sum_of_squares(ctx: PhaseContext, side: str,
                                  m: int) -> Polynomial:
     """Minus the sum of squared building blocks over all increasing

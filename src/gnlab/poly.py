@@ -391,11 +391,17 @@ class Polynomial:
         without an image raise MissingVariable.  With no images the
         polynomial is returned unchanged.
 
-        Constant images are folded first: the constant part of each term
-        becomes a factor of its coefficient, and terms with the same
-        remaining monomial are merged, so only the distinct remainders are
-        expanded.  Coverage and the degree bound are checked on the terms
-        before folding.
+        Coverage and the degree bound are checked on the terms before
+        anything is expanded.  The expansion is one multivariate Horner
+        loop: every term starts as its coefficient, keyed by its monomial,
+        and each round peels the top variable off every remaining monomial,
+        multiplies the partial image by that variable's image, and adds it
+        into the entry of the shorter monomial; entries that reach the unit
+        monomial are the result.  Terms that share a remainder merge before
+        it is expanded, and the highest-indexed variables go first, so
+        where those have constant images (as the central variables of C_n
+        do under a window realisation) each costs one scalar product per
+        entry.
         """
         if not images:
             return self
@@ -412,36 +418,6 @@ class Polynomial:
                     "substitution images span several registries")
             imap[vid.index] = img
         assert target is not None
-        # an image with no term other than the unit monomial is a constant
-        consts = {i: img.terms.get(0, 0) for i, img in imap.items()
-                  if not img.terms.keys() - {0}}
-        # fold each term's constant part (memoised per part) into its
-        # coefficient, checking coverage and the degree bound on the way
-        folded: dict[int, int | Fraction] = {}
-        fget = folded.get
-        factors: dict[int, int | Fraction] = {0: 1}
-        top = 0
-        for m, c in self.terms.items():
-            degree = 0
-            part = 0
-            for i, e in exponents(m):
-                img = imap.get(i)
-                if img is None:
-                    raise MissingVariable(
-                        f"no image for {self.registry.name_of(i)!r}")
-                if i in consts:
-                    part += e << (_BITS * i)
-                else:
-                    degree += e * img.total_degree()
-            top = max(top, degree)
-            f = factors.get(part)
-            if f is None:
-                f = factors[part] = math.prod(
-                    consts[i] ** e for i, e in exponents(part))
-            if f:
-                rest = m - part
-                folded[rest] = fget(rest, 0) + c * f
-        _check_degree(top, "a substitution")
         # Work fraction-free: image i is scaled[i] / den[i] with integer
         # coefficients, and the whole sum is carried times the lcm of the
         # term denominators, so only the final division makes Fractions.
@@ -449,31 +425,35 @@ class Polynomial:
         den: dict[int, int] = {}
         decoded = []
         common = 1
-        for m, c in folded.items():
-            if not c:
-                continue
-            exps = exponents(m)
+        top = 0
+        for m, c in self.terms.items():
+            degree = 0
             d = 1 if type(c) is int else c.denominator
-            for i, e in exps:
+            for i, e in exponents(m):
+                img = imap.get(i)
+                if img is None:
+                    raise MissingVariable(
+                        f"no image for {self.registry.name_of(i)!r}")
+                degree += e * img.total_degree()
                 if i not in den:
-                    den[i] = imap[i].denominator()
+                    den[i] = img.denominator()
                 d *= den[i] ** e
+            top = max(top, degree)
             common = math.lcm(common, d)
-            decoded.append((exps, c, d))
-        scaled = {i: imap[i] * n for i, n in den.items()}
-        pow_cache: dict[tuple[int, int], dict] = {}
-        acc: dict = {}
-        get = acc.get
-        for exps, c, d in decoded:
-            num = c if type(c) is int else c.numerator
-            term = {0: num * (common // d)}
-            for i, e in exps:
-                p = pow_cache.get((i, e))
-                if p is None:
-                    p = pow_cache[(i, e)] = (scaled[i] ** e).terms
-                term = _addmul({}, term, p)
-            for k, v in term.items():
-                acc[k] = get(k, 0) + v
+            decoded.append((m, c, d))
+        _check_degree(top, "a substitution")
+        scaled = {i: (imap[i] * n).terms for i, n in den.items()}
+        left = {m: {0: (c if type(c) is int else c.numerator) * (common // d)}
+                for m, c, d in decoded}
+        acc = left.pop(0, {})
+        while left:
+            rest_of: dict[int, dict] = {}
+            for m, part in left.items():
+                i = (m.bit_length() - 1) // _BITS
+                rest = m - (1 << (_BITS * i))
+                into = rest_of.setdefault(rest, {}) if rest else acc
+                _addmul(into, part, scaled[i])
+            left = rest_of
         if common != 1:
             acc = {k: Fraction(v, common) for k, v in acc.items()}
         return Polynomial._make(target, _clean(acc))

@@ -300,17 +300,42 @@ def test_simulate_csv_matches_the_per_cell_writer(tmp_path, capsys,
 
 def test_unwritable_out_exits_2_before_integrating(tmp_path, capsys,
                                                    monkeypatch):
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrated before opening --out")
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computed before opening --out")
 
-    monkeypatch.setattr(cli, "integrate", no_integration)
+    # each command's compute step, which must not run before the open
+    for step in ("integrate", "casimir", "_verify_reports", "integral_set",
+                 "solve_ansatz", "build_gn", "beltrametti_blasi"):
+        monkeypatch.setattr(cli, step, no_computation)
     missing = tmp_path / "missing" / "out.txt"
-    for argv in (["casimir", "--n", "3"],
-                 ["simulate", "--t-end", "0.1"]):
+    for argv in (["casimir", "--n", "10"],
+                 ["simulate", "--t-end", "0.1"],
+                 ["verify", "--n", "6"],
+                 ["integrals", "--n", "3", "--N", "5"],
+                 ["ansatz", "--n", "4", "--degree", "4"],
+                 ["dump-rep", "--n", "3"],
+                 ["rank", "--n", "3"]):
         code, out, err = run(capsys, *argv, "--out", str(missing))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(missing) in err
         assert "Traceback" not in err
+
+
+def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("kept\n")
+    for argv, message in ((["casimir", "--n", "11"], "too large"),
+                          (["verify", "--n", "8", "--N", "8"], "ceiling"),
+                          (["verify", "--n", "4", "--N", "3"], "N must"),
+                          (["verify", "--n", "9", "--ceiling-n", "9"],
+                           "budget"),
+                          (["integrals", "--n", "4", "--N", "3"], "N must"),
+                          (["ansatz", "--n", "4", "--degree", "4",
+                            "--budget", "10"], "budget"),
+                          (["ansatz", "--n", "4", "--degree", "0"], "degree")):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == "" and message in err
+        assert target.read_text() == "kept\n"
 
 
 def test_simulate_removes_its_csv_when_integration_fails(tmp_path, capsys,

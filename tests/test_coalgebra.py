@@ -9,16 +9,17 @@ comparing exactly.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from gnlab import (BudgetExceeded, GnAlgebra, Generator, PhaseContext,
-                   Polynomial, VarId, VarRegistry, build_gn, building_block,
-                   building_block_expansion, canonical_bracket, casimir,
+                   PolyMatrix, Polynomial, VarId, VarRegistry, build_gn,
+                   building_block, canonical_bracket, casimir,
                    check_independence, check_involution,
                    check_realization_homomorphism, check_route_equivalence,
-                   check_vanishing, harmonic_hamiltonian, integral_family,
+                   check_vanishing, det, harmonic_hamiltonian,
+                   integral_family,
                    integral_set, integrals_via_coproduct,
                    integrals_via_sum_of_squares, window)
 from conftest import random_poly
@@ -264,11 +265,29 @@ def test_building_block_level2_is_angular():
         building_block(ctx, (1, 5))
 
 
+def building_block_expansion(ctx: PhaseContext, indices) -> Polynomial:
+    """The paper's angular-momentum form of a building block: the signed
+    sum of parameter minors times the elementary blocks
+    L_ab = q_a p_b - q_b p_a, expanded along the q and p rows."""
+    idx = tuple(indices)
+    n = ctx.n
+    reg = ctx.registry
+    total = reg.zero()
+    for a, b in combinations(range(n), 2):
+        cols = [idx[c] for c in range(n) if c not in (a, b)]
+        minor = det(PolyMatrix.from_rows(
+            [[reg.const(ctx.alpha(i, k)) for k in cols]
+             for i in range(1, n - 1)])) if n > 2 else reg.one()
+        sign = (-1) ** (a + b + 1)  # (a+1) + (b+1) - 1 with 1-based slots
+        block = ctx.q(idx[a]) * ctx.p(idx[b]) - ctx.q(idx[b]) * ctx.p(idx[a])
+        total = total + sign * minor * block
+    return total
+
+
 def test_building_block_expansion_matches_determinant():
     for n, N in ((2, 4), (3, 4), (4, 5)):
         ctx = PhaseContext.seeded(n, N, alpha_seed=5)
-        import itertools
-        for combo in itertools.combinations(range(1, N + 1), n):
+        for combo in combinations(range(1, N + 1), n):
             assert building_block_expansion(ctx, combo) == \
                 building_block(ctx, combo)
 

@@ -1,8 +1,9 @@
 """Library lint kept without a linter: every name a module of the package
 imports is used in that module, and every function, class or method it
-defines is referenced somewhere in the package.  The package ``__init__``
-is exempt from the first scan and counts as a reference in the second,
-because its imports are the public re-exports; so API that only tests
+defines is referenced by code in some library module.  The package
+``__init__`` is exempt from the first scan, because its imports are the
+public re-exports, but those imports are not references in the second: a
+re-export alone does not keep a definition alive, so API that only tests
 call has no place in the library.
 """
 
@@ -46,8 +47,9 @@ def test_library_modules_use_every_import():
 def dead_definitions(sources: dict[str, str]) -> list[str]:
     """Functions, classes and methods defined in `sources` (module name ->
     text) whose name is never referenced, as a name or an attribute, in
-    any of them.  A name imported by ``__init__`` is a public re-export and
-    counts as referenced; dunder methods are called by the language."""
+    any of them.  Importing a name is not a reference, so a re-export in
+    ``__init__`` alone leaves it unreferenced; dunder methods are called
+    by the language."""
     defined: list[tuple[str, int, str]] = []
     referenced: set[str] = set()
     for module, source in sources.items():
@@ -61,23 +63,24 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and module == "__init__":
-                referenced.update(alias.name for alias in node.names)
     return [f"{module} line {line}: {name}"
             for module, line, name in defined if name not in referenced]
 
 
 def test_dead_definitions_are_detected():
     sources = {
-        "__init__": "from .a import exported\n",
+        "__init__": "from .a import exported, reexported\n",
         "a": ("def exported():\n    return helper()\n"
               "def helper():\n    return Box().size\n"
               "def orphan():\n    pass\n"
               "class Box:\n    def __init__(self):\n        pass\n"
               "    @property\n    def size(self):\n        return 1\n"
-              "    def unused(self):\n        pass\n"),
+              "    def unused(self):\n        pass\n"
+              "def reexported():\n    pass\n"),
+        "b": "from .a import exported\nexported()\n",
     }
     assert dead_definitions(sources) == ["a line 5: orphan",
+                                         "a line 15: reexported",
                                          "a line 13: unused"]
 
 

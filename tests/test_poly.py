@@ -139,6 +139,23 @@ def test_substitute_folds_constant_images():
         Fraction(4, 3) * (u + 1) + target.const(Fraction(-8, 3))
     assert (a * c).substitute(images).is_zero
     assert reg.const(7).substitute(images) == target.const(7)
+    # an exponent of 128 or more fills the top bit of its variable's byte
+    assert (a ** 200 * b).substitute({"a": target.const(-1), "b": u}) == u
+    # the zero polynomial has nothing to expand: the target's zero
+    zero = reg.zero().substitute(images)
+    assert zero.is_zero and zero.registry is target
+    # a non-homogeneous f whose remainders meet in different rounds: a*c
+    # and a^2 reach a after one peel, a*b*d after two, b*d and c reach the
+    # unit monomial after two and one; checked against evaluation
+    two = VarRegistry(["u", "v"])
+    u, v = two.poly("u"), two.poly("v")
+    f = (a ** 2 - Fraction(3, 7) * a * c + 2 * a * b * d
+         + Fraction(5, 2) * b * d - c + a + Fraction(-1, 6))
+    images = {"a": Fraction(1, 2) * u + v, "b": Fraction(2, 3) * u ** 2 - 1,
+              "c": two.const(Fraction(3, 4)), "d": v - Fraction(1, 3) * u}
+    point = {"u": Fraction(-2, 5), "v": Fraction(7, 3)}
+    values = {name: img.eval(point) for name, img in images.items()}
+    assert f.substitute(images).eval(point) == f.eval(values)
 
 
 def test_zero_image_does_not_hide_an_uncovered_variable():
@@ -410,7 +427,8 @@ def test_degree_overflow_raises_budget_exceeded():
         (a ** 200 + b) * (b ** 200 + a)
     with pytest.raises(BudgetExceeded):
         (a ** 128 + b).substitute({v: a * b for v in reg.var_ids})
-    # the bound is checked before constant images fold, even to zero
+    # the bound is checked on the terms before any expansion, even when
+    # a constant image, zero included, would cancel the high part
     for const in (reg.zero(), reg.const(Fraction(3, 2))):
         with pytest.raises(BudgetExceeded):
             (a ** 128 * b).substitute({"a": a * b, "b": const})

@@ -72,8 +72,9 @@ def test_ring_axioms(f, g, h):
 
 
 def substitution_images(registry: VarRegistry):
-    """Substitution images: constants (0, an int, a Fraction), which
-    `substitute` folds before expanding, mixed with polynomials."""
+    """Substitution images: constants (0, an int, a Fraction), each of
+    which `substitute` applies as a scalar product, mixed with
+    polynomials."""
     consts = st.one_of(
         st.just(0), st.integers(-6, 6),
         st.fractions(min_value=-4, max_value=4, max_denominator=5))
@@ -93,7 +94,7 @@ def test_substitute_is_a_ring_homomorphism(f, g, images, point):
     assert SOURCE.one().substitute(phi) == TARGET.one()
     assert_normalised(f.substitute(phi))
     # evaluation after substitution is evaluation at the images' values,
-    # an oracle that shares no code with the constant folding
+    # an oracle that shares no code with the expansion
     at = dict(zip(TARGET.var_ids, point))
     values = {v: img.eval(at) for v, img in phi.items()}
     for p in (f, f * g):
