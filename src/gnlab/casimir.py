@@ -18,7 +18,10 @@ structure constant is homogeneous of the summed grade, and the ansatz
 solver relies on it: each coadjoint field maps one grade block of
 monomials into another, and the h field multiplies a monomial by its
 weight, so the invariants are found block by block over the weight-0
-monomials alone.
+monomials alone.  Its rows come from the n fields of x+, x- and the
+y_{i,-}: these generate g_n, and because X_[a,b] = [X_a, X_b] (checked by
+`check_field_homomorphism`) a polynomial they kill is killed by every
+field.  `verify_annihilation` still applies all T_n fields.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from itertools import product
 
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
                       triangular, y_minus, y_plus)
-from .poly import (BudgetExceeded, Polynomial, PolyMatrix, derive, det,
-                   exponents, monomial, rank_rational, sparse_nullspace)
+from .poly import (BudgetExceeded, Polynomial, PolyMatrix, _check_degree,
+                   det, exponents, monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
@@ -174,29 +177,36 @@ def check_grading(n: int, algebra: GnAlgebra | None = None) -> Report:
     return Report("grading", {"n": n, "terms": len(c.terms)}, fails)
 
 
-def _weight_zero_monomials(alg: GnAlgebra,
-                           grading: dict[int, tuple[int, ...]],
-                           degree: int) -> list[int]:
-    """The degree-d monomials of h-weight 0, in the order
-    `combinations_with_replacement` gives over the canonical generators.
-    A variable's h-weight is at most 2 in size, so a partial product whose
-    weight exceeds twice the remaining degree is pruned."""
-    units = [(monomial({v.index: 1}), grading[v.index][0])
+def _weight_zero_blocks(alg: GnAlgebra,
+                        grading: dict[int, tuple[int, ...]],
+                        degree: int) -> dict[int, list[tuple[int, int]]]:
+    """The degree-d monomials of h-weight 0, numbered in the order
+    `combinations_with_replacement` gives over the canonical generators
+    and grouped by ladder multidegree (packed into one int, 16 bits per
+    index): {ladder: [(column, monomial), ...]}.  A variable's h-weight is
+    at most 2 in size, so a partial product whose weight exceeds twice the
+    remaining degree is pruned."""
+    units = [(monomial({v.index: 1}), grading[v.index][0],
+              sum(e << (16 * k) for k, e in enumerate(grading[v.index][1:])))
              for v in map(alg.basis.var, alg.basis.order)]
-    out: list[int] = []
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    col = 0
 
-    def extend(start: int, left: int, mono: int, weight: int) -> None:
+    def extend(start: int, left: int, mono: int, weight: int,
+               ladder: int) -> None:
+        nonlocal col
         if not left:
-            out.append(mono)
+            blocks.setdefault(ladder, []).append((col, mono))
+            col += 1
             return
         left -= 1
         for k in range(start, len(units)):
-            unit, w = units[k]
+            unit, w, g = units[k]
             if abs(weight + w) <= 2 * left:
-                extend(k, left, mono + unit, weight + w)
+                extend(k, left, mono + unit, weight + w, ladder + g)
 
-    extend(0, degree, 0, 0)
-    return out
+    extend(0, degree, 0, 0, 0)
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +235,35 @@ def ansatz_monomials(n: int, degree: int,
     return count
 
 
+def _check_generates(alg: GnAlgebra, sources: list) -> None:
+    """Raise ValueError unless `sources` generate g_n: every generator must
+    be reached, and one is reached when it is a single-term bracket (a
+    nonzero multiple of itself) of two reached generators."""
+    unit = {monomial({alg.basis.var(g).index: 1}): g for g in alg.basis.order}
+    reached: set = set()
+    new = set(sources)
+    while new:
+        reached |= new
+        brackets = [alg.constants.of(a, b).terms
+                    for a, b in product(reached, repeat=2)]
+        new = {unit.get(next(iter(t))) for t in brackets if len(t) == 1}
+        new -= reached | {None}
+    missing = [g.name for g in alg.basis.order if g not in reached]
+    if missing:
+        raise ValueError(f"the ansatz fields do not generate g_{alg.n}: "
+                         f"{', '.join(missing)} not reached")
+
+
 def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
                  budget: int = ANSATZ_BUDGET) -> AnsatzSolution:
     """All polynomials of the exact given degree killed by every coadjoint
     field, found by exact sparse linear algebra over the monomial basis.
+
+    The rows come from the n fields of x+, x- and y_{1,-}, ..., y_{n-2,-}
+    alone.  These generate g_n ([x+, x-] = h, [x+, y_{i,-}] = y_{i,+},
+    [y_{i,+}, y_{j,-}] = z_{i,j}; checked before solving), and since
+    X_[a,b] = [X_a, X_b] the fields that kill a polynomial form a
+    subalgebra, so killing these n is killing all.
 
     Columns are the degree-d monomials in `combinations_with_replacement`
     order over the canonical generators.  The fields preserve the grading,
@@ -242,25 +277,28 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
     """
     count = ansatz_monomials(n, degree, budget)
     alg = algebra or build_gn(n)
-    grading = _grading(alg)
-    blocks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for col, mono in enumerate(_weight_zero_monomials(alg, grading, degree)):
-        blocks.setdefault(_grade_of(grading, mono, n - 1), []).append(
-            (col, mono))
+    sources = [X_PLUS, X_MINUS, *map(y_minus, range(1, n - 1))]
+    _check_generates(alg, sources)
+    fields = [f for f in build_coadjoint(n, alg) if f.source in sources]
+    _check_degree(degree - 1 + max(f.degree for f in fields), "a derivation")
+    # variable v -> (field position, u - v, k) for each term k*u of the
+    # field's coefficient on v: a column m with exponent e on v adds e*k
+    # at row (field, m - v + u)
+    table: dict[int, list[tuple[int, int, int | Fraction]]] = {}
+    for fi, f in enumerate(fields):
+        for i, a in f.terms.items():
+            table.setdefault(i, []).extend(
+                (fi, u - monomial({i: 1}), k) for u, k in a.items())
     reg = alg.registry
-    # the columns are built from generator units, so no domain check
-    fields = [(f.terms, f.degree) for f in build_coadjoint(n, alg)
-              if not f.is_zero]
     found: list[tuple[int, Polynomial]] = []
-    for block in blocks.values():
+    for block in _weight_zero_blocks(alg, _grading(alg), degree).values():
         # rows keyed by (field position, produced monomial): one equation
         rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for j, (_, mono) in enumerate(block):
-            column = {mono: 1}
-            for fi, (terms, field_degree) in enumerate(fields):
-                for m2, c2 in derive(column, degree, terms,
-                                     field_degree).items():
-                    rows.setdefault((fi, m2), {})[j] = c2
+            for i, e in exponents(mono):
+                for fi, shift, k in table.get(i, ()):
+                    row = rows.setdefault((fi, mono + shift), {})
+                    row[j] = row.get(j, 0) + e * k
         vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
                                    ncols=len(block))
         for vec in vectors:
@@ -275,31 +313,39 @@ def check_uniqueness(n: int, max_degree: int | None = None,
                      algebra: GnAlgebra | None = None,
                      budget: int = ANSATZ_BUDGET) -> Report:
     """Below degree n every invariant is a polynomial in the central
-    variables alone; at degree n (when swept) the solution space contains
-    C_n, and the report states the dimension found without asserting it."""
+    variables alone, and the degree-d invariants have the dimension
+    C(T_{n-2}+d-1, d) of the central degree-d monomials: the support test
+    shows they lie in the central ring, the count that they fill it.  At
+    degree n (when swept) the solution space contains C_n and has one
+    dimension more."""
     alg = algebra or build_gn(n)
     if max_degree is None:
         max_degree = n - 1
     z_idx = {alg.basis.var(g).index for g in alg.basis.centrals}
+    centrals = triangular(n - 2)
     fails: list[str] = []
     dims: dict[str, int] = {}
-    for degree in range(1, min(max_degree, n - 1) + 1):
+    contains = None
+    for degree in range(1, min(max_degree, n) + 1):
         sol = solve_ansatz(n, degree, alg, budget=budget)
         dims[str(degree)] = sol.dimension
-        for p in sol.basis:
-            if p.support_indices() - z_idx:
+        want = math.comb(centrals + degree - 1, degree) + (degree == n)
+        if sol.dimension != want:
+            fails.append(f"degree-{degree} invariants have dimension "
+                         f"{sol.dimension}, not {want}")
+        if degree < n:
+            for p in sol.basis:
+                if p.support_indices() - z_idx:
+                    fails.append(
+                        f"degree-{degree} invariant leaves the central ring: "
+                        f"{p.text()[:60]}")
+        else:
+            c = casimir(n, alg).polynomial
+            rows = [p.terms for p in sol.basis]
+            contains = rank_rational(rows) == rank_rational(rows + [c.terms])
+            if not contains:
                 fails.append(
-                    f"degree-{degree} invariant leaves the central ring: "
-                    f"{p.text()[:60]}")
-    contains = None
-    if max_degree >= n:
-        sol = solve_ansatz(n, n, alg, budget=budget)
-        dims[str(n)] = sol.dimension
-        c = casimir(n, alg).polynomial
-        rows = [p.terms for p in sol.basis]
-        contains = rank_rational(rows) == rank_rational(rows + [c.terms])
-        if not contains:
-            fails.append("the degree-n invariant is outside the ansatz span")
+                    "the degree-n invariant is outside the ansatz span")
     data = {"n": n, "max_degree": max_degree, "dimensions": dims}
     if contains is not None:
         data["contains_casimir"] = contains

@@ -233,28 +233,36 @@ def building_block(ctx: PhaseContext, indices) -> Polynomial:
     return det(PolyMatrix.from_rows(rows))
 
 
-def integrals_via_sum_of_squares(ctx: PhaseContext, side: str,
-                                 m: int) -> Polynomial:
+def integrals_via_sum_of_squares(ctx: PhaseContext, side: str, m: int,
+                                 squares: dict | None = None) -> Polynomial:
     """Minus the sum of squared building blocks over all increasing
-    n-tuples inside the window."""
+    n-tuples inside the window.  `squares` memoises each square by its
+    site subset across the windows of one caller."""
     a, b = window(side, m, ctx.N)
-    squares = []
+    squares = {} if squares is None else squares
+    parts = []
     for combo in combinations(range(a, b + 1), ctx.n):
-        blk = building_block(ctx, combo)
-        squares.append(blk * blk)
-    return -poly_sum(ctx.registry, squares)
+        sq = squares.get(combo)
+        if sq is None:
+            blk = building_block(ctx, combo)
+            sq = squares[combo] = blk * blk
+        parts.append(sq)
+    return -poly_sum(ctx.registry, parts)
 
 
 def integral_set(ctx: PhaseContext, side: str) -> dict[int, Polynomial]:
     """Conserved quantities for every admissible window m = n..N, keyed by
-    window size, from the sum-of-squares route.  Built once per context
-    and side and shared between callers, which must not mutate it."""
-    members = ctx._integrals.get(side)
-    if members is None:
-        members = ctx._integrals[side] = {
-            m: integrals_via_sum_of_squares(ctx, side, m)
-            for m in range(ctx.n, ctx.N + 1)}
-    return members
+    window size, from the sum-of-squares route.  Both sides are built
+    together, once per context, squaring each site subset's building block
+    once, and shared between callers, which must not mutate them."""
+    window(side, ctx.N, ctx.N)  # an unknown side raises before any work
+    if side not in ctx._integrals:
+        squares: dict = {}
+        for s in ("left", "right"):
+            ctx._integrals[s] = {
+                m: integrals_via_sum_of_squares(ctx, s, m, squares)
+                for m in range(ctx.n, ctx.N + 1)}
+    return ctx._integrals[side]
 
 
 def integral_family(ctx: PhaseContext) -> dict[str, Polynomial]:

@@ -58,19 +58,25 @@ def _compile(polys: Sequence[Polynomial],
     for i, poly in enumerate(polys):
         terms = []
         for mono, coeff in poly.sorted_terms():
-            factors = [repr(float(coeff))]
+            factors = []
             for idx, exp in exponents(mono):
                 name = f"s{slot_of[idx]}"
                 if exp > 1:
                     powers[f"{name}_{exp}"] = f"{name}**{exp}"
                     name += f"_{exp}"
                 factors.append(name)
-            terms.append("*".join(factors))
-        head, *rest = [" + ".join(terms[j:j + SUM_CHUNK])
-                       for j in range(0, len(terms), SUM_CHUNK)] or ["0.0"]
+            # a + -c*x is a - c*x and 1.0*x is x, exactly
+            c = abs(float(coeff))
+            if c != 1.0 or not factors:
+                factors.insert(0, repr(c))
+            terms.append((" - " if coeff < 0 else " + ") + "*".join(factors))
+        head, *rest = ["".join(terms[j:j + SUM_CHUNK])
+                       for j in range(0, len(terms), SUM_CHUNK)] or [" + 0.0"]
+        # the first operator becomes the sign of the first term
+        head = head[3:] if head[1] == "+" else "-" + head[3:]
         if rest:
             sums.append(f"r{i} = {head}")
-            sums += [f"r{i} = r{i} + {chunk}" for chunk in rest]
+            sums += [f"r{i} = r{i}{chunk}" for chunk in rest]
             head = f"r{i}"
         values.append(head)
     slots = [f"s{k}" for k in range(max(slot_of.values(), default=-1) + 1)]

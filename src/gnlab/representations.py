@@ -176,10 +176,6 @@ class CoadjointField:
         object.__setattr__(self, "degree", max(
             (c.total_degree() for c in self.coeffs.values()), default=0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient_of(self, v: VarId) -> Polynomial:
         return self.coeffs.get(v, self.algebra.registry.zero())
 

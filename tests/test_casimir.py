@@ -1,9 +1,10 @@
 """Determinant invariants: frozen matrices and coefficients at small
 levels, a cofactor-oracle cross-check at level 4, annihilation,
 intertwining, grading, and the degree-by-degree ansatz solver with an
-ungraded oracle.
+ungraded oracle and an all-field, per-column row-build oracle.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -19,7 +20,7 @@ from gnlab import (BudgetExceeded, PolyMatrix, Polynomial, build_coadjoint,
                    check_uniqueness, solve_ansatz, sparse_nullspace,
                    verify_annihilation, verify_intertwining)
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
-from gnlab.poly import monomial
+from gnlab.poly import derive, monomial
 
 # the package exports the function `casimir`, which hides the module
 casimir_module = importlib.import_module("gnlab.casimir")
@@ -236,8 +237,15 @@ def test_weight_zero_columns_keep_the_full_enumeration_order(n):
                 for combo in combinations_with_replacement(alg.basis.order,
                                                            degree)
                 if sum(weight.get(g.kind, 0) for g in combo) == 0]
-        got = casimir_module._weight_zero_monomials(alg, grading, degree)
-        assert got == want
+        blocks = casimir_module._weight_zero_blocks(alg, grading, degree)
+        got = sorted((col, mono, ladder) for ladder, block in blocks.items()
+                     for col, mono in block)
+        assert [col for col, _, _ in got] == list(range(len(want)))
+        assert [mono for _, mono, _ in got] == want
+        # the packed ladder is the grade after its zero h-weight
+        for _, mono, ladder in got:
+            assert casimir_module._grade_of(grading, mono, n - 1) == (0, *(
+                (ladder >> (16 * k)) & 0xFFFF for k in range(n - 2)))
 
 
 @pytest.mark.parametrize("n,degree", [(3, 3), (4, 3), (4, 4), (5, 3)])
@@ -248,6 +256,87 @@ def test_graded_ansatz_matches_ungraded_oracle(n, degree):
     assert len(sol.basis) == len(want) > 0
     for got, ref in zip(sol.basis, want):
         assert list(got.terms.items()) == list(ref.terms.items())
+
+
+def _all_field_ansatz(n, degree):
+    """The row build the generating-set one replaced: every nonzero
+    coadjoint field applied by one `derive` call per weight-0 column,
+    solved grade block by grade block, basis ordered by free column."""
+    alg = build_gn(n)
+    grading = casimir_module._grading(alg)
+    columns = sorted(column for block in casimir_module._weight_zero_blocks(
+        alg, grading, degree).values() for column in block)
+    blocks = {}
+    for col, mono in columns:
+        grade = casimir_module._grade_of(grading, mono, n - 1)
+        blocks.setdefault(grade, []).append((col, mono))
+    fields = [(f.terms, f.degree) for f in build_coadjoint(n, alg)
+              if f.coeffs]
+    found = []
+    for block in blocks.values():
+        rows = {}
+        for j, (_, mono) in enumerate(block):
+            for fi, (terms, field_degree) in enumerate(fields):
+                for m2, c2 in derive({mono: 1}, degree, terms,
+                                     field_degree).items():
+                    rows.setdefault((fi, m2), {})[j] = c2
+        for vec in sparse_nullspace([rows[k] for k in sorted(rows)],
+                                    ncols=len(block)):
+            found.append((block[max(vec)][0], Polynomial(
+                alg.registry, {block[j][1]: v for j, v in vec.items()})))
+    found.sort(key=lambda item: item[0])
+    return [p for _, p in found]
+
+
+@pytest.mark.parametrize("n,degree", [(3, 3), (4, 4), (5, 4), (5, 5),
+                                      (6, 4), (6, 5), (7, 4)])
+def test_generator_rows_match_the_all_field_oracle(monkeypatch, n, degree):
+    want = _all_field_ansatz(n, degree)
+
+    def no_derive(*args):
+        raise AssertionError("solve_ansatz called derive")
+
+    monkeypatch.setattr(importlib.import_module("gnlab.poly"), "derive",
+                        no_derive)
+    monkeypatch.setattr(importlib.import_module("gnlab.representations"),
+                        "derive", no_derive)
+    sol = solve_ansatz(n, degree)
+    assert len(sol.basis) == len(want) > 0
+    for got, ref in zip(sol.basis, want):
+        assert list(got.terms.items()) == list(ref.terms.items())
+
+
+def test_generation_check_needs_every_ladder_source(monkeypatch):
+    alg = build_gn(5)
+    sources = [X_PLUS, X_MINUS, y_minus(1), y_minus(2), y_minus(3)]
+    casimir_module._check_generates(alg, sources)
+    del sources[3]
+    with pytest.raises(ValueError, match="y2m, y2p, .*z2_2"):
+        casimir_module._check_generates(alg, sources)
+    # and solve_ansatz refuses rows from a set that does not generate
+    monkeypatch.setattr(casimir_module, "y_minus", lambda i: y_minus(1))
+    with pytest.raises(ValueError, match="do not generate g_5"):
+        solve_ansatz(5, 2)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_uniqueness_fails_when_a_basis_vector_is_dropped(monkeypatch,
+                                                         degree):
+    real = casimir_module.solve_ansatz
+
+    def drop_first(n, d, *args, **kwargs):
+        sol = real(n, d, *args, **kwargs)
+        if d != degree:
+            return sol
+        return dataclasses.replace(sol, basis=sol.basis[1:])
+
+    monkeypatch.setattr(casimir_module, "solve_ansatz", drop_first)
+    rep = check_uniqueness(4, max_degree=4)
+    want = {2: 6, 4: 16}[degree]
+    assert not rep.passed
+    assert rep.data["dimensions"][str(degree)] == want - 1
+    assert (f"degree-{degree} invariants have dimension {want - 1}, "
+            f"not {want}") in rep.failures
 
 
 def test_uniqueness_level3():

@@ -56,8 +56,12 @@ OUTPUT_SHA256 = {
         "fc8b6cc35524c892027a12b76097ba9e8f8f85a0a4727dae17d3c09383f54620",
     "ansatz --n 5 --degree 4 --format json":
         "06de4391b5ee089ea2d41f2c1491b829039724d241dd180f3d24abf5ed61cc56",
+    "ansatz --n 5 --degree 5 --format json":
+        "d1def789ad4f7d2adb5456d06af249bc8d23c8863f17cc6158b246135724c4ed",
     "verify --n 5 --N 6 --seed 3 --format json":
         "67f6a3e1042032a4bbdf689746b42cfb33e6542dbfffa64b6accbcd1efb3eb2a",
+    "verify --n 6 --format json":
+        "fdb61e8a059a893278ef353e3d3ccb48c19b082e66b774eb88526209d35a3bdc",
 }
 
 

@@ -7,7 +7,9 @@ the two-site coproduct into the three-site space along both legs and
 comparing exactly.
 """
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -362,6 +364,31 @@ def test_memoised_images_and_integrals_match_a_fresh_context():
     for side, members in sets.items():
         assert integral_set(ctx, side) is members
         assert plain(members) == plain(integral_set(fresh, side))
+
+
+def test_each_square_is_built_once_per_site_subset(monkeypatch):
+    n, N = 4, 7
+    coalgebra_module = importlib.import_module("gnlab.coalgebra")
+    real = coalgebra_module.building_block
+    dets = Counter()
+
+    def counting(ctx, indices):
+        dets[tuple(indices)] += 1
+        return real(ctx, indices)
+
+    monkeypatch.setattr(coalgebra_module, "building_block", counting)
+    ctx = PhaseContext.seeded(n, N, alpha_seed=2)
+    family = integral_family(ctx)
+    # one det per 4-subset of 7 sites, not one per (side, window, subset)
+    assert dets == Counter(combinations(range(1, N + 1), n))
+    fresh = PhaseContext.seeded(n, N, alpha_seed=2)
+    for name, p in family.items():
+        side, m = name.split("_m")
+        a, b = window(side, int(m), N)
+        squares = [real(fresh, c) ** 2
+                   for c in combinations(range(a, b + 1), n)]
+        want = -sum(squares, fresh.registry.zero())
+        assert p.terms == want.terms
 
 
 def test_integral_family_order_and_members():

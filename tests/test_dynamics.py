@@ -5,6 +5,7 @@ plain-float steppers and whole-column sampling against a row-by-row
 NumPy reference.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -56,6 +57,41 @@ def test_compiled_evaluator_handles_ten_thousand_terms_bit_for_bit():
     point = [rng.uniform(-1.2, 1.2) for _ in idxs]
     assert compile_evaluator(p, slot_of)(point) == \
         term_by_term(p, slot_of)(point)
+
+
+def test_unit_coefficients_compile_without_a_factor(monkeypatch):
+    # 1.0*x is x and a + -1.0*x is a - x in IEEE arithmetic, so dropping
+    # the factor must leave every value bit for bit, in floats and columns
+    dynamics_module = importlib.import_module("gnlab.dynamics")
+    sources = []
+
+    def keep_source(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(dynamics_module, "compile", keep_source,
+                        raising=False)
+    ctx = PhaseContext(2, 2)
+    slot_of = {v.index: i for i, v in enumerate(ctx.state_vars())}
+    idxs = [v.index for v in ctx.state_vars()]
+    rng = random.Random(5)
+    for signs in ((-1,), (1,), (-1, 1, 2, -1, Fraction(-1, 3), 1)):
+        # 250 terms, so later sums start chunks with a unit term too
+        p = Polynomial(ctx.registry, {
+            monomial({i: (k // 4 ** j) % 4 for j, i in enumerate(idxs)}):
+            signs[k % len(signs)] for k in range(250)})
+        f = compile_evaluator(p, slot_of)
+        assert "1.0*" not in sources[-1]
+        ref = term_by_term(p, slot_of)
+        for _ in range(20):
+            point = [rng.choice((-0.0, 0.0, rng.uniform(-3, 3)))
+                     for _ in idxs]
+            assert math.copysign(1, f(point)) == \
+                math.copysign(1, ref(point))
+            assert f(point) == ref(point)
+        cols = np.array([[rng.uniform(-3, 3) for _ in idxs]
+                         for _ in range(5)]).T
+        assert np.array_equal(f(cols), ref(cols))
 
 
 def test_build_rejects_generator_variables():
