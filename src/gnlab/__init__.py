@@ -21,7 +21,7 @@ from .dynamics import (DriftStats, HamiltonianSystem, Trajectory,
                        compile_evaluator, drift_report, integrate)
 from .poly import (BudgetExceeded, MissingVariable, Polynomial, PolyMatrix,
                    RegistryMismatch, VarId, VarRegistry, det,
-                   parse_polynomial, rank, rank_rational, sparse_nullspace)
+                   parse_polynomial, rank_rational, sparse_nullspace)
 from .reports import Report
 from .representations import (CoadjointField, MatrixRep, build_coadjoint,
                               build_faithful_rep, build_quotient_rep,

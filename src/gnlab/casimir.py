@@ -34,7 +34,8 @@ from itertools import product
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
                       triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, PolyMatrix, _check_degree,
-                   det, exponents, monomial, rank_rational, sparse_nullspace)
+                   det, exponents, monomial, poly_sum, rank_rational,
+                   sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
@@ -109,18 +110,25 @@ def verify_annihilation(n: int, algebra: GnAlgebra | None = None) -> Report:
 
 def verify_intertwining(n: int, algebra: GnAlgebra | None = None) -> Report:
     """Entrywise bracket action on the matrix equals -(Q M + M Q^T) for the
-    quotient representation Q; the algebraic core of the invariance proof."""
+    quotient representation Q; the algebraic core of the invariance proof.
+    Q has integer entries, so each entry of the right side is a short sum
+    of scalar multiples of entries of M."""
     alg = algebra or build_gn(n)
     m = casimir_matrix(n, alg)
     quotient = build_quotient_rep(n, alg)
+    reg = alg.registry
     fails: list[str] = []
     for g in alg.basis.order:
         pg = alg.basis.poly(g)
-        lhs = m.map(lambda e: alg.bracket(pg, e) if e else e)
-        q = quotient.of(g)
-        rhs = -(q @ m + m @ q.transpose())
-        if lhs != rhs:
-            fails.append(f"intertwining fails for {g.name}")
+        # the nonzero entries of each row of Q as (column, -value)
+        q = [[(k, -v) for k, v in enumerate(row) if v]
+             for row in quotient.of(g)]
+        for i, j in product(range(n), repeat=2):
+            rhs = poly_sum(reg, [m.at(k, j) * c for k, c in q[i]]
+                           + [m.at(i, k) * c for k, c in q[j]])
+            if alg.bracket(pg, m.at(i, j)) != rhs:
+                fails.append(f"intertwining fails for {g.name}")
+                break
     return Report("intertwining", {"n": n, "generators": alg.basis.dim}, fails)
 
 
@@ -310,8 +318,7 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
 
 
 def check_uniqueness(n: int, max_degree: int | None = None,
-                     algebra: GnAlgebra | None = None,
-                     budget: int = ANSATZ_BUDGET) -> Report:
+                     algebra: GnAlgebra | None = None) -> Report:
     """Below degree n every invariant is a polynomial in the central
     variables alone, and the degree-d invariants have the dimension
     C(T_{n-2}+d-1, d) of the central degree-d monomials: the support test
@@ -327,7 +334,7 @@ def check_uniqueness(n: int, max_degree: int | None = None,
     dims: dict[str, int] = {}
     contains = None
     for degree in range(1, min(max_degree, n) + 1):
-        sol = solve_ansatz(n, degree, alg, budget=budget)
+        sol = solve_ansatz(n, degree, alg)
         dims[str(degree)] = sol.dimension
         want = math.comb(centrals + degree - 1, degree) + (degree == n)
         if sol.dimension != want:

@@ -362,6 +362,11 @@ def check_involution(ctx: PhaseContext) -> Report:
                    "generator_brackets": gen_count}, fails)
 
 
+# Random phase points `check_independence` tries before it reports a rank
+# deficiency.
+INDEPENDENCE_ATTEMPTS = 5
+
+
 @dataclass(frozen=True)
 class IndependenceResult:
     rank: int
@@ -374,25 +379,23 @@ class IndependenceResult:
         return self.rank == self.expected
 
 
-def check_independence(ctx: PhaseContext, hamiltonian: Polynomial | None = None,
-                       seed: int = 0, max_attempts: int = 5) -> IndependenceResult:
-    """Jacobian rank of H and the `integral_family` {left m=n..N, right
-    m=n..N-1} at random rational phase points, resampling on deficiency up
-    to `max_attempts` times.
+def check_independence(ctx: PhaseContext, seed: int = 0) -> IndependenceResult:
+    """Jacobian rank of the harmonic H and the `integral_family` {left
+    m=n..N, right m=n..N-1} at random rational phase points, resampling on
+    deficiency up to `INDEPENDENCE_ATTEMPTS` times.
 
     The expected count is 2(N - n) + 2.
     """
     if ctx.N < ctx.n:
         raise ValueError("no integrals exist for N < n")
-    H = hamiltonian if hamiltonian is not None else harmonic_hamiltonian(ctx)
-    members = [H, *integral_family(ctx).values()]
+    members = [harmonic_hamiltonian(ctx), *integral_family(ctx).values()]
     expected = 2 * (ctx.N - ctx.n) + 2
     state = ctx.state_vars()
     grads = [[f.partial(v) for v in state] for f in members]
     rng = random.Random(seed)
     attempts: list[int] = []
     r = 0
-    for _ in range(max_attempts):
+    for _ in range(INDEPENDENCE_ATTEMPTS):
         point = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                  for v in state}
         r = rank_rational({j: g.eval(point) for j, g in enumerate(row)}

@@ -31,7 +31,6 @@ The module also carries the exact linear algebra used everywhere else:
 
 * determinants of polynomial matrices by Laplace expansion along the first
   row with minors memoised per column subset,
-* the rank of a polynomial matrix by randomised rational specialisation,
 * one exact eliminator over sparse rational rows, which gives the rank of
   a rational system and its nullspace in reduced-echelon parametrisation.
 """
@@ -42,7 +41,6 @@ import ast
 import json
 import math
 import operator
-import random
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -725,66 +723,6 @@ class PolyMatrix:
     def row(self, i: int) -> tuple[Polynomial, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.cols, self.rows,
-                          [self.at(i, j) for j in range(self.cols)
-                           for i in range(self.rows)])
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        reg = self.registry
-        # the nonzero entries of each row of `other`, collected once
-        right = [[(j, b) for j, b in enumerate(other.row(k)) if b]
-                 for k in range(other.rows)]
-        out: list[Polynomial] = []
-        for i in range(self.rows):
-            products: list[list[Polynomial]] = [[] for _ in range(other.cols)]
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in right[k]:
-                        products[j].append(a * b)
-            out.extend(poly_sum(reg, p) for p in products)
-        return PolyMatrix(self.rows, other.cols, out)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [-e for e in self.entries])
-
-    def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [fn(e) for e in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            all(a == b for a, b in zip(self.entries, other.entries))
-
-    __hash__ = None
-
-    def eval(self, assignment: Mapping) -> list[list[Fraction]]:
-        return [[self.at(i, j).eval(assignment) for j in range(self.cols)]
-                for i in range(self.rows)]
-
-    def constant_entries(self) -> list[list[Fraction | int]]:
-        """Entries as exact rationals, int when integral; raises if any
-        entry has positive degree."""
-        out: list[list[Fraction | int]] = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                e = self.at(i, j)
-                if e.support_indices():
-                    raise ValueError("matrix entry is not constant")
-                row.append(e.terms.get(0, 0))
-            out.append(row)
-        return out
-
 
 def det(matrix: PolyMatrix) -> Polynomial:
     """Determinant by Laplace expansion along the first remaining row,
@@ -825,21 +763,6 @@ def det(matrix: PolyMatrix) -> Polynomial:
     # the cyclic collector runs
     memo.clear()
     return Polynomial._make(matrix.registry, terms)
-
-
-def rank(matrix: PolyMatrix, *, seed: int = 0, trials: int = 3) -> int:
-    """Rank of a polynomial matrix: evaluate at random rational points
-    (numerators uniform in [-10^6, 10^6]) and take the maximum exact rank
-    over `trials` draws."""
-    rng = random.Random(seed)
-    best = 0
-    var_ids = matrix.registry.var_ids
-    for _ in range(max(1, trials)):
-        assignment = {v: Fraction(rng.randint(-10 ** 6, 10 ** 6))
-                      for v in var_ids}
-        best = max(best, rank_rational(
-            dict(enumerate(row)) for row in matrix.eval(assignment)))
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Matrix and vector-field realisations of the chain algebras.
 
-Two matrix representations are built at level n:
+Two matrix representations are built at level n, each image a list of
+integer rows:
 
 * a faithful traceless representation of size 2(n-1); the raising/lowering
   triple acts on rows/columns n-1, n, the ladder pairs couple those to the
@@ -21,8 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Generator, GnAlgebra, build_gn
-from .poly import (Polynomial, PolyMatrix, VarId, derive, poly_sum,
-                   sparse_nullspace)
+from .poly import Polynomial, VarId, derive, poly_sum, sparse_nullspace
 from .reports import Report
 
 
@@ -30,28 +30,26 @@ from .reports import Report
 class MatrixRep:
     name: str
     size: int
-    image: dict[Generator, PolyMatrix]
+    image: dict[Generator, list[list[int]]]
     algebra: GnAlgebra
 
-    def of(self, g: Generator) -> PolyMatrix:
+    def of(self, g: Generator) -> list[list[int]]:
         return self.image[g]
 
 
-def _matrix(alg: GnAlgebra, size: int,
-            cells: dict[tuple[int, int], int]) -> PolyMatrix:
-    """Matrix from 1-based {(row, col): value} cells, other entries zero."""
-    reg = alg.registry
-    zero = reg.zero()
-    entries = [zero] * (size * size)
+def _matrix(size: int, cells: dict[tuple[int, int], int]) -> list[list[int]]:
+    """Integer rows from 1-based {(row, col): value} cells, other entries
+    zero."""
+    rows = [[0] * size for _ in range(size)]
     for (r, c), v in cells.items():
-        entries[(r - 1) * size + (c - 1)] = reg.const(v)
-    return PolyMatrix(size, size, entries)
+        rows[r - 1][c - 1] = v
+    return rows
 
 
 def build_faithful_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
     alg = algebra or build_gn(n)
     size = 2 * (n - 1)
-    image: dict[Generator, PolyMatrix] = {}
+    image: dict[Generator, list[list[int]]] = {}
     for g in alg.basis.order:
         cells: dict[tuple[int, int], int] = {}
 
@@ -74,14 +72,14 @@ def build_faithful_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
         else:  # central z_{i,j}
             add(g.i + n, g.j, 1)
             add(g.j + n, g.i, 1)
-        image[g] = _matrix(alg, size, cells)
+        image[g] = _matrix(size, cells)
     return MatrixRep("faithful", size, image, alg)
 
 
 def build_quotient_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
     alg = algebra or build_gn(n)
     size = n
-    image: dict[Generator, PolyMatrix] = {}
+    image: dict[Generator, list[list[int]]] = {}
     for g in alg.basis.order:
         cells: dict[tuple[int, int], int] = {}
         if g.kind == "h":
@@ -94,7 +92,7 @@ def build_quotient_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
             cells = {(n - 1, g.i): 1}
         elif g.kind == "ym":
             cells = {(n, g.i): 1}
-        image[g] = _matrix(alg, size, cells)
+        image[g] = _matrix(size, cells)
     return MatrixRep("quotient", size, image, alg)
 
 
@@ -121,14 +119,14 @@ def check_homomorphism(rep: MatrixRep, n: int,
                        algebra: GnAlgebra | None = None) -> Report:
     """Pairwise commutator test plus kernel extraction.
 
-    Each image is read once as a sparse matrix of its constant entries,
+    Each image is read once as a sparse matrix of its nonzero entries,
     and [rho(a), rho(b)] - sum c rho(g) is accumulated entry by entry.
     The kernel of the linear map generator -> matrix is computed exactly;
     the report records its dimension and whether it sits inside the centre.
     """
     alg = algebra or rep.algebra
     order = alg.basis.order
-    mats = [rep.of(g).constant_entries() for g in order]
+    mats = [rep.of(g) for g in order]
     sparse = {g: [{j: v for j, v in enumerate(row) if v} for row in m]
               for g, m in zip(order, mats)}
     identity = [{i: 1} for i in range(rep.size)]
@@ -144,7 +142,7 @@ def check_homomorphism(rep: MatrixRep, n: int,
         if any(diff.values()):
             fails.append(f"commutator mismatch on ({a.name}, {b.name})")
     for g, m in zip(order, mats):
-        tr = sum((m[i][i] for i in range(rep.size)), Fraction(0))
+        tr = sum(m[i][i] for i in range(rep.size))
         if tr:
             fails.append(f"image of {g.name} has trace {tr}")
     rows = ({j: m[r][c] for j, m in enumerate(mats)}

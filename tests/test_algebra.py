@@ -2,6 +2,7 @@
 subalgebra/ideal nesting, the Levi-type split, centre, and invariant counts.
 """
 
+import importlib
 import random
 
 import pytest
@@ -150,20 +151,69 @@ def test_commutator_matrix_level2():
         [2 * xm, zero, -h],
         [-2 * xp, h, zero],
     ])
-    assert commutator_matrix(2, alg) == want
+    assert commutator_matrix(2, alg).entries == want.entries
 
 
 def test_commutator_matrix_antisymmetric():
     m = commutator_matrix(4)
-    assert m.transpose() == -m
+    assert all(m.at(i, j) == -m.at(j, i)
+               for i in range(m.rows) for j in range(m.cols))
 
 
 def test_invariant_count():
-    for n in (2, 3, 4):
-        bb = beltrametti_blasi(n, seed=3)
-        assert bb.rank == 2 * (n - 1)
+    """Both bounds of the commutator rank are 2(n-1), so the rank is
+    certified."""
+    for n in range(2, 11):
+        bb = beltrametti_blasi(n)
+        assert bb.rank == bb.rank_upper_bound == 2 * (n - 1)
         assert bb.nu == triangular(n - 2) + 1
-        assert bb.consistent
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certified_rank_matches_rational_function_rank(n):
+    """sympy's rank of A(n) over the field of rational functions in the
+    generators against the certified rank (n = 4 takes about a minute in
+    sympy)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    m = commutator_matrix(n)
+    exact = DomainMatrix.from_Matrix(sympy.Matrix(
+        [[sympy.sympify(e.text().replace("^", "**")) for e in m.row(i)]
+         for i in range(m.rows)])).to_field().rank()
+    bb = beltrametti_blasi(n)
+    assert bb.rank == bb.rank_upper_bound == exact
+
+
+def test_structure_fails_when_the_rank_bounds_differ(monkeypatch):
+    """A specialisation that loses rank leaves the lower bound under the
+    upper one: the rank is not certified and the structure check fails."""
+    algebra = importlib.import_module("gnlab.algebra")
+    exact = algebra.rank_rational
+    monkeypatch.setattr(algebra, "rank_rational", lambda rows: exact(rows) - 2)
+    bb = beltrametti_blasi(3)
+    assert (bb.rank, bb.rank_upper_bound) == (2, 4)
+    rep = check_structure(3)
+    assert rep.failures == [
+        "commutator rank not certified: specialised rank 2 below the upper "
+        "bound 4", "commutator rank 2 != 4", "invariant count 4 != 2"]
+    assert rep.data["rank_upper_bound"] == 4
+
+
+def test_rank_upper_bound_is_not_rounded_without_antisymmetry(monkeypatch):
+    """Only an antisymmetric matrix has even rank: with the entry [h, x-]
+    of A(2) zeroed but [x-, h] kept, the rank is 3, and the upper bound is
+    the count of nonzero rows, 3, not 2."""
+    algebra = importlib.import_module("gnlab.algebra")
+    exact = algebra.commutator_matrix
+
+    def broken(n, alg):
+        m = exact(n, alg)
+        return PolyMatrix(m.rows, m.cols, m.entries[:1]
+                          + (m.registry.zero(),) + m.entries[2:])
+
+    monkeypatch.setattr(algebra, "commutator_matrix", broken)
+    bb = beltrametti_blasi(2)
+    assert (bb.rank, bb.rank_upper_bound) == (3, 3)
 
 
 def test_structure_report():
@@ -172,5 +222,6 @@ def test_structure_report():
     assert rep.data["dim"] == 6
     assert rep.data["centre_dim"] == 1
     assert rep.data["nu"] == 2
+    assert rep.data["commutator_rank"] == rep.data["rank_upper_bound"] == 4
     d = rep.to_dict()
     assert d["check"] == "structure" and d["passed"] is True

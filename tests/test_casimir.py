@@ -30,8 +30,8 @@ def test_matrix_level2():
     alg = build_gn(2)
     P = alg.basis.poly
     h, xm, xp = P(H), P(X_MINUS), P(X_PLUS)
-    assert casimir_matrix(2, alg) == PolyMatrix.from_rows(
-        [[-2 * xm, h], [h, 2 * xp]])
+    assert casimir_matrix(2, alg).entries == PolyMatrix.from_rows(
+        [[-2 * xm, h], [h, 2 * xp]]).entries
 
 
 def test_matrix_level3():
@@ -43,8 +43,9 @@ def test_matrix_level3():
         [P(y_plus(1)), P(H), 2 * P(X_PLUS)],
     ])
     got = casimir_matrix(3, alg)
-    assert got == want
-    assert got.transpose() == got
+    assert got.entries == want.entries
+    assert all(got.at(i, j) == got.at(j, i)
+               for i in range(3) for j in range(3))
 
 
 def test_invariant_level2():
@@ -163,6 +164,25 @@ def test_annihilation_small_levels():
 def test_intertwining_small_levels():
     for n in (2, 3):
         assert verify_intertwining(n).passed
+
+
+def test_intertwining_reports_a_perturbed_quotient(monkeypatch):
+    """Doubling the quotient image of x+, and giving the central z_{1,1}
+    (which the quotient kills) a nonzero image, each break the identity
+    for that generator alone."""
+    exact = casimir_module.build_quotient_rep
+
+    def perturbed(n, alg):
+        rep = exact(n, alg)
+        z11 = [[0] * n for _ in range(n)]
+        z11[0][0] = 1
+        return dataclasses.replace(rep, image={
+            **rep.image, central(1, 1): z11,
+            X_PLUS: [[2 * v for v in row] for row in rep.of(X_PLUS)]})
+
+    monkeypatch.setattr(casimir_module, "build_quotient_rep", perturbed)
+    assert verify_intertwining(3).failures == [
+        "intertwining fails for xp", "intertwining fails for z1_1"]
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_casimir_json(capsys):
     code, out, _ = run(capsys, "casimir", "--n", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["n"] == 3 and payload["degree"] == 3
     assert payload["terms"] == 5
     assert len(payload["matrix"]) == 3
@@ -47,21 +47,21 @@ def test_casimir_json(capsys):
 # order and the envelope around each polynomial, and the text form.
 OUTPUT_SHA256 = {
     "casimir --n 6 --format json":
-        "99beacc2c5cce26cedf3c2f06c7128b8172064723557cf1fd93bdfdd0cc4294e",
+        "705ee9ae5e54d4b74486e05ad85b21f4f8ed31e7aa69de5380d1d457a323c8ca",
     "casimir --n 6":
         "47e3e3d2e10a1b1740169872631881805ce8a15d7979701dc309c62cc19e6f62",
     "integrals --n 3 --N 5 --format json":
-        "34a6d51e04b4d0c0688caa8444d15278221b9c92805f0727b1d362bb56ae6649",
+        "b20dd8c10a9b6747fb8aec2acc2c398e5df99860d2ef9e1caa214f23470208fd",
     "ansatz --n 4 --degree 4 --format json":
-        "fc8b6cc35524c892027a12b76097ba9e8f8f85a0a4727dae17d3c09383f54620",
+        "e71ccc20fed95e29d341ac4d53862220c34b236c17acad5f9164675299ef735e",
     "ansatz --n 5 --degree 4 --format json":
-        "06de4391b5ee089ea2d41f2c1491b829039724d241dd180f3d24abf5ed61cc56",
+        "a26babcefe5c3916eb06a8646f0fd4f3786bdabacf8c20cd207d76d6ed9d8d4b",
     "ansatz --n 5 --degree 5 --format json":
-        "d1def789ad4f7d2adb5456d06af249bc8d23c8863f17cc6158b246135724c4ed",
+        "44e6054b3a5a5fa2b26b0625eeb446fc1a0a99705f5bb492506a7a94de1cbe75",
     "verify --n 5 --N 6 --seed 3 --format json":
-        "67f6a3e1042032a4bbdf689746b42cfb33e6542dbfffa64b6accbcd1efb3eb2a",
+        "b0c77bbde7b14196709f3adcd7b8c63b75e9847fff159720e40066429bba11d5",
     "verify --n 6 --format json":
-        "fdb61e8a059a893278ef353e3d3ccb48c19b082e66b774eb88526209d35a3bdc",
+        "2bceb9abd661f98cfe4f3a8ce86eee0a92582c1421ee4b8537fa0e79b401a545",
 }
 
 
@@ -336,7 +336,9 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
                           (["integrals", "--n", "4", "--N", "3"], "N must"),
                           (["ansatz", "--n", "4", "--degree", "4",
                             "--budget", "10"], "budget"),
-                          (["ansatz", "--n", "4", "--degree", "0"], "degree")):
+                          (["ansatz", "--n", "4", "--degree", "0"], "degree"),
+                          (["rank", "--n", "41"], "too large"),
+                          (["dump-rep", "--n", "41"], "too large")):
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2 and out == "" and message in err
         assert target.read_text() == "kept\n"
@@ -438,10 +440,40 @@ def test_rank_command(capsys):
     code, out, _ = run(capsys, "rank", "--n", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["rank"] == 4
-    assert payload["certified_rank"] == 4
+    assert payload["rank"] == payload["rank_upper_bound"] == 4
     assert payload["nu"] == 2
     assert payload["dim"] == 6
+    assert not {"certified_rank", "trials"} & payload.keys()
+    code, out, _ = run(capsys, "rank", "--n", "3")
+    assert code == 0 and out == "rank 4 (upper bound 4), nu 2\n"
+
+
+def test_rank_exits_1_when_the_bounds_differ(capsys, monkeypatch):
+    algebra = importlib.import_module("gnlab.algebra")
+    exact = algebra.rank_rational
+    monkeypatch.setattr(algebra, "rank_rational", lambda rows: exact(rows) - 2)
+    code, out, _ = run(capsys, "rank", "--n", "3")
+    assert code == 1 and out == "rank 2 (upper bound 4), nu 4\n"
+
+
+def test_rank_has_no_trials_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--n", "3", "--trials", "3"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "dump-rep"])
+def test_matrix_size_guard_exits_2(capsys, monkeypatch, command):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("built a level above the limit")
+
+    for step in ("beltrametti_blasi", "build_gn"):
+        monkeypatch.setattr(cli, step, no_allocation)
+    top = cli.MAX_MATRIX_N
+    code, out, err = run(capsys, command, "--n", str(top + 1))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: n = {top + 1} is too large for {command}")
 
 
 def test_ansatz_command(capsys):

@@ -4,7 +4,8 @@ defines is referenced by code in some library module.  The package
 ``__init__`` is exempt from the first scan, because its imports are the
 public re-exports, but those imports are not references in the second: a
 re-export alone does not keep a definition alive, so API that only tests
-call has no place in the library.
+call has no place in the library.  Every command-line option the CLI
+declares is read by it, so a flag whose value nothing uses cannot linger.
 """
 
 import ast
@@ -89,3 +90,54 @@ def test_library_defines_nothing_unreferenced():
                for p in sorted(PACKAGE.glob("*.py"))}
     assert "__init__" in sources
     assert dead_definitions(sources) == []
+
+
+def unread_options(source: str) -> list[str]:
+    """The destination of every ``add_argument`` call in `source` that is
+    never read as ``args.<dest>`` or ``getattr(args, "<dest>", ...)``.  The
+    destination is the ``dest`` keyword, or else the first long option (or
+    the first option) without its dashes, other dashes made underscores,
+    as argparse derives it."""
+    declared: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "getattr" and \
+                len(node.args) >= 2 and isinstance(node.args[0], ast.Name) \
+                and node.args[0].id == "args" and \
+                isinstance(node.args[1], ast.Constant):
+            read.add(node.args[1].value)
+        elif isinstance(func, ast.Attribute) and func.attr == "add_argument":
+            dest = next((k.value.value for k in node.keywords
+                         if k.arg == "dest"), None)
+            if dest is None:
+                flags = [a.value for a in node.args]
+                flag = next((f for f in flags if f.startswith("--")),
+                            flags[0])
+                dest = flag.lstrip("-").replace("-", "_")
+            declared.setdefault(dest, node.lineno)
+    return [f"line {line}: {dest}" for dest, line in declared.items()
+            if dest not in read]
+
+
+def test_unread_options_are_detected():
+    source = ("def build(p):\n"
+              "    p.add_argument('--n', type=int)\n"
+              "    p.add_argument('--t-end', dest='t_end')\n"
+              "    p.add_argument('--dry-run', action='store_true')\n"
+              "    p.add_argument('--trials', type=int, default=3)\n"
+              "    p.add_argument('-v', '--verbose')\n"
+              "def run(args):\n"
+              "    return args.n, args.t_end, getattr(args, 'dry_run', 0)\n")
+    assert unread_options(source) == ["line 5: trials", "line 6: verbose"]
+
+
+def test_cli_reads_every_option():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert "add_argument" in source
+    assert unread_options(source) == []
