@@ -5,8 +5,8 @@ Hamiltonian systems those invariants generate."""
 from .algebra import (GnAlgebra, GnBasis, Generator, InvariantCount,
                       beltrametti_blasi, build_gn, canonical_order,
                       check_jacobi, check_levi, check_structure,
-                      check_subalgebra_chain, commutator_matrix,
-                      compute_centre, ideal_complement, triangular)
+                      check_subalgebra_chain, compute_centre,
+                      ideal_complement, triangular)
 from .casimir import (AnsatzSolution, CasimirResult, casimir, casimir_matrix,
                       check_grading, check_uniqueness, solve_ansatz,
                       verify_annihilation, verify_intertwining)

@@ -8,8 +8,13 @@ elements z_{i,j} for 1 <= i <= j <= n-2.  The nonzero brackets are
     [x-, y_{i,+}] = y_{i,-}          [x+, y_{i,-}] = y_{i,+}
     [y_{i,+}, y_{j,-}] = z_{min(i,j), max(i,j)}
 
-with everything else zero.  The bracket extends to polynomials as the
-Lie-Poisson bracket {f,g} = sum_{i,j} [x_i, x_j] (df/dx_i)(dg/dx_j).
+with everything else zero.  `StructureConstants` keeps them as one sparse
+table of integers indexed by basis position, the generators' places in the
+canonical order, and every check here works on that table.  The bracket
+extends to polynomials as the Lie-Poisson bracket
+{f,g} = sum_{i,j} [x_i, x_j] (df/dx_i)(dg/dx_j); the coadjoint fields
+apply it one generator at a time, and the tests keep the whole extension
+as an independent oracle of these checks.
 
 Checks (Jacobi, the nested subalgebra/ideal chain, the semidirect split
 into sl2 plus a two-step nilpotent radical, the centre, and the
@@ -21,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
-from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, monomial,
-                   poly_sum, rank_rational, sparse_nullspace, variable_mask)
+from .poly import (Polynomial, VarId, VarRegistry, monomial, rank_rational,
+                   sparse_nullspace, variable_mask)
 from .reports import Report
 
 _KINDS = ("h", "xm", "xp", "ym", "yp", "z")
@@ -112,8 +118,13 @@ class GnBasis:
     def poly(self, g: Generator) -> Polynomial:
         return self.registry.poly(g.name)
 
+    @cached_property
+    def _position(self) -> dict[Generator, int]:
+        return {g: k for k, g in enumerate(self.order)}
+
     def index(self, g: Generator) -> int:
-        return self.order.index(g)
+        """The basis position of `g`: its place in `order`."""
+        return self._position[g]
 
     @property
     def ladder(self) -> tuple[Generator, ...]:
@@ -125,43 +136,65 @@ class GnBasis:
 
 
 class StructureConstants:
-    """Full bracket table on basis generators, antisymmetric by construction."""
+    """The bracket table by basis position.  A vector {k: c} is the linear
+    combination sum_k c g_k of generators; `brackets[a][b]` is the vector of
+    [g_a, g_b], with integer coefficients and stored only when nonzero, so
+    that a bracket missing from `brackets[a]` is zero.  Antisymmetric by
+    construction."""
 
     def __init__(self, basis: GnBasis):
         self.basis = basis
-        self._zero = basis.registry.zero()
-        table: dict[tuple[Generator, Generator], Polynomial] = {}
+        self.brackets: list[dict[int, dict[int, int]]] = \
+            [{} for _ in basis.order]
+        # the monomial of each generator variable, by basis position
+        self._units = [monomial({basis.var(g).index: 1}) for g in basis.order]
+        self._unit_position = {u: k for k, u in enumerate(self._units)}
+        pos = basis.index
 
-        def put(a: Generator, b: Generator, value: Polynomial):
-            table[(a, b)] = value
-            table[(b, a)] = -value
+        def put(a: Generator, b: Generator, c: int, k: Generator):
+            """[a, b] = c k."""
+            self.brackets[pos(a)][pos(b)] = {pos(k): c}
+            self.brackets[pos(b)][pos(a)] = {pos(k): -c}
 
-        P = basis.poly
-        put(X_PLUS, X_MINUS, P(H))
-        put(H, X_MINUS, -2 * P(X_MINUS))
-        put(H, X_PLUS, 2 * P(X_PLUS))
+        put(X_PLUS, X_MINUS, 1, H)
+        put(H, X_MINUS, -2, X_MINUS)
+        put(H, X_PLUS, 2, X_PLUS)
         for i in range(1, basis.n - 1):
-            put(H, y_minus(i), -P(y_minus(i)))
-            put(H, y_plus(i), P(y_plus(i)))
-            put(X_MINUS, y_plus(i), P(y_minus(i)))
-            put(X_PLUS, y_minus(i), P(y_plus(i)))
+            put(H, y_minus(i), -1, y_minus(i))
+            put(H, y_plus(i), 1, y_plus(i))
+            put(X_MINUS, y_plus(i), 1, y_minus(i))
+            put(X_PLUS, y_minus(i), 1, y_plus(i))
             for j in range(1, basis.n - 1):
-                if (y_plus(i), y_minus(j)) not in table:
-                    put(y_plus(i), y_minus(j), P(central(i, j)))
-        self._table = table
+                put(y_plus(i), y_minus(j), 1, central(i, j))
+
+    def poly(self, vector: dict[int, int]) -> Polynomial:
+        """The linear polynomial of a vector."""
+        return Polynomial(self.basis.registry,
+                          {self._units[k]: c for k, c in vector.items()})
+
+    def vector(self, p: Polynomial) -> dict[int, int | Fraction]:
+        """The vector of a linear polynomial in the generators."""
+        return {self._unit_position[m]: c for m, c in p.terms.items()}
 
     def of(self, a: Generator, b: Generator) -> Polynomial:
-        return self._table.get((a, b), self._zero)
+        pos = self.basis.index
+        return self.poly(self.brackets[pos(a)].get(pos(b), {}))
 
-    def coefficient(self, a: Generator, b: Generator, k: Generator) -> Fraction:
-        return self.of(a, b).coefficient({k.name: 1})
+    def add_bracket(self, acc: dict, u: dict, v: dict) -> dict:
+        """Add the bracket [u, v] of two vectors into the vector `acc`
+        (zero coefficients may remain) and return `acc`."""
+        for a, x in u.items():
+            row = self.brackets[a]
+            for b, y in v.items():
+                for k, c in row.get(b, {}).items():
+                    acc[k] = acc.get(k, 0) + x * y * c
+        return acc
 
 
 @dataclass(frozen=True, eq=False)
 class GnAlgebra:
     basis: GnBasis
     constants: StructureConstants
-    generator_of_var: dict[int, Generator]
     # every exponent bit of the generator variables (a `variable_mask`)
     domain_mask: int
 
@@ -182,42 +215,15 @@ class GnAlgebra:
             names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
             raise ValueError(f"foreign variables present: {names}")
 
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Lie-Poisson bracket of two polynomials in generator variables."""
-        self._check_domain(f)
-        self._check_domain(g)
-        fsup = sorted(f.support_indices())
-        gsup = sorted(g.support_indices())
-        products = []
-        gparts = {j: g.partial(self.registry.var_ids[j]) for j in gsup}
-        for i in fsup:
-            dfi = f.partial(self.registry.var_ids[i])
-            if dfi.is_zero:
-                continue
-            gi = self.generator_of_var[i]
-            for j in gsup:
-                t = self.constants.of(gi, self.generator_of_var[j])
-                if t.is_zero:
-                    continue
-                dgj = gparts[j]
-                if dgj.is_zero:
-                    continue
-                products.append(t * dfi * dgj)
-        return poly_sum(self.registry, products)
-
 
 def build_gn(n: int, registry: VarRegistry | None = None) -> GnAlgebra:
     """Build level n of the chain; registers its variables in `registry`
     (a fresh one when omitted) in the canonical order."""
     order = canonical_order(n)
     reg = registry if registry is not None else VarRegistry()
-    gen_of_var: dict[int, Generator] = {}
-    for g in order:
-        vid = reg.add(g.name)
-        gen_of_var[vid.index] = g
+    mask = variable_mask([reg.add(g.name).index for g in order])
     basis = GnBasis(n, order, reg)
-    return GnAlgebra(basis, StructureConstants(basis), gen_of_var,
-                     variable_mask(gen_of_var))
+    return GnAlgebra(basis, StructureConstants(basis), mask)
 
 
 # ----------------------------------------------------------------------
@@ -227,22 +233,19 @@ def build_gn(n: int, registry: VarRegistry | None = None) -> GnAlgebra:
 def check_jacobi(n: int, algebra: GnAlgebra | None = None) -> Report:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 for every basis triple."""
     alg = algebra or build_gn(n)
-    P = alg.basis.poly
+    sc = alg.constants
+    order = alg.basis.order
     fails: list[str] = []
     count = 0
-    for a, b, c in combinations(alg.basis.order, 3):
+    for a, b, c in combinations(range(len(order)), 3):
         count += 1
-        pa, pb, pc = P(a), P(b), P(c)
-        jac = (alg.bracket(alg.bracket(pa, pb), pc)
-               + alg.bracket(alg.bracket(pb, pc), pa)
-               + alg.bracket(alg.bracket(pc, pa), pb))
-        if not jac.is_zero:
-            fails.append(f"jacobiator of ({a.name}, {b.name}, {c.name}) = {jac}")
+        jac: dict = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            sc.add_bracket(jac, sc.brackets[x].get(y, {}), {z: 1})
+        if any(jac.values()):
+            fails.append(f"jacobiator of ({order[a].name}, {order[b].name}, "
+                         f"{order[c].name}) = {sc.poly(jac)}")
     return Report("jacobi", {"n": n, "triples": count}, fails)
-
-
-def _span_indices(alg: GnAlgebra, gens) -> frozenset[int]:
-    return frozenset(alg.basis.var(g).index for g in gens)
 
 
 def ideal_complement(k: int) -> tuple[Generator, ...]:
@@ -259,26 +262,25 @@ def check_subalgebra_chain(n: int, algebra: GnAlgebra | None = None) -> Report:
     if n < 3:
         raise ValueError("chain checks need n >= 3")
     alg = algebra or build_gn(n)
-    P = alg.basis.poly
+    pos = alg.basis.index
+    brackets = alg.constants.brackets
     fails: list[str] = []
     sub_pairs = 0
     for k in range(2, n):
         gens_k = canonical_order(k)
-        allowed = _span_indices(alg, gens_k)
+        allowed = set(map(pos, gens_k))
         for a, b in combinations(gens_k, 2):
             sub_pairs += 1
-            br = alg.bracket(P(a), P(b))
-            if br.support_indices() - allowed:
+            if brackets[pos(a)].get(pos(b), {}).keys() - allowed:
                 fails.append(f"[{a.name},{b.name}] leaves the level-{k} span")
     ideal_pairs = 0
     for k in range(3, n + 1):
         ideal = ideal_complement(k)
-        allowed = _span_indices(alg, ideal)
+        allowed = set(map(pos, ideal))
         for a in canonical_order(k):
             for b in ideal:
                 ideal_pairs += 1
-                br = alg.bracket(P(a), P(b))
-                if br.support_indices() - allowed:
+                if brackets[pos(a)].get(pos(b), {}).keys() - allowed:
                     fails.append(
                         f"[{a.name},{b.name}] leaves the level-{k} ideal")
     return Report("subalgebra_chain",
@@ -293,51 +295,49 @@ def check_levi(n: int, algebra: GnAlgebra | None = None) -> Report:
     if n < 3:
         raise ValueError("the split is meaningful for n >= 3")
     alg = algebra or build_gn(n)
-    P = alg.basis.poly
-    c = alg.constants
+    sc = alg.constants
+    order = alg.basis.order
+    h, xm, xp = map(alg.basis.index, (H, X_MINUS, X_PLUS))
     fails: list[str] = []
-    if c.of(X_PLUS, X_MINUS) != P(H):
+    if sc.brackets[xp].get(xm) != {h: 1}:
         fails.append("[x+, x-] != h")
-    if c.of(H, X_PLUS) != 2 * P(X_PLUS):
+    if sc.brackets[h].get(xp) != {xp: 2}:
         fails.append("[h, x+] != 2 x+")
-    if c.of(H, X_MINUS) != -2 * P(X_MINUS):
+    if sc.brackets[h].get(xm) != {xm: -2}:
         fails.append("[h, x-] != -2 x-")
-    radical = alg.basis.ladder + alg.basis.centrals
-    rad_idx = _span_indices(alg, radical)
-    z_idx = _span_indices(alg, alg.basis.centrals)
-    for a in alg.basis.order:
+    radical = [alg.basis.index(g)
+               for g in alg.basis.ladder + alg.basis.centrals]
+    rad_idx = set(radical)
+    z_idx = set(map(alg.basis.index, alg.basis.centrals))
+    for a in range(len(order)):
         for b in radical:
-            br = alg.bracket(P(a), P(b))
-            if br.support_indices() - rad_idx:
-                fails.append(f"[{a.name},{b.name}] leaves the radical")
+            if sc.brackets[a].get(b, {}).keys() - rad_idx:
+                fails.append(
+                    f"[{order[a].name},{order[b].name}] leaves the radical")
     for a, b in combinations(radical, 2):
-        br = alg.bracket(P(a), P(b))
-        if br.support_indices() - z_idx:
-            fails.append(f"[{a.name},{b.name}] is not central")
+        br = sc.brackets[a].get(b, {})
+        if br.keys() - z_idx:
+            fails.append(f"[{order[a].name},{order[b].name}] is not central")
         for e in radical:
-            if not alg.bracket(br, P(e)).is_zero:
-                fails.append(f"[[{a.name},{b.name}],{e.name}] != 0")
+            if any(sc.add_bracket({}, br, {e: 1}).values()):
+                fails.append(f"[[{order[a].name},{order[b].name}],"
+                             f"{order[e].name}] != 0")
     return Report("levi_split", {"n": n, "radical_dim": len(radical)}, fails)
 
 
 def compute_centre(n: int, algebra: GnAlgebra | None = None
                    ) -> list[dict[int, Fraction]]:
     """Sparse coefficient vectors {basis position: coeff}, positions in
-    canonical basis order, spanning the centre."""
+    canonical basis order, spanning the centre: the v with
+    sum_i v_i [g_i, g_j] = 0 for every j, one equation per j and per
+    generator g_k, on the coefficients of g_k."""
     alg = algebra or build_gn(n)
-    order = alg.basis.order
-    rows = ({i: alg.constants.coefficient(gi, gj, gk)
-             for i, gi in enumerate(order)}
-            for gj in order for gk in order)
-    return sparse_nullspace(rows, len(order))
-
-
-def commutator_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
-    """Antisymmetric matrix of pairwise brackets, entries linear polynomials."""
-    alg = algebra or build_gn(n)
-    order = alg.basis.order
-    return PolyMatrix.from_rows(
-        [[alg.constants.of(a, b) for b in order] for a in order])
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for i, row in enumerate(alg.constants.brackets):
+        for j, br in row.items():
+            for k, c in br.items():
+                rows.setdefault((j, k), {})[i] = c
+    return sparse_nullspace(rows.values(), alg.basis.dim)
 
 
 @dataclass(frozen=True)
@@ -352,8 +352,9 @@ class InvariantCount:
 
 def beltrametti_blasi(n: int, algebra: GnAlgebra | None = None
                       ) -> InvariantCount:
-    """Invariant count via the rank of the commutator matrix A over the
-    field of rational functions, bounded from both sides.
+    """Invariant count via the rank of the commutator matrix
+    A_{ab} = [g_a, g_b] over the field of rational functions, bounded from
+    both sides.
 
     Lower bound: the exact rank of A specialised at y = 0,
     z_{i,j} = delta_{ij}, h = x- = x+ = 1, since a specialisation can only
@@ -364,21 +365,21 @@ def beltrametti_blasi(n: int, algebra: GnAlgebra | None = None
     r - r mod 2 (r alone if A were not antisymmetric).
     """
     alg = algebra or build_gn(n)
-    A = commutator_matrix(n, alg)
-    # the value of each generator at the point, keyed by its monomial
-    point = {}
+    brackets = alg.constants.brackets
+    # the value of each generator at the point, by basis position
+    point = []
     for g in alg.basis.order:
         if g.kind == "z":
-            v = 1 if g.i == g.j else 0
+            point.append(1 if g.i == g.j else 0)
         else:
-            v = 0 if g.kind in ("ym", "yp") else 1
-        point[monomial({alg.basis.var(g).index: 1})] = v
+            point.append(0 if g.kind in ("ym", "yp") else 1)
     lower = rank_rational(
-        {j: sum(c * point[m] for m, c in e.terms.items())
-         for j, e in enumerate(A.row(i))} for i in range(A.rows))
-    antisymmetric = all(A.at(i, j) == -A.at(j, i)
-                        for i in range(A.rows) for j in range(i, A.cols))
-    nonzero = sum(any(A.row(i)) for i in range(A.rows))
+        {b: sum(c * point[k] for k, c in br.items()) for b, br in row.items()}
+        for row in brackets)
+    antisymmetric = all(
+        brackets[b].get(a, {}) == {k: -c for k, c in br.items()}
+        for a, row in enumerate(brackets) for b, br in row.items())
+    nonzero = sum(any(row.values()) for row in brackets)
     upper = nonzero - nonzero % 2 if antisymmetric else nonzero
     return InvariantCount(rank=lower, rank_upper_bound=upper,
                           nu=alg.basis.dim - lower)

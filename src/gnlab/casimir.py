@@ -34,8 +34,7 @@ from itertools import product
 from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
                       triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, PolyMatrix, _check_degree,
-                   det, exponents, monomial, poly_sum, rank_rational,
-                   sparse_nullspace)
+                   det, exponents, monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
@@ -111,22 +110,28 @@ def verify_annihilation(n: int, algebra: GnAlgebra | None = None) -> Report:
 def verify_intertwining(n: int, algebra: GnAlgebra | None = None) -> Report:
     """Entrywise bracket action on the matrix equals -(Q M + M Q^T) for the
     quotient representation Q; the algebraic core of the invariance proof.
-    Q has integer entries, so each entry of the right side is a short sum
-    of scalar multiples of entries of M."""
+    The entries of M are linear in the generators and Q has integer
+    entries, so both sides are vectors over the basis, and the left one is
+    read from the bracket table."""
     alg = algebra or build_gn(n)
+    sc = alg.constants
     m = casimir_matrix(n, alg)
+    entries = [[sc.vector(m.at(i, j)) for j in range(n)] for i in range(n)]
     quotient = build_quotient_rep(n, alg)
-    reg = alg.registry
     fails: list[str] = []
-    for g in alg.basis.order:
-        pg = alg.basis.poly(g)
+    for a, g in enumerate(alg.basis.order):
         # the nonzero entries of each row of Q as (column, -value)
         q = [[(k, -v) for k, v in enumerate(row) if v]
              for row in quotient.of(g)]
         for i, j in product(range(n), repeat=2):
-            rhs = poly_sum(reg, [m.at(k, j) * c for k, c in q[i]]
-                           + [m.at(i, k) * c for k, c in q[j]])
-            if alg.bracket(pg, m.at(i, j)) != rhs:
+            diff = sc.add_bracket({}, {a: 1}, entries[i][j])
+            for k, c in q[i]:
+                for p, x in entries[k][j].items():
+                    diff[p] = diff.get(p, 0) - c * x
+            for k, c in q[j]:
+                for p, x in entries[i][k].items():
+                    diff[p] = diff.get(p, 0) - c * x
+            if any(diff.values()):
                 fails.append(f"intertwining fails for {g.name}")
                 break
     return Report("intertwining", {"n": n, "generators": alg.basis.dim}, fails)
@@ -165,15 +170,16 @@ def check_grading(n: int, algebra: GnAlgebra | None = None) -> Report:
     alg = algebra or build_gn(n)
     c = casimir(n, alg).polynomial
     grading = _grading(alg)
+    order = alg.basis.order
+    grade = [grading[alg.basis.var(g).index] for g in order]
     width = n - 1
     fails: list[str] = []
-    for a, b in product(alg.basis.order, repeat=2):
-        want = tuple(map(sum, zip(grading[alg.basis.var(a).index],
-                                  grading[alg.basis.var(b).index])))
-        for mono in alg.constants.of(a, b).terms:
-            if _grade_of(grading, mono, width) != want:
-                fails.append(f"[{a.name},{b.name}] is not of grade {want}")
-                break
+    for a, row in enumerate(alg.constants.brackets):
+        for b in sorted(row):
+            want = tuple(map(sum, zip(grade[a], grade[b])))
+            if any(grade[k] != want for k in row[b]):
+                fails.append(f"[{order[a].name},{order[b].name}] "
+                             f"is not of grade {want}")
     for mono in c.terms:
         exps = exponents(mono)
         deg = sum(e for _, e in exps)
@@ -247,16 +253,15 @@ def _check_generates(alg: GnAlgebra, sources: list) -> None:
     """Raise ValueError unless `sources` generate g_n: every generator must
     be reached, and one is reached when it is a single-term bracket (a
     nonzero multiple of itself) of two reached generators."""
-    unit = {monomial({alg.basis.var(g).index: 1}): g for g in alg.basis.order}
-    reached: set = set()
-    new = set(sources)
+    brackets = alg.constants.brackets
+    reached: set[int] = set()
+    new = set(map(alg.basis.index, sources))
     while new:
         reached |= new
-        brackets = [alg.constants.of(a, b).terms
-                    for a, b in product(reached, repeat=2)]
-        new = {unit.get(next(iter(t))) for t in brackets if len(t) == 1}
-        new -= reached | {None}
-    missing = [g.name for g in alg.basis.order if g not in reached]
+        new = {next(iter(t)) for a in reached for b, t in brackets[a].items()
+               if b in reached and len(t) == 1} - reached
+    missing = [g.name for k, g in enumerate(alg.basis.order)
+               if k not in reached]
     if missing:
         raise ValueError(f"the ansatz fields do not generate g_{alg.n}: "
                          f"{', '.join(missing)} not reached")

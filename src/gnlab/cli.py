@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,47 +153,49 @@ def _header(cfg: RunConfig, ctx: PhaseContext | None = None) -> dict:
     return head
 
 
-# A polynomial's place in the envelope, and that place as json.dumps writes it
-_SLOT = "\0polynomial {}\0"
-_SLOT_JSON = re.compile(r'"\\u0000polynomial (\d+)\\u0000"')
+# What stands in the envelope for a polynomial, and as the encoder writes it
+_SLOT = "\0polynomial\0"
+_SLOT_JSON = json.dumps(_SLOT)
+# Envelope chunks joined into one write
+_BLOCK = 4096
 
 
-def _json_writer(payload):
-    """A function writing `payload` as ``json.dumps(indent=2,
-    sort_keys=True)`` text into a `write` callable.
+def _write_json(payload, write) -> None:
+    """Write `payload` into the callable `write` as the text of
+    ``json.dumps(indent=2, sort_keys=True)``, streamed.
 
-    Each Polynomial in the payload is swapped for a numbered placeholder
-    and the envelope left is dumped here, before anything is written.
-    The writer then streams the envelope text, and each polynomial's own
-    `to_json` text where its placeholder was, indented like that line."""
+    With `indent` set, `json.dumps` joins the chunks of the pure-Python
+    encoder; here they are written in blocks of `_BLOCK`.  The encoder
+    turns each Polynomial into a placeholder, a chunk of its own, and in
+    its place the polynomial's own `to_json` text is streamed, indented
+    like that line."""
     polys: list[Polynomial] = []
 
-    def swap(value):
-        if isinstance(value, Polynomial):
-            polys.append(value)
-            return _SLOT.format(len(polys) - 1)
-        if isinstance(value, dict):
-            return {k: swap(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [swap(v) for v in value]
-        return value
+    def slot(value):
+        if not isinstance(value, Polynomial):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        polys.append(value)
+        return _SLOT
 
-    pieces = _SLOT_JSON.split(json.dumps(swap(payload), indent=2,
-                                         sort_keys=True, allow_nan=False))
-    # pieces alternate: envelope text, slot number, envelope text, ...
-    slots = [int(k) for k in pieces[1::2]]
-    if sorted(slots) != list(range(len(polys))):
-        raise RuntimeError(f"{len(polys)} polynomials placed, but the "
-                           f"envelope holds slots {sorted(slots)}")
-
-    def write_json(write) -> None:
-        for before, k in zip(pieces[::2], slots):
-            write(before)
-            line = before[before.rfind("\n") + 1:]
-            polys[k].to_json(write, line[:len(line) - len(line.lstrip(" "))])
-        write(pieces[-1] + "\n")
-
-    return write_json
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
+                               default=slot)
+    block: list[str] = []
+    line = ""  # the written part of the current line
+    for chunk in encoder.iterencode(payload):
+        if chunk == _SLOT_JSON or len(block) == _BLOCK:
+            text = "".join(block)
+            block.clear()
+            write(text)
+            cut = text.rfind("\n")
+            line = line + text if cut < 0 else text[cut + 1:]
+        if chunk != _SLOT_JSON:
+            block.append(chunk)
+        elif polys:
+            pad = line[:len(line) - len(line.lstrip(" "))]
+            polys.pop().to_json(write, pad)
+        else:
+            raise RuntimeError("the payload holds the placeholder text")
+    write("".join(block) + "\n")
 
 
 @contextlib.contextmanager
@@ -227,7 +228,7 @@ def _report(cfg: RunConfig):
     with out as fh:
         def emit(payload, text) -> None:
             if cfg.fmt == "json":
-                _json_writer(payload())(fh.write)
+                _write_json(payload(), fh.write)
                 return
             body = text()
             fh.write(body if body.endswith("\n") else body + "\n")

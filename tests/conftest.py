@@ -1,16 +1,18 @@
-"""Shared test helpers: an independent determinant oracle, an independent
-canonical term order, a reference writer and a reader for the JSON
-polynomial form, and small random polynomial generators.
+"""Shared test helpers: an independent determinant oracle, the
+Lie-Poisson bracket and the commutator matrix as polynomial oracles of the
+bracket table, an independent canonical term order, a reference writer and
+a reader for the JSON polynomial form, and small random polynomial
+generators.
 
-The oracle expands along the last column with no memoization, so it shares
-no code path with the library's memoized first-row expansion.
+The determinant oracle expands along the last column with no memoization,
+so it shares no code path with the library's memoized first-row expansion.
 """
 
 import json
 from fractions import Fraction
 
-from gnlab import Polynomial, VarRegistry
-from gnlab.poly import exponents, monomial
+from gnlab import GnAlgebra, Polynomial, PolyMatrix, VarRegistry, build_gn
+from gnlab.poly import exponents, monomial, poly_sum
 
 
 def cofactor_det(rows):
@@ -36,6 +38,35 @@ def cofactor_det(rows):
     if out is None:
         return rows[0][0].registry.zero()
     return out
+
+
+def lie_poisson(alg: GnAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
+    """The Lie-Poisson bracket {f, g} = sum_{i,j} [x_i, x_j] (df/dx_i)
+    (dg/dx_j) of two polynomials in the generator variables, by partial
+    derivatives and polynomial products, each [x_i, x_j] read from the
+    table as a polynomial by `StructureConstants.of`."""
+    for p in (f, g):
+        alg._check_domain(p)
+    reg = alg.registry
+    generator_of_var = {alg.basis.var(x).index: x for x in alg.basis.order}
+    gparts = {j: g.partial(reg.var_ids[j]) for j in g.support_indices()}
+    products = []
+    for i in sorted(f.support_indices()):
+        dfi = f.partial(reg.var_ids[i])
+        for j in sorted(gparts):
+            t = alg.constants.of(generator_of_var[i], generator_of_var[j])
+            if not (t.is_zero or dfi.is_zero or gparts[j].is_zero):
+                products.append(t * dfi * gparts[j])
+    return poly_sum(reg, products)
+
+
+def commutator_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
+    """The antisymmetric matrix A_ab = [g_a, g_b] of the bracket table, its
+    entries linear polynomials."""
+    alg = algebra or build_gn(n)
+    order = alg.basis.order
+    return PolyMatrix.from_rows(
+        [[alg.constants.of(a, b) for b in order] for a in order])
 
 
 def poly_json(p: Polynomial, pad: str = "") -> str:

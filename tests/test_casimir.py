@@ -146,10 +146,10 @@ def test_grading_check_catches_a_wrong_grade(monkeypatch):
 def test_grading_check_catches_an_inhomogeneous_bracket():
     alg = build_gn(3)
     assert check_grading(3, alg).passed
-    P = alg.basis.poly
+    pos = alg.basis.index
     # y1p has grade (1, 1) = grade(x+) + grade(y1m); z1_1 has (0, 2)
-    alg.constants._table[(X_PLUS, y_minus(1))] = \
-        P(y_plus(1)) + P(central(1, 1))
+    alg.constants.brackets[pos(X_PLUS)][pos(y_minus(1))] = \
+        {pos(y_plus(1)): 1, pos(central(1, 1)): 1}
     rep = check_grading(3, alg)
     assert rep.failures == ["[xp,y1m] is not of grade (1, 1)"]
 

@@ -10,12 +10,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnlab import BudgetExceeded, cli, integrate
+from conftest import poly_json
+from gnlab import BudgetExceeded, VarRegistry, cli, integrate
 from gnlab.cli import main
 
 
@@ -434,6 +436,48 @@ def test_dump_rep_json(capsys):
     assert payload["size"] == 3
     images = {img["generator"]: img["matrix"] for img in payload["images"]}
     assert images["z1_1"] == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def test_json_writer_streams_the_dumps_text(monkeypatch):
+    """Polynomials nested in lists and dicts, at several indents, inside an
+    envelope of many chunks written in blocks of five: the text is
+    ``json.dumps(indent=2, sort_keys=True)`` of the payload with each
+    polynomial given as its parsed JSON form."""
+    monkeypatch.setattr(cli, "_BLOCK", 5)
+    reg = VarRegistry(["a", "b"])
+    a, b = reg.poly("a"), reg.poly("b")
+    payload = {"z": [a * b - 3, 1, {"q": b ** 2 * Fraction(1, 2),
+                                    "xs": list(range(40))}],
+               "a": a, "none": None, "s": "text", "empty": reg.zero()}
+    pieces: list[str] = []
+    cli._write_json(payload, pieces.append)
+    plain = json.loads(json.dumps(payload, default=lambda p: json.loads(
+        poly_json(p))))
+    assert "".join(pieces) == \
+        json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    # 40 list items alone are 40 chunks, so the envelope takes many blocks
+    assert 10 < len(pieces) < 60
+
+
+def test_json_writer_refuses_the_placeholder_and_foreign_objects():
+    with pytest.raises(RuntimeError, match="placeholder"):
+        cli._write_json({"k": cli._SLOT}, lambda text: None)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._write_json({"k": {1}}, lambda text: None)
+
+
+def test_dump_rep_json_writes_in_blocks(capsys, monkeypatch):
+    """dump-rep's envelope is all integers, about one chunk each: at n = 5
+    the faithful images are 15 matrices of 8 x 8, 15 * (64 + 8) chunks and
+    more, written in a few blocks rather than one call per chunk."""
+    writes = []
+    real = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda payload, write: real(
+        payload, lambda text: (writes.append(text), write(text))))
+    code, out, _ = run(capsys, "dump-rep", "--n", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["size"] == 8
+    assert "".join(writes) == out
+    assert len(writes) <= 3
 
 
 def test_rank_command(capsys):
