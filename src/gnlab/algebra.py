@@ -230,9 +230,8 @@ def build_gn(n: int, registry: VarRegistry | None = None) -> GnAlgebra:
 # Checks
 
 
-def check_jacobi(n: int, algebra: GnAlgebra | None = None) -> Report:
+def check_jacobi(alg: GnAlgebra) -> Report:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 for every basis triple."""
-    alg = algebra or build_gn(n)
     sc = alg.constants
     order = alg.basis.order
     fails: list[str] = []
@@ -245,7 +244,7 @@ def check_jacobi(n: int, algebra: GnAlgebra | None = None) -> Report:
         if any(jac.values()):
             fails.append(f"jacobiator of ({order[a].name}, {order[b].name}, "
                          f"{order[c].name}) = {sc.poly(jac)}")
-    return Report("jacobi", {"n": n, "triples": count}, fails)
+    return Report("jacobi", {"n": alg.n, "triples": count}, fails)
 
 
 def ideal_complement(k: int) -> tuple[Generator, ...]:
@@ -256,12 +255,12 @@ def ideal_complement(k: int) -> tuple[Generator, ...]:
         central(i, k - 2) for i in range(1, k - 1))
 
 
-def check_subalgebra_chain(n: int, algebra: GnAlgebra | None = None) -> Report:
+def check_subalgebra_chain(alg: GnAlgebra) -> Report:
     """Each lower level embeds as a subalgebra, and level k splits off an
     ideal spanned by y_{k-2,+-} and z_{*,k-2}."""
+    n = alg.n
     if n < 3:
         raise ValueError("chain checks need n >= 3")
-    alg = algebra or build_gn(n)
     pos = alg.basis.index
     brackets = alg.constants.brackets
     fails: list[str] = []
@@ -288,13 +287,12 @@ def check_subalgebra_chain(n: int, algebra: GnAlgebra | None = None) -> Report:
                    "ideal_pairs": ideal_pairs}, fails)
 
 
-def check_levi(n: int, algebra: GnAlgebra | None = None) -> Report:
+def check_levi(alg: GnAlgebra) -> Report:
     """Semidirect split: sl2 relations on {h, x-, x+}; the y/z span is an
     ideal, brackets of radical elements land in the centre, and the radical
     is two-step nilpotent."""
-    if n < 3:
+    if alg.n < 3:
         raise ValueError("the split is meaningful for n >= 3")
-    alg = algebra or build_gn(n)
     sc = alg.constants
     order = alg.basis.order
     h, xm, xp = map(alg.basis.index, (H, X_MINUS, X_PLUS))
@@ -322,16 +320,15 @@ def check_levi(n: int, algebra: GnAlgebra | None = None) -> Report:
             if any(sc.add_bracket({}, br, {e: 1}).values()):
                 fails.append(f"[[{order[a].name},{order[b].name}],"
                              f"{order[e].name}] != 0")
-    return Report("levi_split", {"n": n, "radical_dim": len(radical)}, fails)
+    return Report("levi_split", {"n": alg.n, "radical_dim": len(radical)},
+                  fails)
 
 
-def compute_centre(n: int, algebra: GnAlgebra | None = None
-                   ) -> list[dict[int, Fraction]]:
+def compute_centre(alg: GnAlgebra) -> list[dict[int, Fraction]]:
     """Sparse coefficient vectors {basis position: coeff}, positions in
     canonical basis order, spanning the centre: the v with
     sum_i v_i [g_i, g_j] = 0 for every j, one equation per j and per
     generator g_k, on the coefficients of g_k."""
-    alg = algebra or build_gn(n)
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for i, row in enumerate(alg.constants.brackets):
         for j, br in row.items():
@@ -350,8 +347,7 @@ class InvariantCount:
     nu: int
 
 
-def beltrametti_blasi(n: int, algebra: GnAlgebra | None = None
-                      ) -> InvariantCount:
+def beltrametti_blasi(alg: GnAlgebra) -> InvariantCount:
     """Invariant count via the rank of the commutator matrix
     A_{ab} = [g_a, g_b] over the field of rational functions, bounded from
     both sides.
@@ -364,7 +360,6 @@ def beltrametti_blasi(n: int, algebra: GnAlgebra | None = None
     central generators) add nothing, so with r nonzero rows it is at most
     r - r mod 2 (r alone if A were not antisymmetric).
     """
-    alg = algebra or build_gn(n)
     brackets = alg.constants.brackets
     # the value of each generator at the point, by basis position
     point = []
@@ -385,11 +380,11 @@ def beltrametti_blasi(n: int, algebra: GnAlgebra | None = None
                           nu=alg.basis.dim - lower)
 
 
-def check_structure(n: int, algebra: GnAlgebra | None = None) -> Report:
+def check_structure(alg: GnAlgebra) -> Report:
     """Aggregate structural summary used by the CLI verifier."""
-    alg = algebra or build_gn(n)
+    n = alg.n
     fails: list[str] = []
-    centre = compute_centre(n, alg)
+    centre = compute_centre(alg)
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
     expected_dim = triangular(n - 2)
     if len(centre) != expected_dim:
@@ -397,7 +392,7 @@ def check_structure(n: int, algebra: GnAlgebra | None = None) -> Report:
     for vec in centre:
         if vec.keys() - z_positions:
             fails.append("centre vector leaves the central span")
-    bb = beltrametti_blasi(n, alg)
+    bb = beltrametti_blasi(alg)
     if bb.rank != bb.rank_upper_bound:
         fails.append(f"commutator rank not certified: specialised rank "
                      f"{bb.rank} below the upper bound {bb.rank_upper_bound}")

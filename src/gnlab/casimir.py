@@ -31,16 +31,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, build_gn, central,
-                      triangular, y_minus, y_plus)
+from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, canonical_order,
+                      central, triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, PolyMatrix, _check_degree,
                    det, exponents, monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
 
-# Most degree-d monomials `solve_ansatz` takes as columns by default.
+# Most weight-0 degree-d monomials `solve_ansatz` takes as columns by default.
 ANSATZ_BUDGET = 100_000
+
+# The h-weight of each generator kind; h and the central z have weight 0.
+_H_WEIGHT = {"xp": 2, "xm": -2, "yp": 1, "ym": -1}
 
 # Highest level `casimir` expands.  C_10 already has 1,436,714 terms and
 # takes about 1 GB, and each level has about 9.4 times the terms of the one
@@ -48,9 +51,9 @@ ANSATZ_BUDGET = 100_000
 MAX_CASIMIR_N = 10
 
 
-def casimir_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
+def casimir_matrix(alg: GnAlgebra) -> PolyMatrix:
     """The symmetric bordered matrix whose determinant carries the invariant."""
-    alg = algebra or build_gn(n)
+    n = alg.n
     P = alg.basis.poly
     rows: list[list[Polynomial]] = []
     for i in range(1, n - 1):
@@ -67,7 +70,7 @@ def casimir_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CasimirResult:
-    n: int
+    algebra: GnAlgebra
     matrix: PolyMatrix
     polynomial: Polynomial
     degree: int
@@ -82,42 +85,39 @@ def check_casimir_level(n: int) -> None:
             f"and each level has about 9.4 times the terms of the one below)")
 
 
-def casimir(n: int, algebra: GnAlgebra | None = None) -> CasimirResult:
+def casimir(alg: GnAlgebra) -> CasimirResult:
     """C_n = -det of the bordered matrix; homogeneous of degree n.  Levels
     above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
-    check_casimir_level(n)
-    alg = algebra or build_gn(n)
-    m = casimir_matrix(n, alg)
+    check_casimir_level(alg.n)
+    m = casimir_matrix(alg)
     c = -det(m)
-    return CasimirResult(n=n, matrix=m, polynomial=c,
+    return CasimirResult(algebra=alg, matrix=m, polynomial=c,
                          degree=c.total_degree())
 
 
-def verify_annihilation(n: int, algebra: GnAlgebra | None = None) -> Report:
+def verify_annihilation(cas: CasimirResult) -> Report:
     """Every coadjoint field sends C_n to zero."""
-    alg = algebra or build_gn(n)
-    c = casimir(n, alg).polynomial
+    alg, c = cas.algebra, cas.polynomial
     fails: list[str] = []
-    for field in build_coadjoint(n, alg):
+    for field in build_coadjoint(alg):
         r = field.apply(c)
         if not r.is_zero:
             fails.append(f"field of {field.source.name} gives {r.text()[:80]}")
     return Report("annihilation",
-                  {"n": n, "fields": alg.basis.dim,
+                  {"n": alg.n, "fields": alg.basis.dim,
                    "terms": len(c.terms)}, fails)
 
 
-def verify_intertwining(n: int, algebra: GnAlgebra | None = None) -> Report:
+def verify_intertwining(cas: CasimirResult) -> Report:
     """Entrywise bracket action on the matrix equals -(Q M + M Q^T) for the
     quotient representation Q; the algebraic core of the invariance proof.
     The entries of M are linear in the generators and Q has integer
     entries, so both sides are vectors over the basis, and the left one is
     read from the bracket table."""
-    alg = algebra or build_gn(n)
+    alg, m, n = cas.algebra, cas.matrix, cas.algebra.n
     sc = alg.constants
-    m = casimir_matrix(n, alg)
     entries = [[sc.vector(m.at(i, j)) for j in range(n)] for i in range(n)]
-    quotient = build_quotient_rep(n, alg)
+    quotient = build_quotient_rep(alg)
     fails: list[str] = []
     for a, g in enumerate(alg.basis.order):
         # the nonzero entries of each row of Q as (column, -value)
@@ -141,7 +141,6 @@ def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:
     """The grade of each generator variable, keyed by registry index: its
     h-weight followed by its ladder multidegree in Z^{n-2}.  A monomial's
     grade is the exponent-weighted sum of its variables' grades."""
-    h_weight = {"xp": 2, "xm": -2, "yp": 1, "ym": -1}
     out: dict[int, tuple[int, ...]] = {}
     for g in alg.basis.order:
         ladder = [0] * (alg.n - 2)
@@ -150,7 +149,7 @@ def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:
         elif g.kind == "z":
             ladder[g.i - 1] += 1
             ladder[g.j - 1] += 1
-        out[alg.basis.var(g).index] = (h_weight.get(g.kind, 0), *ladder)
+        out[alg.basis.var(g).index] = (_H_WEIGHT.get(g.kind, 0), *ladder)
     return out
 
 
@@ -163,12 +162,11 @@ def _grade_of(grading: dict[int, tuple[int, ...]], mono: int,
     return tuple(total)
 
 
-def check_grading(n: int, algebra: GnAlgebra | None = None) -> Report:
+def check_grading(cas: CasimirResult) -> Report:
     """Every nonzero bracket [a, b] of generators is homogeneous of grade
     grade(a) + grade(b), and C_n is homogeneous of degree n with every
     monomial of h-weight zero."""
-    alg = algebra or build_gn(n)
-    c = casimir(n, alg).polynomial
+    alg, c, n = cas.algebra, cas.polynomial, cas.algebra.n
     grading = _grading(alg)
     order = alg.basis.order
     grade = [grading[alg.basis.var(g).index] for g in order]
@@ -235,18 +233,35 @@ class AnsatzSolution:
         return len(self.basis)
 
 
+def _weight_zero_count(n: int, degree: int) -> int:
+    """The number of degree-`degree` monomials of h-weight 0 in the
+    generators of g_n, the columns `solve_ansatz` builds, counted without
+    building them: ways[s][w] counts the monomials of degree s and h-weight
+    w in the generators taken so far, and each generator in turn may add
+    any power of itself."""
+    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
+    for g in canonical_order(n):
+        w = _H_WEIGHT.get(g.kind, 0)
+        for s in range(1, degree + 1):
+            for x, c in ways[s - 1].items():
+                ways[s][x + w] = ways[s].get(x + w, 0) + c
+    return ways[degree].get(0, 0)
+
+
 def ansatz_monomials(n: int, degree: int,
                      budget: int = ANSATZ_BUDGET) -> int:
     """The number of degree-`degree` monomials in the T_n generators of
-    g_n, the columns of the ansatz.  A degree below 1 raises ValueError and
-    a count above `budget` BudgetExceeded, before anything is built."""
+    g_n.  A degree below 1 raises ValueError, and more than `budget` of
+    them with h-weight 0 (the columns the ansatz builds) BudgetExceeded,
+    before anything is built."""
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
-    count = math.comb(triangular(n) + degree - 1, degree)
-    if count > budget:
+    columns = _weight_zero_count(n, degree)
+    if columns > budget:
         raise BudgetExceeded(
-            f"{count} monomials of degree {degree} exceed the budget {budget}")
-    return count
+            f"{columns} weight-0 monomials of degree {degree} exceed the "
+            f"budget {budget}")
+    return math.comb(triangular(n) + degree - 1, degree)
 
 
 def _check_generates(alg: GnAlgebra, sources: list) -> None:
@@ -267,7 +282,7 @@ def _check_generates(alg: GnAlgebra, sources: list) -> None:
                          f"{', '.join(missing)} not reached")
 
 
-def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
+def solve_ansatz(alg: GnAlgebra, degree: int,
                  budget: int = ANSATZ_BUDGET) -> AnsatzSolution:
     """All polynomials of the exact given degree killed by every coadjoint
     field, found by exact sparse linear algebra over the monomial basis.
@@ -288,11 +303,11 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
     reduced-echelon basis of the whole system.  `monomials` counts every
     degree-d monomial.
     """
+    n = alg.n
     count = ansatz_monomials(n, degree, budget)
-    alg = algebra or build_gn(n)
     sources = [X_PLUS, X_MINUS, *map(y_minus, range(1, n - 1))]
     _check_generates(alg, sources)
-    fields = [f for f in build_coadjoint(n, alg) if f.source in sources]
+    fields = [f for f in build_coadjoint(alg) if f.source in sources]
     _check_degree(degree - 1 + max(f.degree for f in fields), "a derivation")
     # variable v -> (field position, u - v, k) for each term k*u of the
     # field's coefficient on v: a column m with exponent e on v adds e*k
@@ -322,15 +337,15 @@ def solve_ansatz(n: int, degree: int, algebra: GnAlgebra | None = None,
                           basis=tuple(p for _, p in found))
 
 
-def check_uniqueness(n: int, max_degree: int | None = None,
-                     algebra: GnAlgebra | None = None) -> Report:
+def check_uniqueness(cas: CasimirResult,
+                     max_degree: int | None = None) -> Report:
     """Below degree n every invariant is a polynomial in the central
     variables alone, and the degree-d invariants have the dimension
     C(T_{n-2}+d-1, d) of the central degree-d monomials: the support test
     shows they lie in the central ring, the count that they fill it.  At
     degree n (when swept) the solution space contains C_n and has one
     dimension more."""
-    alg = algebra or build_gn(n)
+    alg, n = cas.algebra, cas.algebra.n
     if max_degree is None:
         max_degree = n - 1
     z_idx = {alg.basis.var(g).index for g in alg.basis.centrals}
@@ -339,7 +354,7 @@ def check_uniqueness(n: int, max_degree: int | None = None,
     dims: dict[str, int] = {}
     contains = None
     for degree in range(1, min(max_degree, n) + 1):
-        sol = solve_ansatz(n, degree, alg)
+        sol = solve_ansatz(alg, degree)
         dims[str(degree)] = sol.dimension
         want = math.comb(centrals + degree - 1, degree) + (degree == n)
         if sol.dimension != want:
@@ -352,9 +367,9 @@ def check_uniqueness(n: int, max_degree: int | None = None,
                         f"degree-{degree} invariant leaves the central ring: "
                         f"{p.text()[:60]}")
         else:
-            c = casimir(n, alg).polynomial
             rows = [p.terms for p in sol.basis]
-            contains = rank_rational(rows) == rank_rational(rows + [c.terms])
+            contains = rank_rational(rows) == \
+                rank_rational(rows + [cas.polynomial.terms])
             if not contains:
                 fails.append(
                     "the degree-n invariant is outside the ansatz span")

@@ -40,9 +40,8 @@ from .reports import Report
 SCHEMA_VERSION = 2
 
 # Highest level `rank` and `dump-rep` take.  Their matrices have about n^4
-# entries: at level 40, `rank` takes about 2 s and `dump-rep --format json`
-# about 7 s with a peak RSS of about 530 MB, and at level 60 these are
-# 8.5 s and 38 s with 2.6 GB.
+# entries: at level 40, `rank` takes about 0.1 s and `dump-rep --format
+# json` about 2.4 s with a peak RSS of about 62 MB on a 2-core x86-64 host.
 MAX_MATRIX_N = 40
 
 
@@ -217,7 +216,8 @@ def _out_file(path: str, newline: str | None = None):
 def _report(cfg: RunConfig):
     """Open `--out` (or take stdout) and yield ``emit(payload, text)``,
     which writes the JSON payload or the text report there; `payload` and
-    `text` are callables, so only the printed one is built.
+    `text` are callables, so only the printed one is built, and `text`
+    returns an iterable of lines, each written as it comes with a newline.
 
     A command enters this after validating its arguments and before
     computing, so a bad path fails at once and a refusal leaves an
@@ -230,8 +230,7 @@ def _report(cfg: RunConfig):
             if cfg.fmt == "json":
                 _write_json(payload(), fh.write)
                 return
-            body = text()
-            fh.write(body if body.endswith("\n") else body + "\n")
+            fh.writelines(line + "\n" for line in text())
 
         yield emit
 
@@ -243,7 +242,7 @@ def cmd_casimir(args) -> int:
     cfg = _resolve_config(args, need_N=False)
     check_casimir_level(cfg.n)
     with _report(cfg) as emit:
-        result = casimir(cfg.n)
+        result = casimir(build_gn(cfg.n))
         poly, matrix = result.polynomial, result.matrix
 
         def payload() -> dict:
@@ -255,7 +254,7 @@ def cmd_casimir(args) -> int:
                                 for j in range(matrix.cols)]
                                for i in range(matrix.rows)]}
 
-        emit(payload, poly.text)
+        emit(payload, lambda: [poly.text()])
     return 0
 
 
@@ -271,19 +270,18 @@ def _wrap_independence(ctx: PhaseContext, seed: int) -> Report:
 
 def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
                     sweep: int) -> list[Report]:
-    n = cfg.n
     alg = ctx.algebra
 
-    reports = [check_jacobi(n, alg)]
-    if n >= 3:
-        reports += [check_subalgebra_chain(n, alg), check_levi(n, alg)]
-    reports.append(check_structure(n, alg))
+    reports = [check_jacobi(alg)]
+    if alg.n >= 3:
+        reports += [check_subalgebra_chain(alg), check_levi(alg)]
+    reports.append(check_structure(alg))
 
-    faithful = check_homomorphism(build_faithful_rep(n, alg), n, alg)
+    faithful = check_homomorphism(build_faithful_rep(alg))
     if faithful.data["kernel_dim"] != 0:
         faithful.failures.append("faithful representation has a kernel")
-    quotient = check_homomorphism(build_quotient_rep(n, alg), n, alg)
-    if quotient.data["kernel_dim"] != triangular(n - 2):
+    quotient = check_homomorphism(build_quotient_rep(alg))
+    if quotient.data["kernel_dim"] != triangular(alg.n - 2):
         quotient.failures.append(
             "quotient kernel dimension is not the centre's")
     if not quotient.data["kernel_in_centre"]:
@@ -291,11 +289,11 @@ def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
     reports += [faithful, quotient]
 
     return reports + [
-        check_field_homomorphism(n, alg),
-        verify_annihilation(n, alg),
-        verify_intertwining(n, alg),
-        check_grading(n, alg),
-        check_uniqueness(n, max_degree=sweep, algebra=alg),
+        check_field_homomorphism(alg),
+        verify_annihilation(ctx.casimir),
+        verify_intertwining(ctx.casimir),
+        check_grading(ctx.casimir),
+        check_uniqueness(ctx.casimir, sweep),
         check_realization_homomorphism(ctx),
         check_route_equivalence(ctx),
         check_vanishing(ctx),
@@ -325,11 +323,10 @@ def cmd_verify(args) -> int:
                     "checks": [r.to_dict() for r in reports],
                     "passed": passed}
 
-        def text() -> str:
-            lines = [f"verify n={cfg.n} N={cfg.N} seed={cfg.seed}"]
-            lines += [f"  {r}" for r in reports]
-            lines.append("all checks passed" if passed else "FAILED")
-            return "\n".join(lines)
+        def text():
+            yield f"verify n={cfg.n} N={cfg.N} seed={cfg.seed}"
+            yield from (f"  {r}" for r in reports)
+            yield "all checks passed" if passed else "FAILED"
 
         emit(payload, text)
     return 0 if passed else 1
@@ -353,13 +350,11 @@ def cmd_integrals(args) -> int:
                                      for m, p in members.items()]
                               for side, members in sets.items()}}
 
-        def text() -> str:
-            lines = []
+        def text():
             for side, members in sets.items():
                 for m, p in members.items():
                     a, b = window(side, m, cfg.N)
-                    lines.append(f"{side} m={m} sites=[{a},{b}]: {p.text()}")
-            return "\n".join(lines)
+                    yield f"{side} m={m} sites=[{a},{b}]: {p.text()}"
 
         emit(payload, text)
     return 0
@@ -477,8 +472,8 @@ def cmd_dump_rep(args) -> int:
     _check_matrix_level(cfg)
     with _report(cfg) as emit:
         alg = build_gn(cfg.n)
-        rep = build_quotient_rep(cfg.n, alg) if args.quotient else \
-            build_faithful_rep(cfg.n, alg)
+        rep = build_quotient_rep(alg) if args.quotient else \
+            build_faithful_rep(alg)
         images = [{"generator": g.name, "matrix": rep.of(g)}
                   for g in alg.basis.order]
 
@@ -486,13 +481,11 @@ def cmd_dump_rep(args) -> int:
             return {**_header(cfg), "representation": rep.name,
                     "size": rep.size, "images": images}
 
-        def text() -> str:
-            lines = []
+        def text():
             for img in images:
-                lines.append(img["generator"])
+                yield img["generator"]
                 for row in img["matrix"]:
-                    lines.append("  " + " ".join(f"{v:3d}" for v in row))
-            return "\n".join(lines)
+                    yield "  " + " ".join(f"{v:3d}" for v in row)
 
         emit(payload, text)
     return 0
@@ -502,12 +495,12 @@ def cmd_rank(args) -> int:
     cfg = _resolve_config(args, need_N=False)
     _check_matrix_level(cfg)
     with _report(cfg) as emit:
-        bb = beltrametti_blasi(cfg.n)
+        bb = beltrametti_blasi(build_gn(cfg.n))
         emit(lambda: {**_header(cfg), "dim": triangular(cfg.n),
                       "rank": bb.rank,
                       "rank_upper_bound": bb.rank_upper_bound, "nu": bb.nu},
-             lambda: f"rank {bb.rank} (upper bound {bb.rank_upper_bound}), "
-                     f"nu {bb.nu}")
+             lambda: [f"rank {bb.rank} (upper bound {bb.rank_upper_bound}), "
+                      f"nu {bb.nu}"])
     return 0 if bb.rank == bb.rank_upper_bound else 1
 
 
@@ -515,18 +508,17 @@ def cmd_ansatz(args) -> int:
     cfg = _resolve_config(args, need_N=False)
     ansatz_monomials(cfg.n, args.degree, args.budget)
     with _report(cfg) as emit:
-        sol = solve_ansatz(cfg.n, args.degree, budget=args.budget)
+        sol = solve_ansatz(build_gn(cfg.n), args.degree, args.budget)
 
         def payload() -> dict:
             return {**_header(cfg), "degree": sol.degree,
                     "monomials": sol.monomials, "dimension": sol.dimension,
                     "basis": sol.basis}
 
-        def text() -> str:
-            lines = [f"degree {sol.degree}: {sol.dimension} solution(s) "
-                     f"over {sol.monomials} monomials"]
-            lines += [f"  {p.text()}" for p in sol.basis]
-            return "\n".join(lines)
+        def text():
+            yield (f"degree {sol.degree}: {sol.dimension} solution(s) "
+                   f"over {sol.monomials} monomials")
+            yield from (f"  {p.text()}" for p in sol.basis)
 
         emit(payload, text)
     return 0

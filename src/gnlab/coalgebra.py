@@ -25,10 +25,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import Generator, X_MINUS, X_PLUS, build_gn
-from .casimir import casimir
+from .casimir import CasimirResult, casimir
 from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, derive, det,
                    poly_sum, rank_rational, variable_mask)
 from .reports import Report
@@ -54,7 +55,7 @@ class PhaseContext:
     then q1, p1, q2, p2, ..., so invariants built here substitute directly.
     """
 
-    def __init__(self, n: int, N: int, alpha_rows=None, alpha_seed=None):
+    def __init__(self, n: int, N: int, alpha_rows=None):
         if N < 1:
             raise ValueError("at least one degree of freedom is required")
         registry = VarRegistry()
@@ -79,8 +80,6 @@ class PhaseContext:
                 raise ValueError(f"parameter row {i} must have length {N}")
             rows[i] = row
         self.alpha_rows = rows
-        self.alpha_seed = alpha_seed
-        self._casimir: Polynomial | None = None
         # memoised window images by (side, m) and integrals by side
         self._images: dict[tuple[str, int], dict[VarId, Polynomial]] = {}
         self._integrals: dict[str, dict[int, Polynomial]] = {}
@@ -88,12 +87,12 @@ class PhaseContext:
     @classmethod
     def seeded(cls, n: int, N: int, alpha_seed: int = 1) -> "PhaseContext":
         """Deterministic nonzero integer parameters in [-9, 9] drawn from
-        the seed; the seed is recorded for echoing in reports."""
+        the seed."""
         rng = random.Random(alpha_seed)
         rows = {i: [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
                     for _ in range(N)]
                 for i in range(1, n - 1)}
-        return cls(n, N, rows, alpha_seed=alpha_seed)
+        return cls(n, N, rows)
 
     # ------------------------------------------------------------------
     def alpha(self, i: int, k: int) -> Fraction:
@@ -125,11 +124,10 @@ class PhaseContext:
             names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
             raise ValueError(f"non-phase variables present: {names}")
 
-    @property
-    def casimir_polynomial(self) -> Polynomial:
-        if self._casimir is None:
-            self._casimir = casimir(self.n, self.algebra).polynomial
-        return self._casimir
+    @cached_property
+    def casimir(self) -> CasimirResult:
+        """C_n of this context's algebra, built on first use."""
+        return casimir(self.algebra)
 
     # ------------------------------------------------------------------
     def realize(self, g: Generator, side: str = "left",
@@ -212,7 +210,7 @@ def canonical_bracket(ctx: PhaseContext, f: Polynomial,
 def integrals_via_coproduct(ctx: PhaseContext, side: str, m: int) -> Polynomial:
     """Window-m conserved quantity: the invariant with every generator
     replaced by its window realisation."""
-    return ctx.casimir_polynomial.substitute(ctx.realization_images(side, m))
+    return ctx.casimir.polynomial.substitute(ctx.realization_images(side, m))
 
 
 def building_block(ctx: PhaseContext, indices) -> Polynomial:
@@ -314,7 +312,9 @@ def check_route_equivalence(ctx: PhaseContext) -> Report:
 
 def check_vanishing(ctx: PhaseContext) -> Report:
     """Below the threshold window m = n the realised invariant is
-    identically zero; at m = n it is not (for generic parameters)."""
+    identically zero; at m = n it is not (for generic parameters).  The
+    threshold value is read from the sum-of-squares route, which
+    `check_route_equivalence` compares with the substitution."""
     fails: list[str] = []
     for side in ("left", "right"):
         for m in range(1, min(ctx.n, ctx.N + 1)):
@@ -323,9 +323,8 @@ def check_vanishing(ctx: PhaseContext) -> Report:
                 fails.append(f"nonzero below threshold: side={side}, m={m}")
     threshold_nonzero = None
     if ctx.N >= ctx.n:
-        threshold_nonzero = all(
-            not integrals_via_coproduct(ctx, side, ctx.n).is_zero
-            for side in ("left", "right"))
+        threshold_nonzero = all(not integral_set(ctx, side)[ctx.n].is_zero
+                                for side in ("left", "right"))
         if not threshold_nonzero:
             fails.append("vanishes at the threshold window m = n")
     return Report("vanishing",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import Generator, GnAlgebra, build_gn
+from .algebra import Generator, GnAlgebra
 from .poly import Polynomial, VarId, derive, sparse_nullspace
 from .reports import Report
 
@@ -45,8 +45,8 @@ def _matrix(size: int, cells: dict[tuple[int, int], int]) -> list[list[int]]:
     return rows
 
 
-def build_faithful_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
-    alg = algebra or build_gn(n)
+def build_faithful_rep(alg: GnAlgebra) -> MatrixRep:
+    n = alg.n
     size = 2 * (n - 1)
     image: dict[Generator, list[list[int]]] = {}
     for g in alg.basis.order:
@@ -75,9 +75,8 @@ def build_faithful_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
     return MatrixRep("faithful", size, image, alg)
 
 
-def build_quotient_rep(n: int, algebra: GnAlgebra | None = None) -> MatrixRep:
-    alg = algebra or build_gn(n)
-    size = n
+def build_quotient_rep(alg: GnAlgebra) -> MatrixRep:
+    n = size = alg.n
     image: dict[Generator, list[list[int]]] = {}
     for g in alg.basis.order:
         cells: dict[tuple[int, int], int] = {}
@@ -105,8 +104,7 @@ def _add_product(acc: dict, a: list[dict], b: list[dict], scale) -> None:
                 acc[i, j] = get((i, j), 0) + scale * x * y
 
 
-def check_homomorphism(rep: MatrixRep, n: int,
-                       algebra: GnAlgebra | None = None) -> Report:
+def check_homomorphism(rep: MatrixRep) -> Report:
     """Pairwise commutator test plus kernel extraction.
 
     Each image is read once as a sparse matrix of its nonzero entries,
@@ -114,7 +112,7 @@ def check_homomorphism(rep: MatrixRep, n: int,
     The kernel of the linear map generator -> matrix is computed exactly;
     the report records its dimension and whether it sits inside the centre.
     """
-    alg = algebra or rep.algebra
+    alg = rep.algebra
     order = alg.basis.order
     brackets = alg.constants.brackets
     mats = [rep.of(g) for g in order]
@@ -143,7 +141,7 @@ def check_homomorphism(rep: MatrixRep, n: int,
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
     in_centre = all(not (vec.keys() - z_positions) for vec in kernel)
     return Report(f"{rep.name}_representation",
-                  {"n": n, "size": rep.size, "pairs": pairs,
+                  {"n": alg.n, "size": rep.size, "pairs": pairs,
                    "kernel_dim": len(kernel), "kernel_in_centre": in_centre},
                   fails)
 
@@ -172,11 +170,9 @@ class CoadjointField:
                                              self.terms, self.degree))
 
 
-def build_coadjoint(n: int,
-                    algebra: GnAlgebra | None = None) -> tuple[CoadjointField, ...]:
+def build_coadjoint(alg: GnAlgebra) -> tuple[CoadjointField, ...]:
     """One vector field per generator, in canonical order; central
     generators yield the zero field."""
-    alg = algebra or build_gn(n)
     order = alg.basis.order
     var_ids = [alg.basis.var(g) for g in order]
     return tuple(
@@ -185,14 +181,12 @@ def build_coadjoint(n: int,
         for g, row in zip(order, alg.constants.brackets))
 
 
-def check_field_homomorphism(n: int,
-                             algebra: GnAlgebra | None = None) -> Report:
+def check_field_homomorphism(alg: GnAlgebra) -> Report:
     """Commutator of coadjoint fields equals the field of the bracket: for
     [a, b] = sum_k c_k g_k and every variable v, the coefficient of
     [X_a, X_b] on v, X_a(X_b^v) - X_b(X_a^v), is sum_k c_k X_k^v.  Worked
     on the term dicts of the built fields, with `derive` as in `apply`."""
-    alg = algebra or build_gn(n)
-    fields = build_coadjoint(n, alg)
+    fields = build_coadjoint(alg)
     brackets = alg.constants.brackets
     fails: list[str] = []
     pairs = 0
@@ -213,4 +207,4 @@ def check_field_homomorphism(n: int,
                 fails.append(
                     f"field commutator ({fa.source.name}, {fb.source.name}) "
                     f"differs on {alg.registry.name_of(v)}")
-    return Report("coadjoint_fields", {"n": n, "pairs": pairs}, fails)
+    return Report("coadjoint_fields", {"n": alg.n, "pairs": pairs}, fails)

@@ -11,7 +11,7 @@ so it shares no code path with the library's memoized first-row expansion.
 import json
 from fractions import Fraction
 
-from gnlab import GnAlgebra, Polynomial, PolyMatrix, VarRegistry, build_gn
+from gnlab import GnAlgebra, Polynomial, PolyMatrix, VarRegistry
 from gnlab.poly import exponents, monomial, poly_sum
 
 
@@ -60,10 +60,9 @@ def lie_poisson(alg: GnAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     return poly_sum(reg, products)
 
 
-def commutator_matrix(n: int, algebra: GnAlgebra | None = None) -> PolyMatrix:
+def commutator_matrix(alg: GnAlgebra) -> PolyMatrix:
     """The antisymmetric matrix A_ab = [g_a, g_b] of the bracket table, its
     entries linear polynomials."""
-    alg = algebra or build_gn(n)
     order = alg.basis.order
     return PolyMatrix.from_rows(
         [[alg.constants.of(a, b) for b in order] for a in order])

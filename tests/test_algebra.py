@@ -99,39 +99,39 @@ def test_bracket_jacobi_on_polynomials():
 
 def test_jacobi_check():
     for n in (2, 4):
-        rep = check_jacobi(n)
+        rep = check_jacobi(build_gn(n))
         assert rep.passed
         assert rep.data["triples"] == \
             triangular(n) * (triangular(n) - 1) * (triangular(n) - 2) // 6
 
 
 def test_subalgebra_chain():
-    assert check_subalgebra_chain(5).passed
+    assert check_subalgebra_chain(build_gn(5)).passed
     assert ideal_complement(3) == (y_minus(1), y_plus(1), central(1, 1))
     assert ideal_complement(4) == \
         (y_minus(2), y_plus(2), central(1, 2), central(2, 2))
     with pytest.raises(ValueError):
-        check_subalgebra_chain(2)
+        check_subalgebra_chain(build_gn(2))
     with pytest.raises(ValueError):
         ideal_complement(2)
 
 
 def test_levi_split():
     for n in (3, 4):
-        rep = check_levi(n)
+        rep = check_levi(build_gn(n))
         assert rep.passed
         assert rep.data["radical_dim"] == triangular(n) - 3
     with pytest.raises(ValueError):
-        check_levi(2)
+        check_levi(build_gn(2))
 
 
 def test_centre():
     for n, want in ((2, 0), (3, 1), (4, 3), (5, 6)):
-        assert len(compute_centre(n)) == want == triangular(n - 2)
+        assert len(compute_centre(build_gn(n))) == want == triangular(n - 2)
     # centre vectors live on the z coordinates only
     alg = build_gn(4)
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
-    for vec in compute_centre(4, alg):
+    for vec in compute_centre(alg):
         assert vec.keys() <= z_positions
 
 
@@ -145,11 +145,11 @@ def test_commutator_matrix_level2():
         [2 * xm, zero, -h],
         [-2 * xp, h, zero],
     ])
-    assert commutator_matrix(2, alg).entries == want.entries
+    assert commutator_matrix(alg).entries == want.entries
 
 
 def test_commutator_matrix_antisymmetric():
-    m = commutator_matrix(4)
+    m = commutator_matrix(build_gn(4))
     assert all(m.at(i, j) == -m.at(j, i)
                for i in range(m.rows) for j in range(m.cols))
 
@@ -158,7 +158,7 @@ def test_invariant_count():
     """Both bounds of the commutator rank are 2(n-1), so the rank is
     certified."""
     for n in range(2, 11):
-        bb = beltrametti_blasi(n)
+        bb = beltrametti_blasi(build_gn(n))
         assert bb.rank == bb.rank_upper_bound == 2 * (n - 1)
         assert bb.nu == triangular(n - 2) + 1
 
@@ -170,11 +170,11 @@ def test_certified_rank_matches_rational_function_rank(n):
     sympy)."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
-    m = commutator_matrix(n)
+    m = commutator_matrix(build_gn(n))
     exact = DomainMatrix.from_Matrix(sympy.Matrix(
         [[sympy.sympify(e.text().replace("^", "**")) for e in m.row(i)]
          for i in range(m.rows)])).to_field().rank()
-    bb = beltrametti_blasi(n)
+    bb = beltrametti_blasi(build_gn(n))
     assert bb.rank == bb.rank_upper_bound == exact
 
 
@@ -184,9 +184,9 @@ def test_structure_fails_when_the_rank_bounds_differ(monkeypatch):
     algebra = importlib.import_module("gnlab.algebra")
     exact = algebra.rank_rational
     monkeypatch.setattr(algebra, "rank_rational", lambda rows: exact(rows) - 2)
-    bb = beltrametti_blasi(3)
+    bb = beltrametti_blasi(build_gn(3))
     assert (bb.rank, bb.rank_upper_bound) == (2, 4)
-    rep = check_structure(3)
+    rep = check_structure(build_gn(3))
     assert rep.failures == [
         "commutator rank not certified: specialised rank 2 below the upper "
         "bound 4", "commutator rank 2 != 4", "invariant count 4 != 2"]
@@ -199,12 +199,12 @@ def test_rank_upper_bound_is_not_rounded_without_antisymmetry():
     the count of nonzero rows, 3, not 2."""
     alg = build_gn(2)
     del alg.constants.brackets[alg.basis.index(H)][alg.basis.index(X_MINUS)]
-    bb = beltrametti_blasi(2, alg)
+    bb = beltrametti_blasi(alg)
     assert (bb.rank, bb.rank_upper_bound) == (3, 3)
 
 
 def test_structure_report():
-    rep = check_structure(3)
+    rep = check_structure(build_gn(3))
     assert rep.passed
     assert rep.data["dim"] == 6
     assert rep.data["centre_dim"] == 1

@@ -16,8 +16,8 @@ import pytest
 from conftest import commutator_matrix, lie_poisson
 from gnlab import (InvariantCount, Report, beltrametti_blasi,
                    build_coadjoint, build_faithful_rep, build_gn,
-                   build_quotient_rep, canonical_order, casimir_matrix,
-                   check_field_homomorphism, check_grading,
+                   build_quotient_rep, canonical_order, casimir,
+                   casimir_matrix, check_field_homomorphism, check_grading,
                    check_homomorphism, check_jacobi, check_levi,
                    check_structure, check_subalgebra_chain, compute_centre,
                    ideal_complement, rank_rational, sparse_nullspace,
@@ -31,7 +31,7 @@ from gnlab.representations import _add_product
 # oracles: the checks on polynomial brackets
 
 
-def jacobi_oracle(n, alg):
+def jacobi_oracle(alg):
     P = alg.basis.poly
     fails = []
     count = 0
@@ -44,14 +44,15 @@ def jacobi_oracle(n, alg):
         if not jac.is_zero:
             fails.append(
                 f"jacobiator of ({a.name}, {b.name}, {c.name}) = {jac}")
-    return Report("jacobi", {"n": n, "triples": count}, fails)
+    return Report("jacobi", {"n": alg.n, "triples": count}, fails)
 
 
 def _span(alg, gens):
     return frozenset(alg.basis.var(g).index for g in gens)
 
 
-def subalgebra_chain_oracle(n, alg):
+def subalgebra_chain_oracle(alg):
+    n = alg.n
     P = alg.basis.poly
     fails = []
     sub_pairs = 0
@@ -77,7 +78,7 @@ def subalgebra_chain_oracle(n, alg):
                    "ideal_pairs": ideal_pairs}, fails)
 
 
-def levi_oracle(n, alg):
+def levi_oracle(alg):
     P = alg.basis.poly
     c = alg.constants
     fails = []
@@ -101,10 +102,11 @@ def levi_oracle(n, alg):
         for e in radical:
             if not lie_poisson(alg, br, P(e)).is_zero:
                 fails.append(f"[[{a.name},{b.name}],{e.name}] != 0")
-    return Report("levi_split", {"n": n, "radical_dim": len(radical)}, fails)
+    return Report("levi_split", {"n": alg.n, "radical_dim": len(radical)},
+                  fails)
 
 
-def centre_oracle(n, alg):
+def centre_oracle(alg):
     order = alg.basis.order
     rows = ({i: alg.constants.of(gi, gj).coefficient({gk.name: 1})
              for i, gi in enumerate(order)}
@@ -112,8 +114,8 @@ def centre_oracle(n, alg):
     return sparse_nullspace(rows, len(order))
 
 
-def beltrametti_blasi_oracle(n, alg):
-    A = commutator_matrix(n, alg)
+def beltrametti_blasi_oracle(alg):
+    A = commutator_matrix(alg)
     point = {}
     for g in alg.basis.order:
         if g.kind == "z":
@@ -138,7 +140,8 @@ def _bracket_parts(alg, a, b):
             if (c := br.coefficient({g.name: 1}))]
 
 
-def homomorphism_oracle(rep, n, alg):
+def homomorphism_oracle(rep):
+    alg = rep.algebra
     order = alg.basis.order
     mats = [rep.of(g) for g in order]
     sparse = {g: [{j: v for j, v in enumerate(row) if v} for row in m]
@@ -165,13 +168,13 @@ def homomorphism_oracle(rep, n, alg):
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
     in_centre = all(not (vec.keys() - z_positions) for vec in kernel)
     return Report(f"{rep.name}_representation",
-                  {"n": n, "size": rep.size, "pairs": pairs,
+                  {"n": alg.n, "size": rep.size, "pairs": pairs,
                    "kernel_dim": len(kernel), "kernel_in_centre": in_centre},
                   fails)
 
 
-def field_homomorphism_oracle(n, alg):
-    fields = build_coadjoint(n, alg)
+def field_homomorphism_oracle(alg):
+    fields = build_coadjoint(alg)
     by_gen = {f.source: f for f in fields}
     zero = alg.registry.zero()
     var_ids = [alg.basis.var(g) for g in alg.basis.order]
@@ -189,12 +192,13 @@ def field_homomorphism_oracle(n, alg):
                 fails.append(
                     f"field commutator ({fa.source.name}, {fb.source.name}) "
                     f"differs on {v.name}")
-    return Report("coadjoint_fields", {"n": n, "pairs": pairs}, fails)
+    return Report("coadjoint_fields", {"n": alg.n, "pairs": pairs}, fails)
 
 
-def intertwining_oracle(n, alg):
-    m = casimir_matrix(n, alg)
-    quotient = build_quotient_rep(n, alg)
+def intertwining_oracle(alg):
+    n = alg.n
+    m = casimir_matrix(alg)
+    quotient = build_quotient_rep(alg)
     fails = []
     for g in alg.basis.order:
         pg = alg.basis.poly(g)
@@ -209,7 +213,7 @@ def intertwining_oracle(n, alg):
     return Report("intertwining", {"n": n, "generators": alg.basis.dim}, fails)
 
 
-def grading_oracle(n, alg):
+def grading_oracle(alg):
     """The bracket half of `check_grading`, every generator pair's
     polynomial bracket tested monomial by monomial."""
     grading = _grading(alg)
@@ -218,7 +222,7 @@ def grading_oracle(n, alg):
         want = tuple(map(sum, zip(grading[alg.basis.var(a).index],
                                   grading[alg.basis.var(b).index])))
         for mono in alg.constants.of(a, b).terms:
-            if _grade_of(grading, mono, n - 1) != want:
+            if _grade_of(grading, mono, alg.n - 1) != want:
                 fails.append(f"[{a.name},{b.name}] is not of grade {want}")
                 break
     return fails
@@ -231,22 +235,22 @@ def grading_oracle(n, alg):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_table_checks_equal_their_oracles(n):
     alg = build_gn(n)
-    assert check_jacobi(n, alg) == jacobi_oracle(n, alg)
+    assert check_jacobi(alg) == jacobi_oracle(alg)
     if n >= 3:
-        assert check_subalgebra_chain(n, alg) == \
-            subalgebra_chain_oracle(n, alg)
-        assert check_levi(n, alg) == levi_oracle(n, alg)
-    centre = compute_centre(n, alg)
-    assert centre == centre_oracle(n, alg)
+        assert check_subalgebra_chain(alg) == \
+            subalgebra_chain_oracle(alg)
+        assert check_levi(alg) == levi_oracle(alg)
+    centre = compute_centre(alg)
+    assert centre == centre_oracle(alg)
     assert len(centre) == triangular(n - 2)
-    assert beltrametti_blasi(n, alg) == beltrametti_blasi_oracle(n, alg)
-    for rep in (build_faithful_rep(n, alg), build_quotient_rep(n, alg)):
-        assert check_homomorphism(rep, n, alg) == \
-            homomorphism_oracle(rep, n, alg)
-    assert check_field_homomorphism(n, alg) == \
-        field_homomorphism_oracle(n, alg)
-    assert verify_intertwining(n, alg) == intertwining_oracle(n, alg)
-    assert check_grading(n, alg).failures == grading_oracle(n, alg) == []
+    assert beltrametti_blasi(alg) == beltrametti_blasi_oracle(alg)
+    for rep in (build_faithful_rep(alg), build_quotient_rep(alg)):
+        assert check_homomorphism(rep) == \
+            homomorphism_oracle(rep)
+    assert check_field_homomorphism(alg) == \
+        field_homomorphism_oracle(alg)
+    assert verify_intertwining(casimir(alg)) == intertwining_oracle(alg)
+    assert check_grading(casimir(alg)).failures == grading_oracle(alg) == []
 
 
 # ----------------------------------------------------------------------
@@ -270,50 +274,50 @@ def test_jacobi_levi_and_fields_fail_on_a_noncentral_ladder_bracket():
     nilpotent ([[y1-, y1+], y1-] = -[h, y1-] = y1-); and the fields of
     x+, y1- and y1+ stop being a homomorphic image."""
     alg = perturbed(4, y_plus(1), y_minus(1), {central(1, 1): 1, H: 1})
-    report = check_jacobi(4, alg)
+    report = check_jacobi(alg)
     assert not report.passed
     assert "jacobiator of (xp, y1m, y1p) = -2*xp" in report.failures
-    assert report == jacobi_oracle(4, alg)
-    levi = check_levi(4, alg)
+    assert report == jacobi_oracle(alg)
+    levi = check_levi(alg)
     assert {"[y1m,y1p] is not central",
             "[[y1m,y1p],y1m] != 0"} <= set(levi.failures)
-    assert levi == levi_oracle(4, alg)
-    fields = check_field_homomorphism(4, alg)
+    assert levi == levi_oracle(alg)
+    fields = check_field_homomorphism(alg)
     assert not fields.passed
-    assert fields == field_homomorphism_oracle(4, alg)
+    assert fields == field_homomorphism_oracle(alg)
 
 
 def test_chain_and_levi_fail_when_h_moves_x_plus_out_of_sl2():
     """[h, x+] = 2 x+ + y1+ leaves the level-2 span and breaks the sl2
     relations of the Levi factor."""
     alg = perturbed(4, H, X_PLUS, {X_PLUS: 2, y_plus(1): 1})
-    chain = check_subalgebra_chain(4, alg)
+    chain = check_subalgebra_chain(alg)
     assert "[h,xp] leaves the level-2 span" in chain.failures
-    assert chain == subalgebra_chain_oracle(4, alg)
-    levi = check_levi(4, alg)
+    assert chain == subalgebra_chain_oracle(alg)
+    levi = check_levi(alg)
     assert "[h, x+] != 2 x+" in levi.failures
-    assert levi == levi_oracle(4, alg)
+    assert levi == levi_oracle(alg)
 
 
 def test_centre_shrinks_when_a_central_element_acts():
     """[z11, x+] = x+ takes z11 out of the centre: the centre has dimension
     T(2) - 1 = 2 by both routes, and the structure check fails on it."""
     alg = perturbed(4, central(1, 1), X_PLUS, {X_PLUS: 1})
-    centre = compute_centre(4, alg)
-    assert centre == centre_oracle(4, alg)
+    centre = compute_centre(alg)
+    assert centre == centre_oracle(alg)
     assert len(centre) == 2
-    assert beltrametti_blasi(4, alg) == beltrametti_blasi_oracle(4, alg)
-    assert "centre dimension 2 != 3" in check_structure(4, alg).failures
+    assert beltrametti_blasi(alg) == beltrametti_blasi_oracle(alg)
+    assert "centre dimension 2 != 3" in check_structure(alg).failures
 
 
 def test_representations_fail_on_a_rescaled_sl2_bracket():
     """[x+, x-] = 2 h: the faithful images still commute to h, and the
     bracket action on the Casimir matrix no longer intertwines."""
     alg = perturbed(4, X_PLUS, X_MINUS, {H: 2})
-    rep = build_faithful_rep(4, alg)
-    report = check_homomorphism(rep, 4, alg)
+    rep = build_faithful_rep(alg)
+    report = check_homomorphism(rep)
     assert "commutator mismatch on (xm, xp)" in report.failures
-    assert report == homomorphism_oracle(rep, 4, alg)
-    twined = verify_intertwining(4, alg)
+    assert report == homomorphism_oracle(rep)
+    twined = verify_intertwining(casimir(alg))
     assert not twined.passed
-    assert twined == intertwining_oracle(4, alg)
+    assert twined == intertwining_oracle(alg)

@@ -30,7 +30,7 @@ def test_matrix_level2():
     alg = build_gn(2)
     P = alg.basis.poly
     h, xm, xp = P(H), P(X_MINUS), P(X_PLUS)
-    assert casimir_matrix(2, alg).entries == PolyMatrix.from_rows(
+    assert casimir_matrix(alg).entries == PolyMatrix.from_rows(
         [[-2 * xm, h], [h, 2 * xp]]).entries
 
 
@@ -42,14 +42,14 @@ def test_matrix_level3():
         [-P(y_minus(1)), -2 * P(X_MINUS), P(H)],
         [P(y_plus(1)), P(H), 2 * P(X_PLUS)],
     ])
-    got = casimir_matrix(3, alg)
+    got = casimir_matrix(alg)
     assert got.entries == want.entries
     assert all(got.at(i, j) == got.at(j, i)
                for i in range(3) for j in range(3))
 
 
 def test_invariant_level2():
-    result = casimir(2)
+    result = casimir(build_gn(2))
     alg_reg = result.polynomial.registry
     P = alg_reg.poly
     assert result.polynomial == P("h") ** 2 + 4 * P("xp") * P("xm")
@@ -58,7 +58,7 @@ def test_invariant_level2():
 
 
 def test_invariant_level3_coefficients():
-    c = casimir(3).polynomial
+    c = casimir(build_gn(3)).polynomial
     assert len(c.terms) == 5
     assert c.coefficient({"z1_1": 1, "h": 2}) == 1
     assert c.coefficient({"z1_1": 1, "xp": 1, "xm": 1}) == 4
@@ -81,8 +81,9 @@ CANONICAL_JSON_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(CANONICAL_JSON_SHA256))
 def test_canonical_json_golden(n):
-    text = json.dumps(json.loads(poly_json(casimir(n).polynomial)),
-                      sort_keys=True, separators=(",", ":"))
+    c = casimir(build_gn(n)).polynomial
+    text = json.dumps(json.loads(poly_json(c)), sort_keys=True,
+                      separators=(",", ":"))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == CANONICAL_JSON_SHA256[n]
 
@@ -100,7 +101,7 @@ def test_invariant_level4_against_cofactor_oracle():
         [P(y_plus(1)), P(y_plus(2)), P(H), 2 * P(X_PLUS)],
     ]
     want = -cofactor_det(rows)
-    got = casimir(4, alg).polynomial
+    got = casimir(alg).polynomial
     assert got == want
     # numeric spot check at a pinned rational point
     point = {"h": 3, "xm": Fraction(-1, 2), "xp": 2,
@@ -111,8 +112,9 @@ def test_invariant_level4_against_cofactor_oracle():
 
 def test_degree_and_grading():
     for n in (2, 3, 4, 5):
-        assert casimir(n).degree == n
-        assert check_grading(n).passed
+        cas = casimir(build_gn(n))
+        assert cas.degree == n
+        assert check_grading(cas).passed
 
 
 def test_casimir_refuses_levels_above_the_limit(monkeypatch):
@@ -123,7 +125,7 @@ def test_casimir_refuses_levels_above_the_limit(monkeypatch):
     monkeypatch.setattr(casimir_module, "det", no_expansion)
     n = casimir_module.MAX_CASIMIR_N + 1
     with pytest.raises(BudgetExceeded, match=f"levels above {n - 1} "):
-        casimir(n)
+        casimir(build_gn(n))
 
 
 def test_grading_check_catches_a_wrong_grade(monkeypatch):
@@ -136,7 +138,7 @@ def test_grading_check_catches_a_wrong_grade(monkeypatch):
         return grading
 
     monkeypatch.setattr(casimir_module, "_grading", corrupt)
-    rep = check_grading(3)
+    rep = check_grading(casimir(build_gn(3)))
     assert not rep.passed
     # [x-, y1p] = y1m now sums to weight 0 but y1m has weight -1
     assert "[xm,y1p] is not of grade (0, 1)" in rep.failures
@@ -145,25 +147,26 @@ def test_grading_check_catches_a_wrong_grade(monkeypatch):
 
 def test_grading_check_catches_an_inhomogeneous_bracket():
     alg = build_gn(3)
-    assert check_grading(3, alg).passed
+    cas = casimir(alg)
+    assert check_grading(cas).passed
     pos = alg.basis.index
     # y1p has grade (1, 1) = grade(x+) + grade(y1m); z1_1 has (0, 2)
     alg.constants.brackets[pos(X_PLUS)][pos(y_minus(1))] = \
         {pos(y_plus(1)): 1, pos(central(1, 1)): 1}
-    rep = check_grading(3, alg)
+    rep = check_grading(cas)
     assert rep.failures == ["[xp,y1m] is not of grade (1, 1)"]
 
 
 def test_annihilation_small_levels():
     for n in (2, 3):
-        rep = verify_annihilation(n)
+        rep = verify_annihilation(casimir(build_gn(n)))
         assert rep.passed
         assert rep.data["fields"] == len(build_gn(n).basis.order)
 
 
 def test_intertwining_small_levels():
     for n in (2, 3):
-        assert verify_intertwining(n).passed
+        assert verify_intertwining(casimir(build_gn(n))).passed
 
 
 def test_intertwining_reports_a_perturbed_quotient(monkeypatch):
@@ -172,8 +175,9 @@ def test_intertwining_reports_a_perturbed_quotient(monkeypatch):
     for that generator alone."""
     exact = casimir_module.build_quotient_rep
 
-    def perturbed(n, alg):
-        rep = exact(n, alg)
+    def perturbed(alg):
+        n = alg.n
+        rep = exact(alg)
         z11 = [[0] * n for _ in range(n)]
         z11[0][0] = 1
         return dataclasses.replace(rep, image={
@@ -181,7 +185,7 @@ def test_intertwining_reports_a_perturbed_quotient(monkeypatch):
             X_PLUS: [[2 * v for v in row] for row in rep.of(X_PLUS)]})
 
     monkeypatch.setattr(casimir_module, "build_quotient_rep", perturbed)
-    assert verify_intertwining(3).failures == [
+    assert verify_intertwining(casimir(build_gn(3))).failures == [
         "intertwining fails for xp", "intertwining fails for z1_1"]
 
 
@@ -191,10 +195,10 @@ def test_intertwining_reports_a_perturbed_quotient(monkeypatch):
 
 def test_ansatz_level2_degree2_rediscovers_the_invariant():
     alg = build_gn(2)
-    sol = solve_ansatz(2, 2, alg)
+    sol = solve_ansatz(alg, 2)
     assert sol.dimension == 1
     found = sol.basis[0]
-    c2 = casimir(2, alg).polynomial
+    c2 = casimir(alg).polynomial
     # equality up to scale: cross-multiply by matching one coefficient
     scale = c2.coefficient({"h": 2}) / found.coefficient({"h": 2})
     assert found * scale == c2
@@ -203,10 +207,10 @@ def test_ansatz_level2_degree2_rediscovers_the_invariant():
 def test_ansatz_level3_low_degrees_are_central():
     alg = build_gn(3)
     z = alg.registry.poly("z1_1")
-    sol1 = solve_ansatz(3, 1, alg)
+    sol1 = solve_ansatz(alg, 1)
     assert sol1.dimension == 1
     assert sol1.basis[0] * (1 / sol1.basis[0].coefficient({"z1_1": 1})) == z
-    sol2 = solve_ansatz(3, 2, alg)
+    sol2 = solve_ansatz(alg, 2)
     assert sol2.dimension == 1
     found = sol2.basis[0]
     assert found * (1 / found.coefficient({"z1_1": 2})) == z * z
@@ -214,9 +218,32 @@ def test_ansatz_level3_low_degrees_are_central():
 
 def test_ansatz_rejects_bad_degree_and_budget():
     with pytest.raises(ValueError):
-        solve_ansatz(2, 0)
+        solve_ansatz(build_gn(2), 0)
     with pytest.raises(BudgetExceeded):
-        solve_ansatz(4, 4, budget=10)
+        solve_ansatz(build_gn(4), 4, budget=10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_weight_zero_count_equals_the_enumeration(n):
+    alg = build_gn(n)
+    grading = casimir_module._grading(alg)
+    for degree in range(1, 6):
+        blocks = casimir_module._weight_zero_blocks(alg, grading, degree)
+        assert casimir_module._weight_zero_count(n, degree) == \
+            sum(map(len, blocks.values()))
+
+
+def test_ansatz_budget_counts_weight_zero_monomials():
+    """The default budget takes (6, 6) and (9, 4), and the count returned is
+    still that of every monomial."""
+    count = casimir_module.ansatz_monomials
+    assert casimir_module._weight_zero_count(6, 6) == 41_034
+    assert casimir_module._weight_zero_count(9, 4) == 60_168
+    assert count(6, 6) == 230_230
+    assert count(9, 4) == 194_580
+    assert count(6, 6, budget=41_034) == 230_230
+    with pytest.raises(BudgetExceeded):
+        count(6, 6, budget=41_033)
 
 
 def _ungraded_ansatz(n, degree):
@@ -233,7 +260,7 @@ def _ungraded_ansatz(n, degree):
         for g in combo:
             p = p * g
         columns.append(p)
-    fields = build_coadjoint(n, alg)
+    fields = build_coadjoint(alg)
     rows = {}
     for col, p in enumerate(columns):
         for fi, field in enumerate(fields):
@@ -271,7 +298,7 @@ def test_weight_zero_columns_keep_the_full_enumeration_order(n):
 @pytest.mark.parametrize("n,degree", [(3, 3), (4, 3), (4, 4), (5, 3)])
 def test_graded_ansatz_matches_ungraded_oracle(n, degree):
     count, want = _ungraded_ansatz(n, degree)
-    sol = solve_ansatz(n, degree)
+    sol = solve_ansatz(build_gn(n), degree)
     assert sol.monomials == count
     assert len(sol.basis) == len(want) > 0
     for got, ref in zip(sol.basis, want):
@@ -290,7 +317,7 @@ def _all_field_ansatz(n, degree):
     for col, mono in columns:
         grade = casimir_module._grade_of(grading, mono, n - 1)
         blocks.setdefault(grade, []).append((col, mono))
-    fields = [(f.terms, f.degree) for f in build_coadjoint(n, alg)
+    fields = [(f.terms, f.degree) for f in build_coadjoint(alg)
               if f.coeffs]
     found = []
     for block in blocks.values():
@@ -320,7 +347,7 @@ def test_generator_rows_match_the_all_field_oracle(monkeypatch, n, degree):
                         no_derive)
     monkeypatch.setattr(importlib.import_module("gnlab.representations"),
                         "derive", no_derive)
-    sol = solve_ansatz(n, degree)
+    sol = solve_ansatz(build_gn(n), degree)
     assert len(sol.basis) == len(want) > 0
     for got, ref in zip(sol.basis, want):
         assert list(got.terms.items()) == list(ref.terms.items())
@@ -336,7 +363,7 @@ def test_generation_check_needs_every_ladder_source(monkeypatch):
     # and solve_ansatz refuses rows from a set that does not generate
     monkeypatch.setattr(casimir_module, "y_minus", lambda i: y_minus(1))
     with pytest.raises(ValueError, match="do not generate g_5"):
-        solve_ansatz(5, 2)
+        solve_ansatz(build_gn(5), 2)
 
 
 @pytest.mark.parametrize("degree", [2, 4])
@@ -344,14 +371,14 @@ def test_uniqueness_fails_when_a_basis_vector_is_dropped(monkeypatch,
                                                          degree):
     real = casimir_module.solve_ansatz
 
-    def drop_first(n, d, *args, **kwargs):
-        sol = real(n, d, *args, **kwargs)
+    def drop_first(alg, d, *args, **kwargs):
+        sol = real(alg, d, *args, **kwargs)
         if d != degree:
             return sol
         return dataclasses.replace(sol, basis=sol.basis[1:])
 
     monkeypatch.setattr(casimir_module, "solve_ansatz", drop_first)
-    rep = check_uniqueness(4, max_degree=4)
+    rep = check_uniqueness(casimir(build_gn(4)), max_degree=4)
     want = {2: 6, 4: 16}[degree]
     assert not rep.passed
     assert rep.data["dimensions"][str(degree)] == want - 1
@@ -360,14 +387,14 @@ def test_uniqueness_fails_when_a_basis_vector_is_dropped(monkeypatch,
 
 
 def test_uniqueness_level3():
-    rep = check_uniqueness(3, max_degree=3)
+    rep = check_uniqueness(casimir(build_gn(3)), max_degree=3)
     assert rep.passed
     assert rep.data["dimensions"] == {"1": 1, "2": 1, "3": 2}
     assert rep.data["contains_casimir"] is True
 
 
 def test_uniqueness_default_stops_below_degree_n():
-    rep = check_uniqueness(3)
+    rep = check_uniqueness(casimir(build_gn(3)))
     assert rep.passed
     assert "contains_casimir" not in rep.data
     assert set(rep.data["dimensions"]) == {"1", "2"}

@@ -64,6 +64,19 @@ OUTPUT_SHA256 = {
         "b0c77bbde7b14196709f3adcd7b8c63b75e9847fff159720e40066429bba11d5",
     "verify --n 6 --format json":
         "2bceb9abd661f98cfe4f3a8ce86eee0a92582c1421ee4b8537fa0e79b401a545",
+    # the text forms, each written line by line
+    "verify --n 4":
+        "5043e2f7558301efdb0f0177971b1301677b4492adf65f71b1cb1538b5ad65ab",
+    "integrals --n 3 --N 5":
+        "1576be48dce78c3ad53a96635723ac08aa7b1e2453b441549f69dc4263403154",
+    "ansatz --n 4 --degree 4":
+        "40241bb4332e7ea191fb6823c183aa861f3f0404c380fcf46fa6592da7b2ab7a",
+    "dump-rep --n 3":
+        "5dd77b65a039a5d57a3b6837cf96afaac7cbc1cbabd3a8b58e887f7b59ac25c5",
+    "dump-rep --n 3 --quotient":
+        "5143bd77400657335c17bacff4b7505ea2798f8d52e8828126a47a9d77a6f03d",
+    "rank --n 5":
+        "5dec2ebf51be14a39433a739a98077f6225b105f2f2c50aa4d2100b3db4e9b28",
 }
 
 
@@ -111,6 +124,26 @@ def test_verify_small(capsys):
             "faithful_representation", "quotient_representation",
             "grading"} <= checks
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_builds_the_casimir_once(monkeypatch):
+    """The four checks that read C_n share the one the context builds."""
+    casimir_module = importlib.import_module("gnlab.casimir")
+    real = casimir_module.casimir
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name in ("gnlab.casimir", "gnlab.coalgebra", "gnlab.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "casimir",
+                            counting)
+    args = cli.build_parser().parse_args(["verify", "--n", "4", "--N", "4"])
+    cfg = cli._resolve_config(args, need_N=True)
+    reports = cli._verify_reports(cfg, cli._context(cfg), 3)
+    assert len(reports) == 16 and all(r.passed for r in reports)
+    assert len(calls) == 1
 
 
 def test_verify_text_lines(capsys):
@@ -333,8 +366,8 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
     for argv, message in ((["casimir", "--n", "11"], "too large"),
                           (["verify", "--n", "8", "--N", "8"], "ceiling"),
                           (["verify", "--n", "4", "--N", "3"], "N must"),
-                          (["verify", "--n", "9", "--ceiling-n", "9"],
-                           "budget"),
+                          (["verify", "--n", "9", "--ceiling-n", "9",
+                            "--max-ansatz-degree", "5"], "budget"),
                           (["integrals", "--n", "4", "--N", "3"], "N must"),
                           (["ansatz", "--n", "4", "--degree", "4",
                             "--budget", "10"], "budget"),
@@ -530,6 +563,21 @@ def test_ansatz_command(capsys):
     code, _, err = run(capsys, "ansatz", "--n", "4", "--degree", "4",
                        "--budget", "10")
     assert code == 2 and "budget" in err
+
+
+def test_ansatz_budget_counts_weight_zero_monomials(capsys):
+    """(6, 6) has 230,230 monomials but builds only the 41,034 of weight 0,
+    which fit the default budget; `monomials` still counts all of them."""
+    code, out, _ = run(capsys, "ansatz", "--n", "6", "--degree", "6",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["monomials"], payload["dimension"]) == (230230, 5006)
+    code, out, err = run(capsys, "ansatz", "--n", "6", "--degree", "6",
+                         "--budget", "41033")
+    assert code == 2 and out == ""
+    assert err == ("error: 41034 weight-0 monomials of degree 6 exceed the "
+                   "budget 41033\n")
 
 
 def test_env_seed_override(capsys, monkeypatch):

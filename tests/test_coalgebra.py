@@ -103,7 +103,7 @@ def test_coproduct_is_primitive_on_generators():
 def test_coproduct_of_level2_invariant():
     alg = build_gn(2)
     space = TensorSpace(alg, 2)
-    c2 = casimir(2, alg).polynomial
+    c2 = casimir(alg).polynomial
     sp = space.site_poly
     one_site = lambda k: sp(H, k) ** 2 + 4 * sp(X_PLUS, k) * sp(X_MINUS, k)
     cross = (2 * sp(H, 1) * sp(H, 2)
@@ -138,7 +138,7 @@ def test_coproduct_is_coassociative():
     rng = random.Random(71)
     names = [g.name for g in alg.basis.order]
     probes = [alg.basis.poly(g) for g in alg.basis.order]
-    probes.append(casimir(3, alg).polynomial)
+    probes.append(casimir(alg).polynomial)
     probes += [random_poly(alg.registry, rng, names, max_terms=2, max_degree=2)
                for _ in range(5)]
     for x in probes:
@@ -306,7 +306,7 @@ def test_route_equivalence_small():
 def test_full_window_integral_is_the_realized_invariant():
     ctx = PhaseContext.seeded(3, 4)
     full = integrals_via_coproduct(ctx, "left", ctx.N)
-    assert full == ctx.realize_poly(ctx.casimir_polynomial)
+    assert full == ctx.realize_poly(ctx.casimir.polynomial)
     assert full == integrals_via_coproduct(ctx, "right", ctx.N)
 
 
@@ -316,6 +316,25 @@ def test_vanishing_below_threshold():
     assert rep.passed
     assert integrals_via_coproduct(ctx, "left", 2).is_zero
     assert not integrals_via_coproduct(ctx, "left", 3).is_zero
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_vanishing_threshold_matches_the_substitution(n):
+    """`check_vanishing` reads the threshold window from the sum-of-squares
+    route; C_n with the window images substituted is its oracle."""
+    ctx = PhaseContext.seeded(n, n)
+    rep = check_vanishing(ctx)
+    assert rep.passed and rep.data["threshold_nonzero"] is True
+    for side in ("left", "right"):
+        assert not integrals_via_coproduct(ctx, side, n).is_zero
+
+
+def test_vanishing_fails_on_a_zero_threshold_integral():
+    ctx = PhaseContext.seeded(3, 4)
+    integral_set(ctx, "right")[3] = ctx.registry.zero()
+    rep = check_vanishing(ctx)
+    assert rep.failures == ["vanishes at the threshold window m = n"]
+    assert rep.data["threshold_nonzero"] is False
 
 
 def test_involution_small():

@@ -16,7 +16,7 @@ from gnlab.representations import MatrixRep
 
 
 def test_faithful_level2_goldens():
-    rep = build_faithful_rep(2)
+    rep = build_faithful_rep(build_gn(2))
     assert rep.size == 2
     assert rep.of(H) == [[1, 0], [0, -1]]
     assert rep.of(X_PLUS) == [[0, 1], [0, 0]]
@@ -24,7 +24,7 @@ def test_faithful_level2_goldens():
 
 
 def test_faithful_level3_goldens():
-    rep = build_faithful_rep(3)
+    rep = build_faithful_rep(build_gn(3))
     assert rep.size == 4
     assert rep.of(H) == [[0, 0, 0, 0], [0, 1, 0, 0],
                           [0, 0, -1, 0], [0, 0, 0, 0]]
@@ -37,7 +37,7 @@ def test_faithful_level3_goldens():
 
 
 def test_faithful_level4_offdiagonal_central():
-    rep = build_faithful_rep(4)
+    rep = build_faithful_rep(build_gn(4))
     m = rep.of(central(1, 2))
     # z_{1,2} sits on the symmetric pair of slots (5,2) and (6,1), 1-based
     assert m[4][1] == 1 and m[5][0] == 1
@@ -45,7 +45,7 @@ def test_faithful_level4_offdiagonal_central():
 
 
 def test_quotient_level3_goldens():
-    rep = build_quotient_rep(3)
+    rep = build_quotient_rep(build_gn(3))
     assert rep.size == 3
     assert rep.of(H) == [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
     assert rep.of(y_plus(1)) == [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
@@ -56,10 +56,10 @@ def test_quotient_level3_goldens():
 def test_homomorphism_and_kernels():
     for n in (2, 3, 4, 5):
         alg = build_gn(n)
-        faithful = check_homomorphism(build_faithful_rep(n, alg), n, alg)
+        faithful = check_homomorphism(build_faithful_rep(alg))
         assert faithful.passed
         assert faithful.data["kernel_dim"] == 0
-        quotient = check_homomorphism(build_quotient_rep(n, alg), n, alg)
+        quotient = check_homomorphism(build_quotient_rep(alg))
         assert quotient.passed
         assert quotient.data["kernel_dim"] == triangular(n - 2)
         assert quotient.data["kernel_in_centre"]
@@ -70,14 +70,14 @@ def test_homomorphism_reports_broken_images():
     images it does not double, and shifting the image of h by the identity
     gives it a trace."""
     alg = build_gn(3)
-    rep = build_faithful_rep(3, alg)
+    rep = build_faithful_rep(alg)
     size = rep.size
     shifted = [[v + (i == j) for j, v in enumerate(row)]
                for i, row in enumerate(rep.of(H))]
     broken = MatrixRep("broken", size, {
         **rep.image, H: shifted,
         X_PLUS: [[2 * v for v in row] for row in rep.of(X_PLUS)]}, alg)
-    report = check_homomorphism(broken, 3, alg)
+    report = check_homomorphism(broken)
     assert report.failures == ["commutator mismatch on (xm, xp)",
                                "commutator mismatch on (xp, y1m)",
                                "image of h has trace 4"]
@@ -85,7 +85,7 @@ def test_homomorphism_reports_broken_images():
 
 
 def test_images_are_traceless():
-    rep = build_faithful_rep(4)
+    rep = build_faithful_rep(build_gn(4))
     for g in rep.algebra.basis.order:
         m = rep.of(g)
         assert all(type(v) is int for row in m for v in row)
@@ -98,7 +98,7 @@ def test_images_are_traceless():
 
 def test_coadjoint_closed_forms():
     alg = build_gn(4)
-    fields = {f.source: f for f in build_coadjoint(4, alg)}
+    fields = {f.source: f for f in build_coadjoint(alg)}
     P = alg.basis.poly
     V = alg.basis.var
 
@@ -143,7 +143,7 @@ def test_apply_on_generators_is_the_bracket():
     """x^(v) must equal [x, v] for every generator pair; in particular
     applying the raising field to the lowering variable gives +h."""
     alg = build_gn(3)
-    fields = {f.source: f for f in build_coadjoint(3, alg)}
+    fields = {f.source: f for f in build_coadjoint(alg)}
     P = alg.basis.poly
     assert fields[X_PLUS].apply(P(X_MINUS)) == P(H)
     assert fields[X_MINUS].apply(P(X_PLUS)) == -P(H)
@@ -154,7 +154,7 @@ def test_apply_on_generators_is_the_bracket():
 
 def test_apply_agrees_with_poisson_bracket():
     alg = build_gn(3)
-    fields = build_coadjoint(3, alg)
+    fields = build_coadjoint(alg)
     rng = random.Random(59)
     names = [g.name for g in alg.basis.order]
     for _ in range(10):
@@ -165,7 +165,7 @@ def test_apply_agrees_with_poisson_bracket():
 
 def test_apply_is_a_derivation():
     alg = build_gn(3)
-    fields = build_coadjoint(3, alg)
+    fields = build_coadjoint(alg)
     rng = random.Random(61)
     names = [g.name for g in alg.basis.order]
     for _ in range(8):
@@ -177,11 +177,11 @@ def test_apply_is_a_derivation():
 
 def test_apply_rejects_phase_variables():
     ctx = PhaseContext(2, 1)
-    fields = build_coadjoint(2, ctx.algebra)
+    fields = build_coadjoint(ctx.algebra)
     with pytest.raises(ValueError, match="foreign variables"):
         fields[0].apply(ctx.q(1))
 
 
 def test_field_homomorphism_check():
     for n in (3, 4, 5):
-        assert check_field_homomorphism(n).passed
+        assert check_field_homomorphism(build_gn(n)).passed
