@@ -18,10 +18,9 @@ structure constant is homogeneous of the summed grade, and the ansatz
 solver relies on it: each coadjoint field maps one grade block of
 monomials into another, and the h field multiplies a monomial by its
 weight, so the invariants are found block by block over the weight-0
-monomials alone.  Its rows come from the n fields of x+, x- and the
-y_{i,-}: these generate g_n, and because X_[a,b] = [X_a, X_b] (checked by
-`check_field_homomorphism`) a polynomial they kill is killed by every
-field.  `verify_annihilation` still applies all T_n fields.
+monomials alone.  Its rows, and `verify_annihilation`, take the n fields
+of x+, x- and the y_{i,-}: these generate g_n, and since X_[a,b] =
+[X_a, X_b] (`check_field_homomorphism`) what they kill every field kills.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import (GnAlgebra, H, X_MINUS, X_PLUS, canonical_order,
-                      central, triangular, y_minus, y_plus)
+from .algebra import (Generator, GnAlgebra, H, X_MINUS, X_PLUS,
+                      canonical_order, central, triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, PolyMatrix, _check_degree,
                    det, exponents, monomial, rank_rational, sparse_nullspace)
 from .representations import build_coadjoint, build_quotient_rep
@@ -95,14 +94,38 @@ def casimir(alg: GnAlgebra) -> CasimirResult:
                          degree=c.total_degree())
 
 
+def generating_set(alg: GnAlgebra) -> list[Generator]:
+    """x+, x- and the y_{i,-}, checked to generate g_n: every generator
+    must be reached, and one is reached when it is a nonzero multiple of
+    the bracket of two reached ones (ValueError names those not reached)."""
+    sources = [X_PLUS, X_MINUS, *map(y_minus, range(1, alg.n - 1))]
+    brackets = alg.constants.brackets
+    reached: set[int] = set()
+    new = set(map(alg.basis.index, sources))
+    while new:
+        reached |= new
+        new = {next(iter(t)) for a in reached for b, t in brackets[a].items()
+               if b in reached and len(t) == 1} - reached
+    missing = [g.name for k, g in enumerate(alg.basis.order)
+               if k not in reached]
+    if missing:
+        raise ValueError(f"the chosen generators do not generate g_{alg.n}: "
+                         f"{', '.join(missing)} not reached")
+    return sources
+
+
 def verify_annihilation(cas: CasimirResult) -> Report:
-    """Every coadjoint field sends C_n to zero."""
+    """Every coadjoint field sends C_n to zero: the fields of
+    `generating_set` are applied, and the T_n `fields` counts follow from
+    X_[a,b] = [X_a, X_b], so a pass holds only together with a passing
+    `check_field_homomorphism`, which `verify` runs in the same report."""
     alg, c = cas.algebra, cas.polynomial
+    fields = build_coadjoint(alg)
     fails: list[str] = []
-    for field in build_coadjoint(alg):
-        r = field.apply(c)
+    for g in generating_set(alg):
+        r = fields[alg.basis.index(g)].apply(c)
         if not r.is_zero:
-            fails.append(f"field of {field.source.name} gives {r.text()[:80]}")
+            fails.append(f"field of {g.name} gives {r.text()[:80]}")
     return Report("annihilation",
                   {"n": alg.n, "fields": alg.basis.dim,
                    "terms": len(c.terms)}, fails)
@@ -264,32 +287,12 @@ def ansatz_monomials(n: int, degree: int,
     return math.comb(triangular(n) + degree - 1, degree)
 
 
-def _check_generates(alg: GnAlgebra, sources: list) -> None:
-    """Raise ValueError unless `sources` generate g_n: every generator must
-    be reached, and one is reached when it is a single-term bracket (a
-    nonzero multiple of itself) of two reached generators."""
-    brackets = alg.constants.brackets
-    reached: set[int] = set()
-    new = set(map(alg.basis.index, sources))
-    while new:
-        reached |= new
-        new = {next(iter(t)) for a in reached for b, t in brackets[a].items()
-               if b in reached and len(t) == 1} - reached
-    missing = [g.name for k, g in enumerate(alg.basis.order)
-               if k not in reached]
-    if missing:
-        raise ValueError(f"the ansatz fields do not generate g_{alg.n}: "
-                         f"{', '.join(missing)} not reached")
-
-
 def solve_ansatz(alg: GnAlgebra, degree: int,
                  budget: int = ANSATZ_BUDGET) -> AnsatzSolution:
     """All polynomials of the exact given degree killed by every coadjoint
     field, found by exact sparse linear algebra over the monomial basis.
 
-    The rows come from the n fields of x+, x- and y_{1,-}, ..., y_{n-2,-}
-    alone.  These generate g_n ([x+, x-] = h, [x+, y_{i,-}] = y_{i,+},
-    [y_{i,+}, y_{j,-}] = z_{i,j}; checked before solving), and since
+    The rows come from the n fields of `generating_set` alone, and since
     X_[a,b] = [X_a, X_b] the fields that kill a polynomial form a
     subalgebra, so killing these n is killing all.
 
@@ -305,8 +308,7 @@ def solve_ansatz(alg: GnAlgebra, degree: int,
     """
     n = alg.n
     count = ansatz_monomials(n, degree, budget)
-    sources = [X_PLUS, X_MINUS, *map(y_minus, range(1, n - 1))]
-    _check_generates(alg, sources)
+    sources = generating_set(alg)
     fields = [f for f in build_coadjoint(alg) if f.source in sources]
     _check_degree(degree - 1 + max(f.degree for f in fields), "a derivation")
     # variable v -> (field position, u - v, k) for each term k*u of the

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: casimir, verify, integrals, simulate, dump-rep, rank, ansatz.
-Exit codes: 0 success, 1 verification or conservation failure, 2 usage or
-configuration error, an exceeded size budget, an unwritable output file,
-or an arithmetic or memory error.  JSON output carries a schema version and
-is byte-identical across runs with the same configuration and seeds; the
-GN_LAB_SEED environment variable overrides --seed when set.
+Exit codes: 0 success, 1 verification or conservation failure or stdout
+closed by its reader, 2 usage or configuration error, an exceeded size
+budget, an unwritable output file, or an arithmetic or memory error.  JSON
+output carries a schema version and is byte-identical across runs with the
+same configuration and seeds; GN_LAB_SEED overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -611,6 +611,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # stdout's reader left early: let the flush at exit go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, MissingVariable, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,10 @@ OUTPUT_SHA256 = {
         "b0c77bbde7b14196709f3adcd7b8c63b75e9847fff159720e40066429bba11d5",
     "verify --n 6 --format json":
         "2bceb9abd661f98cfe4f3a8ce86eee0a92582c1421ee4b8537fa0e79b401a545",
+    # certificates at scale: 7 generating fields of 28, and the Gram check
+    # M = A A^T on the windows m = 1..6
+    "verify --n 7 --N 7 --format json":
+        "235afd3c90cb87915afce2a63d77590d4c8d7ea00659eea0678cf3e43302836e",
     # the text forms, each written line by line
     "verify --n 4":
         "5043e2f7558301efdb0f0177971b1301677b4492adf65f71b1cb1538b5ad65ab",
@@ -177,6 +181,39 @@ def test_exact_commands_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _cli_process(*argv, **kwargs):
+    """The CLI in a fresh interpreter, on this checkout's sources."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from gnlab.cli import main; sys.exit(main())", *argv],
+        env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+def test_a_reader_that_closes_early_ends_quietly_with_exit_1():
+    # about 490 KB of JSON, far more than a pipe holds, so the CLI is still
+    # writing when the reader goes
+    proc = _cli_process("casimir", "--n", "7", "--format", "json",
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+def test_an_unwritable_out_path_still_exits_2_with_its_error(tmp_path):
+    target = tmp_path / "missing" / "c.json"
+    proc = _cli_process("casimir", "--n", "3", "--out", str(target),
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate()
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.startswith(b"error: [Errno 2] No such file or directory")
+    assert not target.exists()
 
 
 def test_verify_rejects_small_N(capsys):

@@ -337,6 +337,119 @@ def test_vanishing_fails_on_a_zero_threshold_integral():
     assert rep.data["threshold_nonzero"] is False
 
 
+# ----------------------------------------------------------------------
+# the routes the certificates replaced, kept here as oracles
+
+coalgebra_module = importlib.import_module("gnlab.coalgebra")
+ORACLE_SIZES = [(3, 5), (4, 6), (6, 6)]
+
+
+def _counting_substitution(monkeypatch):
+    """Record each (side, m) that `integrals_via_coproduct` substitutes."""
+    real = coalgebra_module.integrals_via_coproduct
+    calls = []
+
+    def counting(ctx, side, m):
+        calls.append((side, m))
+        return real(ctx, side, m)
+
+    monkeypatch.setattr(coalgebra_module, "integrals_via_coproduct",
+                        counting)
+    return calls
+
+
+# fractional parameters: A A^T then has non-integral constant entries
+RATIONAL_ROWS = {1: ["1/2", -3, "2/3", 5, "-1/7"], 2: [4, "5/6", -1, "3/4", 2]}
+
+
+@pytest.mark.parametrize("n,N,rows", [(n, N, None) for n, N in ORACLE_SIZES]
+                         + [(4, 5, RATIONAL_ROWS)])
+def test_vanishing_certificate_matches_the_substitution(monkeypatch, n, N,
+                                                        rows):
+    """`check_vanishing` certifies each window below the threshold by
+    comparing the realised M with A A^T, substituting nothing; C_n with the
+    window images substituted vanishes there too."""
+    ctx = PhaseContext(n, N, rows) if rows else PhaseContext.seeded(n, N)
+    calls = _counting_substitution(monkeypatch)
+    assert check_vanishing(ctx).passed
+    assert calls == []
+    for side in ("left", "right"):
+        for m in range(1, n):
+            assert integrals_via_coproduct(ctx, side, m).is_zero
+
+
+@pytest.mark.parametrize("n,N", ORACLE_SIZES)
+def test_involution_matches_the_all_generator_brackets(n, N):
+    """`check_involution` brackets each integral with the generating set;
+    every realised generator commutes with every integral."""
+    ctx = PhaseContext.seeded(n, N)
+    rep = check_involution(ctx)
+    assert rep.passed
+    members = [p for side in ("left", "right")
+               for p in integral_set(ctx, side).values()]
+    assert rep.data["generator_brackets"] == \
+        len(members) * ctx.algebra.basis.dim
+    for g in ctx.algebra.basis.order:
+        d = ctx.realize(g)
+        for p in members:
+            assert canonical_bracket(ctx, p, d).is_zero, g.name
+
+
+@pytest.mark.parametrize("g", [H, X_PLUS, y_minus(2), central(1, 2)])
+def test_vanishing_fails_on_a_perturbed_window_image(g):
+    ctx = PhaseContext.seeded(4, 6)
+    images = ctx.realization_images("right", 2)
+    v = ctx.algebra.basis.var(g)
+    images[v] = images[v] + ctx.q(6)
+    rep = check_vanishing(ctx)
+    assert rep.failures == ["realised M is not A A^T: side=right, m=2"]
+
+
+def test_vanishing_substitutes_nothing_for_degenerate_parameters(
+        monkeypatch):
+    """alpha^(1) and alpha^(2) vanish on sites 1..3, so on the left window
+    m = 3 the rows of A are q, p, 0, 0: the Gram check still certifies every
+    window without substituting, and the substitution agrees."""
+    ctx = PhaseContext(5, 5, {1: [0, 0, 0, 1, 0], 2: [0, 0, 0, 0, 1],
+                              3: [1, 1, 1, 1, 1]})
+    calls = _counting_substitution(monkeypatch)
+    rep = check_vanishing(ctx)
+    assert rep.passed and rep.data["threshold_nonzero"] is True
+    assert calls == []
+    assert integrals_via_coproduct(ctx, "left", 3).is_zero
+
+
+def test_involution_fails_on_an_integral_that_moves_under_x_plus():
+    ctx = PhaseContext.seeded(3, 5)
+    left = integral_set(ctx, "left")
+    # {q1, x+} = p1, while q1 commutes with the images of x- and y_{1,-}
+    left[4] = left[4] + ctx.q(1)
+    rep = check_involution(ctx)
+    assert "{left_m4, xp} != 0" in rep.failures
+    assert not [f for f in rep.failures if ", xm}" in f or ", y1m}" in f]
+
+
+def test_involution_fails_when_the_full_windows_differ():
+    """The right full-window integral is bracketed with no generator: it
+    must equal the left one, which is."""
+    ctx = PhaseContext.seeded(3, 4)
+    right = integral_set(ctx, "right")
+    right[4] = right[4] + ctx.q(1)
+    rep = check_involution(ctx)
+    assert rep.failures[-1] == "full-window integrals differ between sides"
+    assert not [f for f in rep.failures if f.startswith("{right_m4,")]
+
+
+def test_route_equivalence_substitutes_the_full_window_once(monkeypatch):
+    ctx = PhaseContext.seeded(4, 6)
+    assert ctx.realization_images("left") is ctx.realization_images("right")
+    calls = _counting_substitution(monkeypatch)
+    rep = check_route_equivalence(ctx)
+    assert rep.passed and rep.data["windows"] == 6
+    assert calls == [("left", 4), ("left", 5), ("left", 6),
+                     ("right", 4), ("right", 5)]
+
+
 def test_involution_small():
     for (n, N) in ((2, 3), (3, 4)):
         ctx = PhaseContext.seeded(n, N)

@@ -4,8 +4,9 @@ Property tests (hypothesis) check the ring axioms, substitution as a ring
 homomorphism, the Leibniz rule and the one-pass vector field kernel
 against sums of partial derivatives, on polynomials whose coefficients mix
 integers and non-integral rationals; and the canonical term order against
-one built from decoded exponent tuples.  sympy's Berkowitz determinant is an
-independent oracle for the invariants C_n = -det M_n at small levels.
+one built from decoded exponent tuples.  The canonical bracket obeys Jacobi
+and Leibniz on random phase polynomials.  sympy's Berkowitz determinant is
+an independent oracle for the invariants C_n = -det M_n at small levels.
 """
 
 import json
@@ -15,7 +16,8 @@ import pytest
 
 from conftest import (canonical_order, poly_from_json, poly_json,
                       poly_json_reference)
-from gnlab import Polynomial, VarRegistry, build_gn, casimir
+from gnlab import (PhaseContext, Polynomial, VarRegistry, build_gn,
+                   canonical_bracket, casimir)
 from gnlab.poly import derive, exponents, monomial, poly_sum
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -27,14 +29,20 @@ SOURCE = VarRegistry(["a", "b", "c"])
 # index order h, xp, xm; name order h, xm, xp
 LADDER = VarRegistry(["h", "xp", "xm"])
 TARGET = VarRegistry(["u", "v"])
+# g_2's generators, then the canonical pairs q1, p1, q2, p2
+PHASE = PhaseContext(2, 2)
 
 
-def polynomials(registry: VarRegistry, max_exponent: int = 3):
+def polynomials(registry: VarRegistry, max_exponent: int = 3,
+                indices=None):
+    """Random polynomials over `registry`, or over its `indices` alone."""
     coeffs = st.one_of(
         st.integers(-30, 30),
         st.fractions(min_value=-5, max_value=5, max_denominator=7))
-    exps = st.dictionaries(st.integers(0, len(registry) - 1),
-                           st.integers(0, max_exponent), max_size=3)
+    variables = st.integers(0, len(registry) - 1) if indices is None \
+        else st.sampled_from(indices)
+    exps = st.dictionaries(variables, st.integers(0, max_exponent),
+                           max_size=3)
 
     def build(pairs):
         terms: dict = {}
@@ -147,6 +155,25 @@ def test_derive_is_the_sum_of_coefficients_times_partials(case):
     assert_normalised(got)
     if cancels:
         assert got == {}
+
+
+def phase_polynomials():
+    return polynomials(PHASE.registry, max_exponent=2,
+                       indices=[v.index for v in PHASE.state_vars()])
+
+
+@settings
+@given(phase_polynomials(), phase_polynomials(), phase_polynomials())
+def test_canonical_bracket_obeys_jacobi_and_leibniz(f, g, h):
+    """`check_involution` brackets each integral with the realised
+    generating set only, and the brackets with the other generators follow
+    from these identities."""
+    def br(a, b):
+        return canonical_bracket(PHASE, a, b)
+
+    assert (br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))).is_zero
+    assert br(f, g * h) == br(f, g) * h + g * br(f, h)
+    assert br(f, g) == -br(g, f)
 
 
 @settings
