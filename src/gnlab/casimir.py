@@ -45,8 +45,8 @@ ANSATZ_BUDGET = 100_000
 _H_WEIGHT = {"xp": 2, "xm": -2, "yp": 1, "ym": -1}
 
 # Highest level `casimir` expands.  C_10 already has 1,436,714 terms and
-# takes about 1 GB, and each level has about 9.4 times the terms of the one
-# below, so C_11 would exhaust memory.
+# takes about 0.5 GB, and each level has about 9.4 times the terms of the
+# one below, so C_11 would exhaust memory.
 MAX_CASIMIR_N = 10
 
 
@@ -89,7 +89,9 @@ def casimir(alg: GnAlgebra) -> CasimirResult:
     above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
     check_casimir_level(alg.n)
     m = casimir_matrix(alg)
-    c = -det(m)
+    # negating the first row gives -det M_n without a pass over its terms
+    c = det(PolyMatrix(m.rows, m.cols,
+                       [-e for e in m.row(0)] + list(m.entries[m.cols:])))
     return CasimirResult(algebra=alg, matrix=m, polynomial=c,
                          degree=c.total_degree())
 

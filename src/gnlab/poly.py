@@ -29,8 +29,9 @@ canonical order is sorted on them with no Python call per monomial.
 
 The module also carries the exact linear algebra used everywhere else:
 
-* determinants of polynomial matrices by Laplace expansion along the first
-  row with minors memoised per column subset,
+* determinants of polynomial matrices by Laplace's expansion in
+  complementary minors of the top and bottom halves of the rows, each
+  half's minors memoised per column subset,
 * one exact eliminator over sparse rational rows, which gives the rank of
   a rational system and its nullspace in reduced-echelon parametrisation.
 """
@@ -42,7 +43,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # One byte per exponent: the helpers below read monomials with int.to_bytes.
@@ -724,11 +725,35 @@ class PolyMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
 
+def _minor(entries: list, end: int, memo: dict, colmask: int) -> dict:
+    """The minor on the columns in `colmask` and the last |colmask| of the
+    rows before `end`, expanded along its first row and memoised per column
+    subset in `memo`; zero coefficients may remain."""
+    cached = memo.get(colmask)
+    if cached is not None:
+        return cached
+    row = entries[end - bin(colmask).count("1")]
+    acc: dict = {}
+    negate = 0
+    mask = colmask
+    while mask:
+        low = mask & -mask
+        entry = row[low.bit_length() - 1][negate]
+        if entry:
+            _addmul(acc, entry, _minor(entries, end, memo, colmask ^ low))
+        negate ^= 1
+        mask ^= low
+    memo[colmask] = acc
+    return acc
+
+
 def det(matrix: PolyMatrix) -> Polynomial:
-    """Determinant by Laplace expansion along the first remaining row,
-    with minors memoised per column subset.  Each minor accumulates its
-    products in one dict; zero coefficients are dropped once, from the
-    whole determinant, since a zero left in a minor only costs products."""
+    """Determinant by Laplace's expansion in complementary minors along the
+    top k = size // 2 rows (Gantmacher, The Theory of Matrices, vol. 1,
+    ch. I): the sum over k-subsets S of the columns of (-1)^(sum S -
+    k(k-1)/2) det M[top, S] det M[bottom, S^c].  Zero coefficients are
+    dropped once, from the whole determinant, since a zero left in a minor
+    only costs products."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     size = matrix.rows
@@ -738,31 +763,20 @@ def det(matrix: PolyMatrix) -> Polynomial:
     # entries[row][col] = (terms, negated terms)
     entries = [[(e.terms, (-e).terms) for e in matrix.row(i)]
                for i in range(size)]
-    memo: dict[int, dict] = {0: {0: 1}}
-
-    def minor(colmask: int) -> dict:
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        row = entries[size - bin(colmask).count("1")]
-        acc: dict = {}
-        negate = 0
-        mask = colmask
-        while mask:
-            low = mask & -mask
-            entry = row[low.bit_length() - 1][negate]
-            if entry:
-                _addmul(acc, entry, minor(colmask ^ low))
-            negate ^= 1
-            mask ^= low
-        memo[colmask] = acc
-        return acc
-
-    terms = _clean(minor((1 << size) - 1))
-    # `minor` refers to itself, so the minors would otherwise live until
-    # the cyclic collector runs
-    memo.clear()
-    return Polynomial._make(matrix.registry, terms)
+    k, full = size // 2, (1 << size) - 1
+    # `_minor` is no closure, so the memos hold no cycle and every minor is
+    # freed when det returns
+    top: dict[int, dict] = {0: {0: 1}}
+    bottom: dict[int, dict] = {0: {0: 1}}
+    acc: dict = {}
+    for cols in combinations(range(size), k):
+        colmask = sum(1 << c for c in cols)
+        upper = _minor(entries, k, top, colmask)
+        if upper:
+            if (sum(cols) - k * (k - 1) // 2) & 1:
+                upper = {m: -c for m, c in upper.items()}
+            _addmul(acc, upper, _minor(entries, size, bottom, full ^ colmask))
+    return Polynomial._make(matrix.registry, _clean(acc))
 
 
 # ----------------------------------------------------------------------

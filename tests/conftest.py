@@ -5,7 +5,8 @@ a reader for the JSON polynomial form, and small random polynomial
 generators.
 
 The determinant oracle expands along the last column with no memoization,
-so it shares no code path with the library's memoized first-row expansion.
+so it shares no code path with the library's memoized expansion in
+complementary half-row minors.
 """
 
 import json

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -17,7 +18,7 @@ import pytest
 from conftest import cofactor_det, poly_json
 from gnlab import (BudgetExceeded, PolyMatrix, Polynomial, build_coadjoint,
                    build_gn, casimir, casimir_matrix, check_grading,
-                   check_uniqueness, solve_ansatz, sparse_nullspace,
+                   check_uniqueness, det, solve_ansatz, sparse_nullspace,
                    verify_annihilation, verify_intertwining)
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
 from gnlab.poly import derive, monomial
@@ -108,6 +109,23 @@ def test_invariant_level4_against_cofactor_oracle():
              "y1m": 1, "y1p": -2, "y2m": Fraction(5, 3), "y2p": 0,
              "z1_1": 2, "z1_2": -1, "z2_2": 4}
     assert got.eval(point) == want.eval(point)
+
+
+def test_det_peak_memory_stays_near_its_result():
+    """The complementary-minor expansion holds no minor of more than half
+    the rows, rounded up: the traced peak of det(M_8) stays within 2.5
+    times what is left allocated after it, its 18,155-term result.  A
+    first-row chain, which holds the 7x7 minors of M_8, peaks near 4.9
+    times."""
+    m = casimir_matrix(build_gn(8))
+    tracemalloc.start()
+    try:
+        result = det(m)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.terms) == 18155
+    assert peak <= 2.5 * size
 
 
 def test_degree_and_grading():

@@ -52,6 +52,12 @@ OUTPUT_SHA256 = {
         "705ee9ae5e54d4b74486e05ad85b21f4f8ed31e7aa69de5380d1d457a323c8ca",
     "casimir --n 6":
         "47e3e3d2e10a1b1740169872631881805ce8a15d7979701dc309c62cc19e6f62",
+    # the odd and even splits of the half-row expansion where cancellation
+    # is heavy: C_7 (2,461 terms) and C_8 (18,155 terms)
+    "casimir --n 7 --format json":
+        "3cdbc563da553396ba13133984372190d2e95f698df998560b503a3ba13d8406",
+    "casimir --n 8":
+        "7bf5e65073b79e8e452b68906e42299918b422540e7a8dcb10df178447b7fa36",
     "integrals --n 3 --N 5 --format json":
         "b20dd8c10a9b6747fb8aec2acc2c398e5df99860d2ef9e1caa214f23470208fd",
     "ansatz --n 4 --degree 4 --format json":

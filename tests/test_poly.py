@@ -8,6 +8,7 @@ conftest, which expands along a different line with no memoization.
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -192,12 +193,47 @@ def test_det_sl2_corner():
 
 
 def test_det_matches_cofactor_oracle():
+    """Odd and even splits of the complementary-minor expansion, with
+    integral and fractional coefficients, and the singular cases of a zero
+    row, a zero column and a repeated row."""
     rng = random.Random(19)
-    for size in (2, 3, 4, 5):
-        reg = abc_registry()
+    reg = abc_registry()
+    for size in range(1, 8):
         rows = [[random_poly(reg, rng, max_terms=2, max_degree=1)
                  for _ in range(size)] for _ in range(size)]
-        assert det(PolyMatrix.from_rows(rows)) == cofactor_det(rows)
+        fractional = [[e * Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+                       for e in row] for row in rows]
+        cases = [rows, fractional]
+        if size > 1:
+            r, s = rng.sample(range(size), 2)
+            zero_row = [list(row) for row in fractional]
+            zero_row[r] = [reg.zero()] * size
+            zero_column = [[reg.zero() if j == s else e
+                            for j, e in enumerate(row)] for row in rows]
+            repeated = [list(row) for row in fractional]
+            repeated[s] = list(repeated[r])
+            cases += [zero_row, zero_column, repeated]
+        for k, case in enumerate(cases):
+            got = det(PolyMatrix.from_rows(case))
+            assert got == cofactor_det(case)
+            assert got.is_zero or k < 2
+
+
+def permutation_sign(perm) -> int:
+    """(-1) to the number of inversions of `perm`."""
+    inversions = sum(perm[i] > perm[j]
+                     for i, j in combinations(range(len(perm)), 2))
+    return -1 if inversions % 2 else 1
+
+
+def test_det_of_a_permutation_matrix_is_its_sign():
+    reg = abc_registry()
+    for size in range(1, 7):
+        for perm in permutations(range(size)):
+            rows = [[reg.const(int(perm[i] == j)) for j in range(size)]
+                    for i in range(size)]
+            assert det(PolyMatrix.from_rows(rows)) == \
+                reg.const(permutation_sign(perm))
 
 
 def test_det_transpose_invariant():

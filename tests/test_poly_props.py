@@ -5,8 +5,9 @@ homomorphism, the Leibniz rule and the one-pass vector field kernel
 against sums of partial derivatives, on polynomials whose coefficients mix
 integers and non-integral rationals; and the canonical term order against
 one built from decoded exponent tuples.  The canonical bracket obeys Jacobi
-and Leibniz on random phase polynomials.  sympy's Berkowitz determinant is
-an independent oracle for the invariants C_n = -det M_n at small levels.
+and Leibniz on random phase polynomials.  The determinant is alternating
+and linear in each row.  sympy's Berkowitz determinant is an independent
+oracle for the invariants C_n = -det M_n at small levels.
 """
 
 import json
@@ -16,8 +17,8 @@ import pytest
 
 from conftest import (canonical_order, poly_from_json, poly_json,
                       poly_json_reference)
-from gnlab import (PhaseContext, Polynomial, VarRegistry, build_gn,
-                   canonical_bracket, casimir)
+from gnlab import (PhaseContext, PolyMatrix, Polynomial, VarRegistry,
+                   build_gn, canonical_bracket, casimir, det)
 from gnlab.poly import derive, exponents, monomial, poly_sum
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -174,6 +175,33 @@ def test_canonical_bracket_obeys_jacobi_and_leibniz(f, g, h):
     assert (br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))).is_zero
     assert br(f, g * h) == br(f, g) * h + g * br(f, h)
     assert br(f, g) == -br(g, f)
+
+
+def square_matrices(max_size: int = 4):
+    """Random square lists of rows of small polynomials over SOURCE."""
+    return st.integers(1, max_size).flatmap(lambda size: st.lists(
+        st.lists(polynomials(SOURCE, max_exponent=2), min_size=size,
+                 max_size=size), min_size=size, max_size=size))
+
+
+@settings
+@given(square_matrices(), st.data())
+def test_det_is_alternating_and_linear_in_each_row(rows, data):
+    """Swapping two rows negates det; scaling one row by a rational scales
+    det by it."""
+    size = len(rows)
+    d = det(PolyMatrix.from_rows(rows))
+    i = data.draw(st.integers(0, size - 1))
+    scale = data.draw(st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7))
+    scaled = [[e * scale for e in row] if r == i else row
+              for r, row in enumerate(rows)]
+    assert det(PolyMatrix.from_rows(scaled)) == d * scale
+    if size > 1:
+        j = data.draw(st.integers(0, size - 1).filter(lambda j: j != i))
+        swapped = list(rows)
+        swapped[i], swapped[j] = rows[j], rows[i]
+        assert det(PolyMatrix.from_rows(swapped)) == -d
 
 
 @settings
