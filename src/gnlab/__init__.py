@@ -19,7 +19,7 @@ from .coalgebra import (IndependenceResult, PhaseContext, building_block,
                         window)
 from .dynamics import (DriftStats, HamiltonianSystem, Trajectory,
                        compile_evaluator, drift_report, integrate)
-from .poly import (BudgetExceeded, MissingVariable, Polynomial, PolyMatrix,
+from .poly import (BudgetExceeded, MissingVariable, Polynomial,
                    RegistryMismatch, VarId, VarRegistry, det,
                    parse_polynomial, rank_rational, sparse_nullspace)
 from .reports import Report

@@ -26,14 +26,16 @@ of x+, x- and the y_{i,-}: these generate g_n, and since X_[a,b] =
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from .algebra import (Generator, GnAlgebra, H, X_MINUS, X_PLUS,
                       canonical_order, central, triangular, y_minus, y_plus)
-from .poly import (BudgetExceeded, Polynomial, PolyMatrix, _check_degree,
-                   det, exponents, monomial, rank_rational, sparse_nullspace)
+from .poly import (BudgetExceeded, Polynomial, _check_degree, _degrees, det,
+                   exponents, monomial, rank_rational, sparse_nullspace,
+                   variable_mask)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
@@ -50,27 +52,27 @@ _H_WEIGHT = {"xp": 2, "xm": -2, "yp": 1, "ym": -1}
 MAX_CASIMIR_N = 10
 
 
-def casimir_matrix(alg: GnAlgebra) -> PolyMatrix:
-    """The symmetric bordered matrix whose determinant carries the invariant."""
+# A polynomial matrix, as its rows
+Rows = tuple[tuple[Polynomial, ...], ...]
+
+
+def casimir_matrix(alg: GnAlgebra) -> Rows:
+    """The symmetric bordered matrix M_n whose determinant carries the
+    invariant, as a tuple of its n rows."""
     n = alg.n
     P = alg.basis.poly
-    rows: list[list[Polynomial]] = []
-    for i in range(1, n - 1):
-        row = [P(central(i, j)) for j in range(1, n - 1)]
-        row.append(-P(y_minus(i)))
-        row.append(P(y_plus(i)))
-        rows.append(row)
-    rows.append([-P(y_minus(j)) for j in range(1, n - 1)]
-                + [-2 * P(X_MINUS), P(H)])
-    rows.append([P(y_plus(j)) for j in range(1, n - 1)]
-                + [P(H), 2 * P(X_PLUS)])
-    return PolyMatrix.from_rows(rows)
+    ladder = range(1, n - 1)
+    rows = [(*(P(central(i, j)) for j in ladder), -P(y_minus(i)),
+             P(y_plus(i))) for i in ladder]
+    rows.append((*(-P(y_minus(j)) for j in ladder), -2 * P(X_MINUS), P(H)))
+    rows.append((*(P(y_plus(j)) for j in ladder), P(H), 2 * P(X_PLUS)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
 class CasimirResult:
     algebra: GnAlgebra
-    matrix: PolyMatrix
+    matrix: Rows
     polynomial: Polynomial
     degree: int
 
@@ -90,8 +92,7 @@ def casimir(alg: GnAlgebra) -> CasimirResult:
     check_casimir_level(alg.n)
     m = casimir_matrix(alg)
     # negating the first row gives -det M_n without a pass over its terms
-    c = det(PolyMatrix(m.rows, m.cols,
-                       [-e for e in m.row(0)] + list(m.entries[m.cols:])))
+    c = det([[-e for e in m[0]], *m[1:]])
     return CasimirResult(algebra=alg, matrix=m, polynomial=c,
                          degree=c.total_degree())
 
@@ -141,7 +142,7 @@ def verify_intertwining(cas: CasimirResult) -> Report:
     read from the bracket table."""
     alg, m, n = cas.algebra, cas.matrix, cas.algebra.n
     sc = alg.constants
-    entries = [[sc.vector(m.at(i, j)) for j in range(n)] for i in range(n)]
+    entries = [[sc.vector(e) for e in row] for row in m]
     quotient = build_quotient_rep(alg)
     fails: list[str] = []
     for a, g in enumerate(alg.basis.order):
@@ -178,15 +179,6 @@ def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def _grade_of(grading: dict[int, tuple[int, ...]], mono: int,
-              width: int) -> tuple[int, ...]:
-    total = [0] * width
-    for i, e in exponents(mono):
-        for k, v in enumerate(grading[i]):
-            total[k] += e * v
-    return tuple(total)
-
-
 def check_grading(cas: CasimirResult) -> Report:
     """Every nonzero bracket [a, b] of generators is homogeneous of grade
     grade(a) + grade(b), and C_n is homogeneous of degree n with every
@@ -195,7 +187,6 @@ def check_grading(cas: CasimirResult) -> Report:
     grading = _grading(alg)
     order = alg.basis.order
     grade = [grading[alg.basis.var(g).index] for g in order]
-    width = n - 1
     fails: list[str] = []
     for a, row in enumerate(alg.constants.brackets):
         for b in sorted(row):
@@ -203,12 +194,20 @@ def check_grading(cas: CasimirResult) -> Report:
             if any(grade[k] != want for k in row[b]):
                 fails.append(f"[{order[a].name},{order[b].name}] "
                              f"is not of grade {want}")
-    for mono in c.terms:
-        exps = exponents(mono)
-        deg = sum(e for _, e in exps)
+    # a monomial's h-weight: sum over w of w times its degree in the
+    # variables of weight w, each read with `_degrees` through a mask
+    by_weight: dict[int, list[int]] = {}
+    for i, g in grading.items():
+        if g[0]:
+            by_weight.setdefault(g[0], []).append(i)
+    monos = list(c.terms)
+    weights = [0] * len(monos)
+    for w, idx in by_weight.items():
+        part = _degrees(map(operator.and_, monos, repeat(variable_mask(idx))))
+        weights = [x + w * d for x, d in zip(weights, part)]
+    for deg, w in zip(_degrees(monos), weights):
         if deg != n:
             fails.append(f"monomial of degree {deg} present")
-        w = _grade_of(grading, mono, width)[0]
         if w:
             fails.append(f"monomial with weight {w} present")
     return Report("grading", {"n": n, "terms": len(c.terms)}, fails)

@@ -30,8 +30,8 @@ from itertools import combinations
 
 from .algebra import Generator, X_MINUS, X_PLUS, build_gn
 from .casimir import CasimirResult, casimir, generating_set
-from .poly import (Polynomial, PolyMatrix, VarId, VarRegistry, derive, det,
-                   poly_sum, rank_rational, variable_mask)
+from .poly import (Polynomial, VarId, VarRegistry, derive, det, poly_sum,
+                   rank_rational, variable_mask)
 from .reports import Report
 
 
@@ -175,11 +175,11 @@ class PhaseContext:
         return f.substitute(self.realization_images(side, m))
 
 
-def harmonic_hamiltonian(ctx: PhaseContext, omega: Fraction | int = 1) -> Polynomial:
-    """Realisation of x+ - omega^2 x-: the N-dimensional oscillator."""
-    w2 = Fraction(omega) ** 2
-    gen = ctx.algebra.basis.poly(X_PLUS) - w2 * ctx.algebra.basis.poly(X_MINUS)
-    return ctx.realize_poly(gen)
+def harmonic_hamiltonian(ctx: PhaseContext) -> Polynomial:
+    """Realisation of x+ - x-: the N-dimensional unit-frequency oscillator
+    sum_k (p_k^2 + q_k^2) / 2."""
+    P = ctx.algebra.basis.poly
+    return ctx.realize_poly(P(X_PLUS) - P(X_MINUS))
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +214,17 @@ def integrals_via_coproduct(ctx: PhaseContext, side: str, m: int) -> Polynomial:
     return ctx.casimir.polynomial.substitute(ctx.realization_images(side, m))
 
 
+def _window_rows(ctx: PhaseContext, sites) -> list[list[Polynomial]]:
+    """The n x |sites| matrix A over the given sites, as its rows: the
+    parameter rows alpha^(1..n-2), then the q row and the p row."""
+    reg = ctx.registry
+    rows = [[reg.const(ctx.alpha(i, k)) for k in sites]
+            for i in range(1, ctx.n - 1)]
+    rows.append([ctx.q(k) for k in sites])
+    rows.append([ctx.p(k) for k in sites])
+    return rows
+
+
 def building_block(ctx: PhaseContext, indices) -> Polynomial:
     """Determinant of the n x n matrix with the parameter rows on top and
     the q and p rows at the bottom, columns picked by `indices`."""
@@ -223,13 +234,7 @@ def building_block(ctx: PhaseContext, indices) -> Polynomial:
     if any(not 1 <= k <= ctx.N for k in idx) or \
             any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("site indices must be strictly increasing in [1, N]")
-    reg = ctx.registry
-    rows: list[list[Polynomial]] = []
-    for i in range(1, ctx.n - 1):
-        rows.append([reg.const(ctx.alpha(i, k)) for k in idx])
-    rows.append([ctx.q(k) for k in idx])
-    rows.append([ctx.p(k) for k in idx])
-    return det(PolyMatrix.from_rows(rows))
+    return det(_window_rows(ctx, idx))
 
 
 def integrals_via_sum_of_squares(ctx: PhaseContext, side: str, m: int,
@@ -317,7 +322,8 @@ def check_route_equivalence(ctx: PhaseContext) -> Report:
 def check_vanishing(ctx: PhaseContext) -> Report:
     """Below the threshold window m = n the realised invariant is
     identically zero: with A the n x m matrix of rows alpha^(1..n-2), q, p
-    over the window, the realised bordered matrix M is checked to be A A^T
+    over the window (`_window_rows`, whose n x n minors are the building
+    blocks), the realised bordered matrix M is checked to be A A^T
     entry by entry, and a product through m < n columns has rank at most m,
     so C_n = -det M realises to zero.  At m = n it is not (for generic
     parameters), read from the sum-of-squares route, which
@@ -327,11 +333,8 @@ def check_vanishing(ctx: PhaseContext) -> Report:
     for side in ("left", "right"):
         for m in range(1, min(n, ctx.N + 1)):
             a, b = window(side, m, ctx.N)
-            sites = range(a, b + 1)
-            A = [[reg.const(ctx.alpha(i, k)) for k in sites]
-                 for i in range(1, n - 1)]
-            A += [[ctx.q(k) for k in sites], [ctx.p(k) for k in sites]]
-            if any(ctx.realize_poly(matrix.at(i, j), side, m) != poly_sum(
+            A = _window_rows(ctx, range(a, b + 1))
+            if any(ctx.realize_poly(matrix[i][j], side, m) != poly_sum(
                     reg, [x * y for x, y in zip(A[i], A[j])])
                    for i in range(n) for j in range(n)):
                 fails.append(f"realised M is not A A^T: side={side}, m={m}")

@@ -29,9 +29,9 @@ canonical order is sorted on them with no Python call per monomial.
 
 The module also carries the exact linear algebra used everywhere else:
 
-* determinants of polynomial matrices by Laplace's expansion in
-  complementary minors of the top and bottom halves of the rows, each
-  half's minors memoised per column subset,
+* determinants of polynomial matrices, given as their rows, by Laplace's
+  expansion in complementary minors of the top and bottom halves of the
+  rows, each half's minors memoised per column subset,
 * one exact eliminator over sparse rational rows, which gives the rank of
   a rational system and its nullspace in reduced-echelon parametrisation.
 """
@@ -682,47 +682,7 @@ def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:
 
 
 # ----------------------------------------------------------------------
-# Matrices
-
-
-class PolyMatrix:
-    """Dense rectangular matrix of polynomials from one registry."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Polynomial]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        reg = entries[0].registry
-        for e in entries:
-            if e.registry is not reg:
-                raise RegistryMismatch("matrix entries mix registries")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-
-    @classmethod
-    def from_rows(cls, rows_: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
-        nrows = len(rows_)
-        ncols = len(rows_[0])
-        flat: list[Polynomial] = []
-        for r in rows_:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
-
-    @property
-    def registry(self) -> VarRegistry:
-        return self.entries[0].registry
-
-    def at(self, i: int, j: int) -> Polynomial:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Polynomial, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+# Determinants
 
 
 def _minor(entries: list, end: int, memo: dict, colmask: int) -> dict:
@@ -747,22 +707,26 @@ def _minor(entries: list, end: int, memo: dict, colmask: int) -> dict:
     return acc
 
 
-def det(matrix: PolyMatrix) -> Polynomial:
-    """Determinant by Laplace's expansion in complementary minors along the
+def det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant of a square matrix given as its rows of polynomials from
+    one registry, by Laplace's expansion in complementary minors along the
     top k = size // 2 rows (Gantmacher, The Theory of Matrices, vol. 1,
     ch. I): the sum over k-subsets S of the columns of (-1)^(sum S -
     k(k-1)/2) det M[top, S] det M[bottom, S^c].  Zero coefficients are
     dropped once, from the whole determinant, since a zero left in a minor
-    only costs products."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    size = matrix.rows
+    only costs products.  An empty, ragged or non-square matrix raises
+    ValueError, and entries from more than one registry RegistryMismatch."""
+    size = len(rows)
+    if not size or any(len(row) != size for row in rows):
+        raise ValueError("determinant of an empty or non-square matrix")
+    registry = rows[0][0].registry
+    if any(e.registry is not registry for row in rows for e in row):
+        raise RegistryMismatch("matrix entries mix registries")
     # every term of the determinant takes one entry from each row
-    _check_degree(sum(max(e.total_degree() for e in matrix.row(i))
-                      for i in range(size)), "a determinant")
+    _check_degree(sum(max(e.total_degree() for e in row) for row in rows),
+                  "a determinant")
     # entries[row][col] = (terms, negated terms)
-    entries = [[(e.terms, (-e).terms) for e in matrix.row(i)]
-               for i in range(size)]
+    entries = [[(e.terms, (-e).terms) for e in row] for row in rows]
     k, full = size // 2, (1 << size) - 1
     # `_minor` is no closure, so the memos hold no cycle and every minor is
     # freed when det returns
@@ -776,7 +740,7 @@ def det(matrix: PolyMatrix) -> Polynomial:
             if (sum(cols) - k * (k - 1) // 2) & 1:
                 upper = {m: -c for m, c in upper.items()}
             _addmul(acc, upper, _minor(entries, size, bottom, full ^ colmask))
-    return Polynomial._make(matrix.registry, _clean(acc))
+    return Polynomial._make(registry, _clean(acc))
 
 
 # ----------------------------------------------------------------------

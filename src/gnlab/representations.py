@@ -17,20 +17,23 @@ when every field annihilates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Generator, GnAlgebra
-from .poly import Polynomial, VarId, derive, sparse_nullspace
+from .poly import Polynomial, derive, monomial, sparse_nullspace
 from .reports import Report
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
+    """Integer images of the generators; `kills` names the generators whose
+    span the representation is built to have as its kernel."""
     name: str
     size: int
     image: dict[Generator, list[list[int]]]
     algebra: GnAlgebra
+    kills: tuple[Generator, ...]
 
     def of(self, g: Generator) -> list[list[int]]:
         return self.image[g]
@@ -72,7 +75,7 @@ def build_faithful_rep(alg: GnAlgebra) -> MatrixRep:
             add(g.i + n, g.j, 1)
             add(g.j + n, g.i, 1)
         image[g] = _matrix(size, cells)
-    return MatrixRep("faithful", size, image, alg)
+    return MatrixRep("faithful", size, image, alg, ())
 
 
 def build_quotient_rep(alg: GnAlgebra) -> MatrixRep:
@@ -91,7 +94,7 @@ def build_quotient_rep(alg: GnAlgebra) -> MatrixRep:
         elif g.kind == "ym":
             cells = {(n, g.i): 1}
         image[g] = _matrix(size, cells)
-    return MatrixRep("quotient", size, image, alg)
+    return MatrixRep("quotient", size, image, alg, alg.basis.centrals)
 
 
 def _add_product(acc: dict, a: list[dict], b: list[dict], scale) -> None:
@@ -109,8 +112,9 @@ def check_homomorphism(rep: MatrixRep) -> Report:
 
     Each image is read once as a sparse matrix of its nonzero entries,
     and [rho(a), rho(b)] - sum c rho(g) is accumulated entry by entry.
-    The kernel of the linear map generator -> matrix is computed exactly;
-    the report records its dimension and whether it sits inside the centre.
+    The kernel of the linear map generator -> matrix is computed exactly
+    and must be the span of `rep.kills`: of its dimension and inside it.
+    The report records its dimension and whether it sits inside the centre.
     """
     alg = rep.algebra
     order = alg.basis.order
@@ -140,6 +144,12 @@ def check_homomorphism(rep: MatrixRep) -> Report:
     kernel = sparse_nullspace(rows, len(order))
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
     in_centre = all(not (vec.keys() - z_positions) for vec in kernel)
+    killed = {alg.basis.index(g) for g in rep.kills}
+    if len(kernel) != len(killed):
+        fails.append(f"kernel has dimension {len(kernel)}, not {len(killed)}")
+    if any(vec.keys() - killed for vec in kernel):
+        names = ", ".join(g.name for g in rep.kills)
+        fails.append(f"kernel leaves the span of {{{names}}}")
     return Report(f"{rep.name}_representation",
                   {"n": alg.n, "size": rep.size, "pairs": pairs,
                    "kernel_dim": len(kernel), "kernel_in_centre": in_centre},
@@ -148,21 +158,14 @@ def check_homomorphism(rep: MatrixRep) -> Report:
 
 @dataclass(frozen=True, eq=False)
 class CoadjointField:
-    """Derivation sum coeffs[v] d/dv attached to one source generator.
-
-    `terms` and `degree` are the field as `derive` takes it: the term dict
-    of each coefficient by variable index, and their largest degree."""
+    """Derivation sum_v terms[v] d/dv attached to one source generator, as
+    `derive` takes it: `terms` maps a variable index to the term dict of
+    its coefficient, and `degree` is their largest degree, 1 for a nonzero
+    field (the coefficients are linear) and 0 for the zero field."""
     source: Generator
-    coeffs: dict[VarId, Polynomial]
+    terms: dict[int, dict]
+    degree: int
     algebra: GnAlgebra
-    terms: dict[int, dict] = field(init=False, repr=False)
-    degree: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", {v.index: c.terms
-                                           for v, c in self.coeffs.items()})
-        object.__setattr__(self, "degree", max(
-            (c.total_degree() for c in self.coeffs.values()), default=0))
 
     def apply(self, p: Polynomial) -> Polynomial:
         self.algebra._check_domain(p)
@@ -174,10 +177,11 @@ def build_coadjoint(alg: GnAlgebra) -> tuple[CoadjointField, ...]:
     """One vector field per generator, in canonical order; central
     generators yield the zero field."""
     order = alg.basis.order
-    var_ids = [alg.basis.var(g) for g in order]
+    index = [alg.basis.var(g).index for g in order]
+    unit = [monomial({i: 1}) for i in index]
     return tuple(
-        CoadjointField(g, {var_ids[b]: alg.constants.poly(row[b])
-                           for b in sorted(row)}, alg)
+        CoadjointField(g, {index[b]: {unit[k]: c for k, c in row[b].items()}
+                           for b in sorted(row)}, int(bool(row)), alg)
         for g, row in zip(order, alg.constants.brackets))
 
 

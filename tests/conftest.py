@@ -12,7 +12,7 @@ complementary half-row minors.
 import json
 from fractions import Fraction
 
-from gnlab import GnAlgebra, Polynomial, PolyMatrix, VarRegistry
+from gnlab import GnAlgebra, Polynomial, VarRegistry
 from gnlab.poly import exponents, monomial, poly_sum
 
 
@@ -61,12 +61,22 @@ def lie_poisson(alg: GnAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     return poly_sum(reg, products)
 
 
-def commutator_matrix(alg: GnAlgebra) -> PolyMatrix:
-    """The antisymmetric matrix A_ab = [g_a, g_b] of the bracket table, its
-    entries linear polynomials."""
+def commutator_matrix(alg: GnAlgebra) -> list[list[Polynomial]]:
+    """The rows of the antisymmetric matrix A_ab = [g_a, g_b] of the
+    bracket table, its entries linear polynomials."""
     order = alg.basis.order
-    return PolyMatrix.from_rows(
-        [[alg.constants.of(a, b) for b in order] for a in order])
+    return [[alg.constants.of(a, b) for b in order] for a in order]
+
+
+def grade_of(grading: dict[int, tuple[int, ...]], mono: int) -> tuple:
+    """The grade of a monomial under a grading of its variables by
+    registry index (`gnlab.casimir._grading`): the exponent-weighted sum
+    of their grades, decoded one variable at a time."""
+    total = [0] * len(next(iter(grading.values())))
+    for i, e in exponents(mono):
+        for k, v in enumerate(grading[i]):
+            total[k] += e * v
+    return tuple(total)
 
 
 def poly_json(p: Polynomial, pad: str = "") -> str:

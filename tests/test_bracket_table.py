@@ -13,8 +13,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import commutator_matrix, lie_poisson
-from gnlab import (InvariantCount, Report, beltrametti_blasi,
+from conftest import commutator_matrix, grade_of, lie_poisson
+from gnlab import (InvariantCount, Polynomial, Report, beltrametti_blasi,
                    build_coadjoint, build_faithful_rep, build_gn,
                    build_quotient_rep, canonical_order, casimir,
                    casimir_matrix, check_field_homomorphism, check_grading,
@@ -23,7 +23,7 @@ from gnlab import (InvariantCount, Report, beltrametti_blasi,
                    ideal_complement, rank_rational, sparse_nullspace,
                    triangular, verify_intertwining)
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
-from gnlab.casimir import _grade_of, _grading
+from gnlab.casimir import _grading
 from gnlab.poly import monomial, poly_sum
 from gnlab.representations import _add_product
 
@@ -125,10 +125,10 @@ def beltrametti_blasi_oracle(alg):
         point[monomial({alg.basis.var(g).index: 1})] = v
     lower = rank_rational(
         {j: sum(c * point[m] for m, c in e.terms.items())
-         for j, e in enumerate(A.row(i))} for i in range(A.rows))
-    antisymmetric = all(A.at(i, j) == -A.at(j, i)
-                        for i in range(A.rows) for j in range(i, A.cols))
-    nonzero = sum(any(A.row(i)) for i in range(A.rows))
+         for j, e in enumerate(row)} for row in A)
+    antisymmetric = all(A[i][j] == -A[j][i]
+                        for i in range(len(A)) for j in range(i, len(A)))
+    nonzero = sum(map(any, A))
     upper = nonzero - nonzero % 2 if antisymmetric else nonzero
     return InvariantCount(rank=lower, rank_upper_bound=upper,
                           nu=alg.basis.dim - lower)
@@ -167,6 +167,12 @@ def homomorphism_oracle(rep):
     kernel = sparse_nullspace(rows, len(order))
     z_positions = {alg.basis.index(g) for g in alg.basis.centrals}
     in_centre = all(not (vec.keys() - z_positions) for vec in kernel)
+    killed = {alg.basis.index(g) for g in rep.kills}
+    if len(kernel) != len(killed):
+        fails.append(f"kernel has dimension {len(kernel)}, not {len(killed)}")
+    if any(vec.keys() - killed for vec in kernel):
+        names = ", ".join(g.name for g in rep.kills)
+        fails.append(f"kernel leaves the span of {{{names}}}")
     return Report(f"{rep.name}_representation",
                   {"n": alg.n, "size": rep.size, "pairs": pairs,
                    "kernel_dim": len(kernel), "kernel_in_centre": in_centre},
@@ -176,17 +182,20 @@ def homomorphism_oracle(rep):
 def field_homomorphism_oracle(alg):
     fields = build_coadjoint(alg)
     by_gen = {f.source: f for f in fields}
-    zero = alg.registry.zero()
     var_ids = [alg.basis.var(g) for g in alg.basis.order]
+
+    def coefficient(field, v):
+        return Polynomial(alg.registry, field.terms.get(v.index, {}))
+
     fails = []
     pairs = 0
     for fa, fb in combinations(fields, 2):
         pairs += 1
         parts = _bracket_parts(alg, fa.source, fb.source)
         for v in var_ids:
-            lhs = (fa.apply(fb.coeffs.get(v, zero))
-                   - fb.apply(fa.coeffs.get(v, zero)))
-            rhs = poly_sum(alg.registry, (by_gen[g].coeffs.get(v, zero) * c
+            lhs = (fa.apply(coefficient(fb, v))
+                   - fb.apply(coefficient(fa, v)))
+            rhs = poly_sum(alg.registry, (coefficient(by_gen[g], v) * c
                                           for g, c in parts))
             if lhs != rhs:
                 fails.append(
@@ -205,9 +214,9 @@ def intertwining_oracle(alg):
         q = [[(k, -v) for k, v in enumerate(row) if v]
              for row in quotient.of(g)]
         for i, j in product(range(n), repeat=2):
-            rhs = poly_sum(alg.registry, [m.at(k, j) * c for k, c in q[i]]
-                           + [m.at(i, k) * c for k, c in q[j]])
-            if lie_poisson(alg, pg, m.at(i, j)) != rhs:
+            rhs = poly_sum(alg.registry, [m[k][j] * c for k, c in q[i]]
+                           + [m[i][k] * c for k, c in q[j]])
+            if lie_poisson(alg, pg, m[i][j]) != rhs:
                 fails.append(f"intertwining fails for {g.name}")
                 break
     return Report("intertwining", {"n": n, "generators": alg.basis.dim}, fails)
@@ -222,7 +231,7 @@ def grading_oracle(alg):
         want = tuple(map(sum, zip(grading[alg.basis.var(a).index],
                                   grading[alg.basis.var(b).index])))
         for mono in alg.constants.of(a, b).terms:
-            if _grade_of(grading, mono, alg.n - 1) != want:
+            if grade_of(grading, mono) != want:
                 fails.append(f"[{a.name},{b.name}] is not of grade {want}")
                 break
     return fails

@@ -15,8 +15,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import cofactor_det, poly_json
-from gnlab import (BudgetExceeded, PolyMatrix, Polynomial, build_coadjoint,
+from conftest import cofactor_det, grade_of, poly_json
+from gnlab import (BudgetExceeded, Polynomial, build_coadjoint,
                    build_gn, casimir, casimir_matrix, check_grading,
                    check_uniqueness, det, solve_ansatz, sparse_nullspace,
                    verify_annihilation, verify_intertwining)
@@ -31,22 +31,20 @@ def test_matrix_level2():
     alg = build_gn(2)
     P = alg.basis.poly
     h, xm, xp = P(H), P(X_MINUS), P(X_PLUS)
-    assert casimir_matrix(alg).entries == PolyMatrix.from_rows(
-        [[-2 * xm, h], [h, 2 * xp]]).entries
+    assert casimir_matrix(alg) == ((-2 * xm, h), (h, 2 * xp))
 
 
 def test_matrix_level3():
     alg = build_gn(3)
     P = alg.basis.poly
-    want = PolyMatrix.from_rows([
-        [P(central(1, 1)), -P(y_minus(1)), P(y_plus(1))],
-        [-P(y_minus(1)), -2 * P(X_MINUS), P(H)],
-        [P(y_plus(1)), P(H), 2 * P(X_PLUS)],
-    ])
+    want = (
+        (P(central(1, 1)), -P(y_minus(1)), P(y_plus(1))),
+        (-P(y_minus(1)), -2 * P(X_MINUS), P(H)),
+        (P(y_plus(1)), P(H), 2 * P(X_PLUS)),
+    )
     got = casimir_matrix(alg)
-    assert got.entries == want.entries
-    assert all(got.at(i, j) == got.at(j, i)
-               for i in range(3) for j in range(3))
+    assert got == want
+    assert all(got[i][j] == got[j][i] for i in range(3) for j in range(3))
 
 
 def test_invariant_level2():
@@ -161,6 +159,25 @@ def test_grading_check_catches_a_wrong_grade(monkeypatch):
     # [x-, y1p] = y1m now sums to weight 0 but y1m has weight -1
     assert "[xm,y1p] is not of grade (0, 1)" in rep.failures
     assert rep.data == {"n": 3, "terms": 5}
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_grading_check_catches_a_monomial_of_wrong_degree_or_weight(n):
+    """One monomial of degree n + 1, or of degree n and h-weight 2 or -3,
+    added to C_n fails the check once; the weight is read across weight
+    classes."""
+    cas = casimir(build_gn(n))
+    P = cas.algebra.basis.poly
+    h = P(H)
+    for extra, failure in (
+            (h ** (n + 1), f"monomial of degree {n + 1} present"),
+            (P(X_PLUS) * h ** (n - 1), "monomial with weight 2 present"),
+            (P(X_MINUS) * P(y_minus(1)) * h ** (n - 2),
+             "monomial with weight -3 present")):
+        bad = dataclasses.replace(cas, polynomial=cas.polynomial + extra)
+        rep = check_grading(bad)
+        assert rep.failures == [failure]
+        assert rep.data == {"n": n, "terms": len(cas.polynomial.terms) + 1}
 
 
 def test_grading_check_catches_an_inhomogeneous_bracket():
@@ -331,7 +348,7 @@ def test_weight_zero_columns_keep_the_full_enumeration_order(n):
         assert [mono for _, mono, _ in got] == want
         # the packed ladder is the grade after its zero h-weight
         for _, mono, ladder in got:
-            assert casimir_module._grade_of(grading, mono, n - 1) == (0, *(
+            assert grade_of(grading, mono) == (0, *(
                 (ladder >> (16 * k)) & 0xFFFF for k in range(n - 2)))
 
 
@@ -355,10 +372,10 @@ def _all_field_ansatz(n, degree):
         alg, grading, degree).values() for column in block)
     blocks = {}
     for col, mono in columns:
-        grade = casimir_module._grade_of(grading, mono, n - 1)
+        grade = grade_of(grading, mono)
         blocks.setdefault(grade, []).append((col, mono))
     fields = [(f.terms, f.degree) for f in build_coadjoint(alg)
-              if f.coeffs]
+              if f.terms]
     found = []
     for block in blocks.values():
         rows = {}

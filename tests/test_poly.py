@@ -14,7 +14,7 @@ import pytest
 
 from conftest import (cofactor_det, poly_from_json, poly_json,
                       poly_json_reference, random_poly, rational_point)
-from gnlab import (BudgetExceeded, MissingVariable, PolyMatrix, Polynomial,
+from gnlab import (BudgetExceeded, MissingVariable, Polynomial,
                    RegistryMismatch, VarRegistry, det, parse_polynomial,
                    rank_rational, sparse_nullspace)
 from gnlab.poly import monomial
@@ -176,10 +176,27 @@ def test_zero_image_does_not_hide_an_uncovered_variable():
 def test_det_small_goldens():
     reg = abc_registry()
     a, b, c, d = (reg.poly(n) for n in "abcd")
-    assert det(PolyMatrix.from_rows([[a]])) == a
-    assert det(PolyMatrix.from_rows([[a, b], [c, d]])) == a * d - b * c
+    assert det([[a]]) == a
+    assert det([[a, b], [c, d]]) == a * d - b * c
     # a singular matrix built from a repeated row
-    assert det(PolyMatrix.from_rows([[a, b], [a, b]])).is_zero
+    assert det([[a, b], [a, b]]).is_zero
+
+
+def test_det_rejects_empty_ragged_non_square_and_mixed_rows():
+    """The rows must form a nonempty square matrix over one registry; an
+    entry from another registry is refused even where it is zero."""
+    reg, other = abc_registry(), abc_registry()
+    a, b, c, d = (reg.poly(n) for n in "abcd")
+    for rows in ([], [[]], [[a, b]], [[a], [b]], [[a, b], [c]],
+                 [[a], [b, c]], [[a, b, c], [a, b, c], [a, b]]):
+        with pytest.raises(ValueError) as raised:
+            det(rows)
+        assert type(raised.value) is ValueError
+    for rows in ([[other.poly("a"), b], [c, d]],
+                 [[a, b], [c, other.poly("d")]],
+                 [[a, other.zero()], [c, d]]):
+        with pytest.raises(RegistryMismatch):
+            det(rows)
 
 
 def test_det_sl2_corner():
@@ -187,7 +204,7 @@ def test_det_sl2_corner():
     for name in ("h", "xm", "xp"):
         reg.add(name)
     h, xm, xp = reg.poly("h"), reg.poly("xm"), reg.poly("xp")
-    m = PolyMatrix.from_rows([[-2 * xm, h], [h, 2 * xp]])
+    m = [[-2 * xm, h], [h, 2 * xp]]
     assert det(m) == -4 * xm * xp - h * h
     assert -det(m) == h ** 2 + 4 * xp * xm
 
@@ -214,7 +231,7 @@ def test_det_matches_cofactor_oracle():
             repeated[s] = list(repeated[r])
             cases += [zero_row, zero_column, repeated]
         for k, case in enumerate(cases):
-            got = det(PolyMatrix.from_rows(case))
+            got = det(case)
             assert got == cofactor_det(case)
             assert got.is_zero or k < 2
 
@@ -232,7 +249,7 @@ def test_det_of_a_permutation_matrix_is_its_sign():
         for perm in permutations(range(size)):
             rows = [[reg.const(int(perm[i] == j)) for j in range(size)]
                     for i in range(size)]
-            assert det(PolyMatrix.from_rows(rows)) == \
+            assert det(rows) == \
                 reg.const(permutation_sign(perm))
 
 
@@ -242,8 +259,7 @@ def test_det_transpose_invariant():
     rows = [[random_poly(reg, rng, max_terms=2, max_degree=1)
              for _ in range(4)] for _ in range(4)]
     transposed = [list(col) for col in zip(*rows)]
-    assert det(PolyMatrix.from_rows(rows)) == \
-        det(PolyMatrix.from_rows(transposed))
+    assert det(rows) == det(transposed)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +417,7 @@ def test_degree_overflow_raises_budget_exceeded():
         with pytest.raises(BudgetExceeded):
             (a ** 128 * b).substitute({"a": a * b, "b": const})
     with pytest.raises(BudgetExceeded):
-        det(PolyMatrix.from_rows([[a ** 200, b], [a, b ** 100]]))
+        det([[a ** 200, b], [a, b ** 100]])
     with pytest.raises(BudgetExceeded):
         poly_from_json(reg, {"terms": [{"coeff": "1",
                                         "monomial": {"a": 256}}]})

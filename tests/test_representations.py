@@ -4,10 +4,11 @@ at small levels.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from gnlab import (PhaseContext, build_coadjoint,
+from gnlab import (PhaseContext, Polynomial, build_coadjoint,
                    build_faithful_rep, build_gn, build_quotient_rep,
                    check_field_homomorphism, check_homomorphism, triangular)
 from conftest import lie_poisson, random_poly
@@ -76,12 +77,39 @@ def test_homomorphism_reports_broken_images():
                for i, row in enumerate(rep.of(H))]
     broken = MatrixRep("broken", size, {
         **rep.image, H: shifted,
-        X_PLUS: [[2 * v for v in row] for row in rep.of(X_PLUS)]}, alg)
+        X_PLUS: [[2 * v for v in row] for row in rep.of(X_PLUS)]}, alg, ())
     report = check_homomorphism(broken)
     assert report.failures == ["commutator mismatch on (xm, xp)",
                                "commutator mismatch on (xp, y1m)",
                                "image of h has trace 4"]
     assert report.data["kernel_dim"] == 0
+
+
+def test_homomorphism_fails_when_the_kernel_is_not_the_claimed_one():
+    """The quotient images in a representation that claims no kernel, the
+    faithful images claiming the centre, and the quotient images claiming
+    h in place of one central generator each fail on the kernel alone."""
+    for n in (3, 4):
+        alg = build_gn(n)
+        faithful = build_faithful_rep(alg)
+        quotient = build_quotient_rep(alg)
+        centrals = alg.basis.centrals
+        t = triangular(n - 2)
+        swapped = (H, *centrals[1:])
+        cases = [
+            (replace(quotient, kills=()), t,
+             [f"kernel has dimension {t}, not 0",
+              "kernel leaves the span of {}"]),
+            (replace(faithful, kills=centrals), 0,
+             [f"kernel has dimension 0, not {t}"]),
+            (replace(quotient, kills=swapped), t,
+             ["kernel leaves the span of {"
+              + ", ".join(g.name for g in swapped) + "}"]),
+        ]
+        for rep, kernel_dim, failures in cases:
+            report = check_homomorphism(rep)
+            assert report.failures == failures
+            assert report.data["kernel_dim"] == kernel_dim
 
 
 def test_images_are_traceless():
@@ -103,7 +131,7 @@ def test_coadjoint_closed_forms():
     V = alg.basis.var
 
     def coefficient(field, v):
-        return field.coeffs.get(v, alg.registry.zero())
+        return Polynomial(alg.registry, field.terms.get(v.index, {}))
 
     h_hat = fields[H]
     assert coefficient(h_hat, V(X_PLUS)) == 2 * P(X_PLUS)
@@ -136,7 +164,10 @@ def test_coadjoint_closed_forms():
     assert coefficient(y2m_hat, V(y_plus(2))) == -P(central(2, 2))
 
     for g in alg.basis.centrals:
-        assert not fields[g].coeffs
+        assert not fields[g].terms
+    # the coefficients are linear, so a nonzero field has degree 1
+    assert all(f.degree == (f.source not in alg.basis.centrals)
+               for f in fields.values())
 
 
 def test_apply_on_generators_is_the_bracket():
