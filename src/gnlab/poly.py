@@ -44,7 +44,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import combinations, repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # One byte per exponent: the helpers below read monomials with int.to_bytes.
 _BITS = 8
@@ -124,7 +124,12 @@ def _rational(value):
 
 
 def _clean(terms: Mapping) -> dict:
-    """Terms without zero coefficients, integral Fractions turned to int."""
+    """A copy of `terms` without zero coefficients, integral Fractions
+    turned to int.  Terms whose coefficients are all nonzero ints, such as
+    `det`'s final sum, are copied whole after two scans that run in C."""
+    values = terms.values()
+    if {int}.issuperset(map(type, values)) and all(values):
+        return dict(terms)
     return {m: c if type(c) is int else _rational(c)
             for m, c in terms.items() if c}
 
@@ -505,10 +510,13 @@ class Polynomial:
         factors = map("".join, zip(*columns)) if columns else repeat("")
         return zip(map(self.terms.__getitem__, monos), factors)
 
-    def text(self) -> str:
+    def text_pieces(self) -> Iterator[str]:
+        """The text form in pieces, one per term in canonical order, whose
+        join is `text`: ``-a^2`` and then `` + 3*a*b``, `` - b`` and so on."""
         if not self.terms:
-            return "0"
-        chunks: list[str] = []
+            yield "0"
+            return
+        plus, minus = "", "-"
         # factors by descending variable index, each led by "*"
         for c, factors in self._rendered_terms(
                 list(range(len(self.registry) - 1, -1, -1)),
@@ -521,11 +529,11 @@ class Polynomial:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+            yield f"{plus}{body}" if c > 0 else f"{minus}{body}"
+            plus, minus = " + ", " - "
+
+    def text(self) -> str:
+        return "".join(self.text_pieces())
 
     def __str__(self) -> str:
         return self.text()

@@ -198,7 +198,16 @@ def _cli_process(*argv, **kwargs):
         env={**os.environ, "PYTHONPATH": src}, **kwargs)
 
 
-def test_a_reader_that_closes_early_ends_quietly_with_exit_1():
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_early_ends_quietly_with_exit_1(monkeypatch,
+                                                             unbuffered):
+    # Under PYTHONUNBUFFERED stdout writes straight to the raw pipe, where a
+    # write cut short by the reader's close must not pass for a whole one.
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     # about 490 KB of JSON, far more than a pipe holds, so the CLI is still
     # writing when the reader goes
     proc = _cli_process("casimir", "--n", "7", "--format", "json",
@@ -209,6 +218,62 @@ def test_a_reader_that_closes_early_ends_quietly_with_exit_1():
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+def test_unbuffered_stdout_writes_the_whole_report(monkeypatch):
+    """Written straight to a raw pipe, C_7's JSON arrives whole."""
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    command = "casimir --n 7 --format json"
+    proc = _cli_process(*command.split(), stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE)
+    out, err = proc.communicate()
+    assert proc.returncode == 0 and err == b""
+    assert hashlib.sha256(out).hexdigest() == OUTPUT_SHA256[command]
+
+
+def test_a_report_takes_a_few_writes(monkeypatch):
+    """C_7's JSON, about 490 KB in 2,461 terms, goes to stdout in blocks of
+    at least 64 Ki characters, not a write per term."""
+    class CountingStream(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            CountingStream.writes += 1
+            return super().write(text)
+
+    stream = CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["casimir", "--n", "7", "--format", "json"]) == 0
+    digest = hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest()
+    assert digest == OUTPUT_SHA256["casimir --n 7 --format json"]
+    assert CountingStream.writes <= 12
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 1,000 bytes a call, as a pipe may."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[:1000])
+        self.data += taken
+        return len(taken)
+
+
+def test_short_writes_to_a_raw_stdout_lose_nothing(monkeypatch):
+    """A text stdout over a raw stream ignores what a short write leaves
+    over, so the report must go to the raw stream until all of it is out."""
+    raw = ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        raw, encoding="utf-8", write_through=True))
+    command = "casimir --n 7 --format json"
+    assert main(command.split()) == 0
+    assert hashlib.sha256(raw.data).hexdigest() == OUTPUT_SHA256[command]
 
 
 def test_an_unwritable_out_path_still_exits_2_with_its_error(tmp_path):
@@ -681,8 +746,9 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_failed_write_removes_out_file(tmp_path, capsys, monkeypatch):
     """The JSON is streamed into --out, so a failure after the first piece
-    has been written must not leave a truncated file behind."""
-    target = tmp_path / "c4.json"
+    has been written must not leave a truncated file behind.  C_7's JSON,
+    about 490 KB, is written in several blocks."""
+    target = tmp_path / "c7.json"
     written = []
 
     def failing_open(*args, **kwargs):
@@ -698,7 +764,7 @@ def test_failed_write_removes_out_file(tmp_path, capsys, monkeypatch):
         return fh
 
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
-    code, out, err = run(capsys, "casimir", "--n", "4", "--format", "json",
+    code, out, err = run(capsys, "casimir", "--n", "7", "--format", "json",
                          "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: MemoryError")

@@ -3,8 +3,9 @@
 Property tests (hypothesis) check the ring axioms, substitution as a ring
 homomorphism, the Leibniz rule and the one-pass vector field kernel
 against sums of partial derivatives, on polynomials whose coefficients mix
-integers and non-integral rationals; and the canonical term order against
-one built from decoded exponent tuples.  The canonical bracket obeys Jacobi
+integers and non-integral rationals; `_clean` against a plain dict
+comprehension; and the canonical term order against one built from
+decoded exponent tuples.  The canonical bracket obeys Jacobi
 and Leibniz on random phase polynomials.  The determinant is alternating
 and linear in each row.  sympy's Berkowitz determinant is an independent
 oracle for the invariants C_n = -det M_n at small levels.
@@ -19,7 +20,7 @@ from conftest import (canonical_order, poly_from_json, poly_json,
                       poly_json_reference)
 from gnlab import (PhaseContext, Polynomial, VarRegistry,
                    build_gn, canonical_bracket, casimir, det)
-from gnlab.poly import derive, exponents, monomial, poly_sum
+from gnlab.poly import _clean, derive, exponents, monomial, poly_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -202,6 +203,28 @@ def test_det_is_alternating_and_linear_in_each_row(rows, data):
         swapped = list(rows)
         swapped[i], swapped[j] = rows[j], rows[i]
         assert det(swapped) == -d
+
+
+def term_dicts():
+    """Term dicts of nonzero ints alone (the all-int case), or mixing ints,
+    zero among them, with integral and non-integral Fractions."""
+    ints = st.integers(-3, 3)
+    nonzero = st.dictionaries(st.integers(0, 40), ints.filter(bool))
+    mixed = st.dictionaries(st.integers(0, 40), st.one_of(
+        ints, ints.map(Fraction),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+    return st.one_of(nonzero, mixed)
+
+
+@settings
+@given(term_dicts())
+def test_clean_drops_zeros_and_makes_integral_fractions_ints(terms):
+    cleaned = _clean(terms)
+    assert cleaned is not terms
+    expected = [(m, int(c) if c.denominator == 1 else c)
+                for m, c in terms.items() if c]
+    assert [(m, type(c), c) for m, c in cleaned.items()] == \
+        [(m, type(c), c) for m, c in expected]
 
 
 @settings
