@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .poly import (Polynomial, VarId, VarRegistry, monomial, rank_rational,
-                   sparse_nullspace, variable_mask)
+                   sparse_nullspace)
 from .reports import Report
 
 _KINDS = ("h", "xm", "xp", "ym", "yp", "z")
@@ -195,8 +195,6 @@ class StructureConstants:
 class GnAlgebra:
     basis: GnBasis
     constants: StructureConstants
-    # every exponent bit of the generator variables (a `variable_mask`)
-    domain_mask: int
 
     @property
     def n(self) -> int:
@@ -206,24 +204,14 @@ class GnAlgebra:
     def registry(self) -> VarRegistry:
         return self.basis.registry
 
-    def _check_domain(self, p: Polynomial) -> None:
-        """Raise unless `p` is in the generator variables."""
-        if p.registry is not self.registry:
-            raise ValueError("polynomial uses a different registry")
-        foreign = p.support_outside(self.domain_mask)
-        if foreign:
-            names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
-            raise ValueError(f"foreign variables present: {names}")
 
-
-def build_gn(n: int, registry: VarRegistry | None = None) -> GnAlgebra:
-    """Build level n of the chain; registers its variables in `registry`
-    (a fresh one when omitted) in the canonical order."""
+def build_gn(n: int) -> GnAlgebra:
+    """Build level n of the chain over a fresh registry of its generator
+    variables alone, in the canonical order: a generator's variable index
+    is its basis position."""
     order = canonical_order(n)
-    reg = registry if registry is not None else VarRegistry()
-    mask = variable_mask([reg.add(g.name).index for g in order])
-    basis = GnBasis(n, order, reg)
-    return GnAlgebra(basis, StructureConstants(basis), mask)
+    basis = GnBasis(n, order, VarRegistry(g.name for g in order))
+    return GnAlgebra(basis, StructureConstants(basis))
 
 
 # ----------------------------------------------------------------------

@@ -164,18 +164,19 @@ def verify_intertwining(cas: CasimirResult) -> Report:
 
 
 def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:
-    """The grade of each generator variable, keyed by registry index: its
-    h-weight followed by its ladder multidegree in Z^{n-2}.  A monomial's
-    grade is the exponent-weighted sum of its variables' grades."""
+    """The grade of each generator variable, keyed by registry index, which
+    is the basis position: its h-weight followed by its ladder multidegree
+    in Z^{n-2}.  A monomial's grade is the exponent-weighted sum of its
+    variables' grades."""
     out: dict[int, tuple[int, ...]] = {}
-    for g in alg.basis.order:
+    for k, g in enumerate(alg.basis.order):
         ladder = [0] * (alg.n - 2)
         if g.kind in ("ym", "yp"):
             ladder[g.i - 1] += 1
         elif g.kind == "z":
             ladder[g.i - 1] += 1
             ladder[g.j - 1] += 1
-        out[alg.basis.var(g).index] = (_H_WEIGHT.get(g.kind, 0), *ladder)
+        out[k] = (_H_WEIGHT.get(g.kind, 0), *ladder)
     return out
 
 
@@ -184,9 +185,8 @@ def check_grading(cas: CasimirResult) -> Report:
     grade(a) + grade(b), and C_n is homogeneous of degree n with every
     monomial of h-weight zero."""
     alg, c, n = cas.algebra, cas.polynomial, cas.algebra.n
-    grading = _grading(alg)
+    grade = _grading(alg)
     order = alg.basis.order
-    grade = [grading[alg.basis.var(g).index] for g in order]
     fails: list[str] = []
     for a, row in enumerate(alg.constants.brackets):
         for b in sorted(row):
@@ -197,7 +197,7 @@ def check_grading(cas: CasimirResult) -> Report:
     # a monomial's h-weight: sum over w of w times its degree in the
     # variables of weight w, each read with `_degrees` through a mask
     by_weight: dict[int, list[int]] = {}
-    for i, g in grading.items():
+    for i, g in grade.items():
         if g[0]:
             by_weight.setdefault(g[0], []).append(i)
     monos = list(c.terms)
@@ -351,7 +351,7 @@ def check_uniqueness(cas: CasimirResult,
     alg, n = cas.algebra, cas.algebra.n
     if max_degree is None:
         max_degree = n - 1
-    z_idx = {alg.basis.var(g).index for g in alg.basis.centrals}
+    z_idx = set(map(alg.basis.index, alg.basis.centrals))
     centrals = triangular(n - 2)
     fails: list[str] = []
     dims: dict[str, int] = {}

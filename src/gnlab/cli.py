@@ -414,7 +414,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("t-end must be nonnegative and finite")
     ctx = _context(cfg)
     try:
-        gen_poly = parse_polynomial(args.H, ctx.registry)
+        gen_poly = parse_polynomial(args.H, ctx.algebra.registry)
         hamiltonian = ctx.realize_poly(gen_poly)
     except (ValueError, MissingVariable) as exc:
         raise UsageError(f"bad Hamiltonian: {exc}") from None

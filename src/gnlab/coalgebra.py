@@ -18,6 +18,10 @@ followed by the one-site realisation on every site, which is why the
 substitution route carries the coproduct's name.  The coproduct on a
 tensor registry itself is not needed here; the tests build it to check
 coassociativity and that it is an algebra homomorphism.
+
+A realisation maps polynomials in the generators to polynomials in (q, p),
+and the two rings keep separate registries: the algebra's own, and a phase
+registry of q1, p1, ..., qN, pN alone.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from itertools import combinations
 
 from .algebra import Generator, X_MINUS, X_PLUS, build_gn
 from .casimir import CasimirResult, casimir, generating_set
-from .poly import (Polynomial, VarId, VarRegistry, derive, det, poly_sum,
-                   rank_rational, variable_mask)
+from .poly import (Polynomial, RegistryMismatch, VarId, VarRegistry, derive,
+                   det, poly_sum, rank_rational)
 from .reports import Report
 
 
@@ -51,24 +55,21 @@ class PhaseContext:
     """One realisation workspace: algebra level n, N canonical pairs, and
     the rational parameter rows.
 
-    The registry holds the generator variables first (canonical order) and
-    then q1, p1, q2, p2, ..., so invariants built here substitute directly.
+    `registry` holds the phase variables q1, p1, q2, p2, ..., qN, pN only;
+    the generator variables live in `algebra.registry`, and
+    `realize_poly` carries a polynomial from that registry into this one.
     """
 
     def __init__(self, n: int, N: int, alpha_rows=None):
         if N < 1:
             raise ValueError("at least one degree of freedom is required")
-        registry = VarRegistry()
-        self.algebra = build_gn(n, registry=registry)
+        self.algebra = build_gn(n)
         self.n = n
         self.N = N
-        self.registry = registry
-        self._q: list[VarId] = []
-        self._p: list[VarId] = []
-        for k in range(1, N + 1):
-            self._q.append(registry.add(f"q{k}"))
-            self._p.append(registry.add(f"p{k}"))
-        self._phase_mask = variable_mask(v.index for v in self._q + self._p)
+        self.registry = VarRegistry(f"{x}{k}" for k in range(1, N + 1)
+                                    for x in "qp")
+        self._q = self.registry.var_ids[0::2]
+        self._p = self.registry.var_ids[1::2]
         rows: dict[int, tuple[Fraction, ...]] = {}
         if alpha_rows is None:
             alpha_rows = {}
@@ -112,17 +113,14 @@ class PhaseContext:
 
     def state_vars(self) -> tuple[VarId, ...]:
         """q1..qN then p1..pN; the column order of trajectories."""
-        return tuple(self._q) + tuple(self._p)
+        return self._q + self._p
 
     def check_phase(self, f: Polynomial) -> None:
-        """Raise ValueError unless `f` is a polynomial in this context's q
-        and p variables only."""
+        """Raise RegistryMismatch, a ValueError, unless `f` is a polynomial
+        over this context's phase registry."""
         if f.registry is not self.registry:
-            raise ValueError("polynomial belongs to a different context")
-        foreign = f.support_outside(self._phase_mask)
-        if foreign:
-            names = ", ".join(sorted(self.registry.name_of(i) for i in foreign))
-            raise ValueError(f"non-phase variables present: {names}")
+            raise RegistryMismatch(
+                "non-phase polynomial: not over this context's q and p")
 
     @cached_property
     def casimir(self) -> CasimirResult:

@@ -89,9 +89,8 @@ def monomial(exps: Mapping[int, int]) -> int:
 
 
 def variable_mask(indices: Iterable[int]) -> int:
-    """Every exponent bit of the given variable indices: a polynomial is in
-    those variables exactly when `Polynomial.support_outside` of the mask
-    is empty."""
+    """Every exponent bit of the given variable indices: a monomial ANDed
+    with it keeps only its part in those variables."""
     return sum(MAX_DEGREE << (_BITS * i) for i in set(indices))
 
 
@@ -171,11 +170,19 @@ class VarRegistry:
         self._by_name[name] = vid
         return vid
 
-    def var(self, name: str) -> VarId:
+    def var(self, key: str | VarId) -> VarId:
+        """The variable of a name, or a VarId checked to be this registry's
+        own: another registry's raises RegistryMismatch, an unknown name
+        MissingVariable."""
+        if isinstance(key, VarId):
+            if self._by_name.get(key.name) != key:
+                raise RegistryMismatch(
+                    f"variable {key.name!r} belongs to another registry")
+            return key
         try:
-            return self._by_name[name]
+            return self._by_name[key]
         except KeyError:
-            raise MissingVariable(f"unknown variable {name!r}") from None
+            raise MissingVariable(f"unknown variable {key!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -202,7 +209,7 @@ class VarRegistry:
 
     def poly(self, name, coeff=1) -> "Polynomial":
         """The variable `name` as a polynomial, optionally scaled."""
-        vid = name if isinstance(name, VarId) else self.var(name)
+        vid = self.var(name)
         c = _rational(coeff)
         return Polynomial._make(self, {monomial({vid.index: 1}): c} if c else {})
 
@@ -330,19 +337,12 @@ class Polynomial:
         return self._degree
 
     def support_indices(self) -> frozenset[int]:
-        return self.support_outside(0)
-
-    def support_outside(self, mask: int) -> frozenset[int]:
-        """Indices of the variables of self that `mask` (a `variable_mask`)
-        leaves out.  One OR of the monomials is tested against the mask, and
-        exponents are decoded only when a variable lies outside it."""
+        """Indices of the variables of self, decoded from one OR of the
+        monomials."""
         union = 0
         for m in self.terms:
             union |= m
-        outside = union & ~mask
-        if not outside:
-            return frozenset()
-        return frozenset(i for i, _ in exponents(outside))
+        return frozenset(i for i, _ in exponents(union))
 
     def denominator(self) -> int:
         """The lcm of the coefficient denominators: the least positive
@@ -357,7 +357,7 @@ class Polynomial:
         return Fraction(self.terms.get(key, 0))
 
     def partial(self, v) -> "Polynomial":
-        vid = v if isinstance(v, VarId) else self.registry.var(v)
+        vid = self.registry.var(v)
         shift = _BITS * vid.index
         unit = 1 << shift
         out = {}
@@ -367,16 +367,10 @@ class Polynomial:
                 out[m - unit] = c * e
         return self._make(self.registry, _clean(out))
 
-    def _resolve_assignment(self, assignment: Mapping) -> dict[int, Fraction]:
-        amap: dict[int, Fraction] = {}
-        for k, v in assignment.items():
-            vid = k if isinstance(k, VarId) else self.registry.var(k)
-            amap[vid.index] = _rational(v)
-        return amap
-
     def eval(self, assignment: Mapping) -> Fraction:
         """Exact evaluation; every variable present must be assigned."""
-        amap = self._resolve_assignment(assignment)
+        amap = {self.registry.var(k).index: _rational(v)
+                for k, v in assignment.items()}
         total = 0
         for m, c in self.terms.items():
             prod = c
@@ -392,8 +386,9 @@ class Polynomial:
         """Ring homomorphism sending each variable to its image polynomial.
 
         All images must share one registry (the target); variables of self
-        without an image raise MissingVariable.  With no images the
-        polynomial is returned unchanged.
+        without an image raise MissingVariable.  Keys are names or VarIds,
+        read by `VarRegistry.var`, and a constant reads none.  With no
+        images the polynomial is returned unchanged.
 
         Coverage and the degree bound are checked on the terms before
         anything is expanded.  The expansion is one multivariate Horner
@@ -409,10 +404,8 @@ class Polynomial:
         """
         if not images:
             return self
-        imap: dict[int, Polynomial] = {}
         target: VarRegistry | None = None
-        for k, img in images.items():
-            vid = k if isinstance(k, VarId) else self.registry.var(k)
+        for img in images.values():
             if not isinstance(img, Polynomial):
                 raise TypeError("substitution images must be polynomials")
             if target is None:
@@ -420,8 +413,9 @@ class Polynomial:
             elif img.registry is not target:
                 raise RegistryMismatch(
                     "substitution images span several registries")
-            imap[vid.index] = img
         assert target is not None
+        imap = {self.registry.var(k).index: img for k, img in
+                images.items()} if self.total_degree() else {}
         # Work fraction-free: image i is scaled[i] / den[i] with integer
         # coefficients, and the whole sum is carried times the lcm of the
         # term denominators, so only the final division makes Fractions.

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .algebra import Generator, GnAlgebra
-from .poly import Polynomial, derive, monomial, sparse_nullspace
+from .poly import (Polynomial, RegistryMismatch, derive, monomial,
+                   sparse_nullspace)
 from .reports import Report
 
 
@@ -39,62 +41,52 @@ class MatrixRep:
         return self.image[g]
 
 
-def _matrix(size: int, cells: dict[tuple[int, int], int]) -> list[list[int]]:
-    """Integer rows from 1-based {(row, col): value} cells, other entries
+def _faithful_cells(n: int, g: Generator) -> Iterator[tuple[int, int, int]]:
+    """The nonzero cells (row, col, value), 1-based, of the faithful image
+    of `g` at level n; a cell given twice adds up.  No column exceeds n."""
+    if g.kind == "h":
+        yield n - 1, n - 1, 1
+        yield n, n, -1
+    elif g.kind == "xp":
+        yield n - 1, n, 1
+    elif g.kind == "xm":
+        yield n, n - 1, 1
+    elif g.kind == "yp":
+        yield n - 1, g.i, 1
+        yield n + g.i, n, 1
+    elif g.kind == "ym":
+        yield n, g.i, 1
+        yield n + g.i, n - 1, -1
+    else:  # central z_{i,j}
+        yield g.i + n, g.j, 1
+        yield g.j + n, g.i, 1
+
+
+def _matrix(size: int, cells: Iterator[tuple[int, int, int]]
+            ) -> list[list[int]]:
+    """Integer rows from 1-based (row, col, value) cells, other entries
     zero."""
     rows = [[0] * size for _ in range(size)]
-    for (r, c), v in cells.items():
-        rows[r - 1][c - 1] = v
+    for r, c, v in cells:
+        rows[r - 1][c - 1] += v
     return rows
 
 
 def build_faithful_rep(alg: GnAlgebra) -> MatrixRep:
     n = alg.n
     size = 2 * (n - 1)
-    image: dict[Generator, list[list[int]]] = {}
-    for g in alg.basis.order:
-        cells: dict[tuple[int, int], int] = {}
-
-        def add(r: int, c: int, v: int):
-            cells[(r, c)] = cells.get((r, c), 0) + v
-
-        if g.kind == "h":
-            add(n - 1, n - 1, 1)
-            add(n, n, -1)
-        elif g.kind == "xp":
-            add(n - 1, n, 1)
-        elif g.kind == "xm":
-            add(n, n - 1, 1)
-        elif g.kind == "yp":
-            add(n - 1, g.i, 1)
-            add(n + g.i, n, 1)
-        elif g.kind == "ym":
-            add(n, g.i, 1)
-            add(n + g.i, n - 1, -1)
-        else:  # central z_{i,j}
-            add(g.i + n, g.j, 1)
-            add(g.j + n, g.i, 1)
-        image[g] = _matrix(size, cells)
+    image = {g: _matrix(size, _faithful_cells(n, g)) for g in alg.basis.order}
     return MatrixRep("faithful", size, image, alg, ())
 
 
 def build_quotient_rep(alg: GnAlgebra) -> MatrixRep:
-    n = size = alg.n
-    image: dict[Generator, list[list[int]]] = {}
-    for g in alg.basis.order:
-        cells: dict[tuple[int, int], int] = {}
-        if g.kind == "h":
-            cells = {(n - 1, n - 1): 1, (n, n): -1}
-        elif g.kind == "xp":
-            cells = {(n - 1, n): 1}
-        elif g.kind == "xm":
-            cells = {(n, n - 1): 1}
-        elif g.kind == "yp":
-            cells = {(n - 1, g.i): 1}
-        elif g.kind == "ym":
-            cells = {(n, g.i): 1}
-        image[g] = _matrix(size, cells)
-    return MatrixRep("quotient", size, image, alg, alg.basis.centrals)
+    """The faithful representation on V/W, W spanned by the basis vectors
+    n+1..2n-2: no faithful image has a column beyond n, so each maps W to
+    0, and the quotient keeps the cells in rows up to n."""
+    n = alg.n
+    image = {g: _matrix(n, (c for c in _faithful_cells(n, g) if c[0] <= n))
+             for g in alg.basis.order}
+    return MatrixRep("quotient", n, image, alg, alg.basis.centrals)
 
 
 def _add_product(acc: dict, a: list[dict], b: list[dict], scale) -> None:
@@ -168,7 +160,9 @@ class CoadjointField:
     algebra: GnAlgebra
 
     def apply(self, p: Polynomial) -> Polynomial:
-        self.algebra._check_domain(p)
+        if p.registry is not self.algebra.registry:
+            raise RegistryMismatch(
+                "foreign variables: not in this algebra's generators")
         return Polynomial(p.registry, derive(p.terms, p.total_degree(),
                                              self.terms, self.degree))
 
@@ -177,10 +171,9 @@ def build_coadjoint(alg: GnAlgebra) -> tuple[CoadjointField, ...]:
     """One vector field per generator, in canonical order; central
     generators yield the zero field."""
     order = alg.basis.order
-    index = [alg.basis.var(g).index for g in order]
-    unit = [monomial({i: 1}) for i in index]
+    unit = [monomial({k: 1}) for k in range(len(order))]
     return tuple(
-        CoadjointField(g, {index[b]: {unit[k]: c for k, c in row[b].items()}
+        CoadjointField(g, {b: {unit[k]: c for k, c in row[b].items()}
                            for b in sorted(row)}, int(bool(row)), alg)
         for g, row in zip(order, alg.constants.brackets))
 

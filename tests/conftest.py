@@ -46,8 +46,7 @@ def lie_poisson(alg: GnAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     (dg/dx_j) of two polynomials in the generator variables, by partial
     derivatives and polynomial products, each [x_i, x_j] read from the
     table as a polynomial by `StructureConstants.of`."""
-    for p in (f, g):
-        alg._check_domain(p)
+    assert f.registry is g.registry is alg.registry
     reg = alg.registry
     generator_of_var = {alg.basis.var(x).index: x for x in alg.basis.order}
     gparts = {j: g.partial(reg.var_ids[j]) for j in g.support_indices()}

@@ -164,7 +164,8 @@ def test_11_numerical_conservation():
         # fourth-order truncation error dominates (the purely harmonic
         # case decays at fifth order and sits on the roundoff floor)
         expr = "xp - xm + xm^2 + xp*xm"
-        anharmonic = ctx.realize_poly(parse_polynomial(expr, ctx.registry))
+        anharmonic = ctx.realize_poly(
+            parse_polynomial(expr, ctx.algebra.registry))
         system = HamiltonianSystem.build(ctx, anharmonic)
         drifts = {}
         for step in (0.02, 0.01):

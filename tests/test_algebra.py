@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gnlab import (Generator, beltrametti_blasi, build_gn,
+from gnlab import (Generator, RegistryMismatch, beltrametti_blasi, build_gn,
                    canonical_order, check_jacobi, check_levi, check_structure,
                    check_subalgebra_chain, compute_centre, ideal_complement,
                    triangular)
@@ -42,6 +42,25 @@ def test_canonical_order():
         assert len(canonical_order(n)) == triangular(n)
     with pytest.raises(ValueError):
         canonical_order(1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_registry_holds_the_generators_in_canonical_order(n):
+    basis = build_gn(n).basis
+    assert [v.name for v in basis.registry.var_ids] == \
+        [g.name for g in canonical_order(n)]
+    for g in basis.order:
+        assert basis.var(g).index == basis.index(g)
+
+
+def test_generator_variables_of_another_level_are_rejected():
+    """Levels 3 and 4 agree on h, ..., y1p; past those a variable of one
+    level has a different name at its index in the other."""
+    with pytest.raises(RegistryMismatch):
+        build_gn(4).basis.poly(y_minus(2)).partial(
+            build_gn(3).basis.var(central(1, 1)))
+    with pytest.raises(RegistryMismatch):
+        build_gn(3).registry.poly(build_gn(4).basis.var(y_minus(2)))
 
 
 def test_bracket_relation_table():

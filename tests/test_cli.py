@@ -378,6 +378,13 @@ def test_simulate_rejects_bad_inputs(capsys):
         assert "finite" in err and "Traceback" not in err
 
 
+def test_simulate_hamiltonian_takes_generators_not_phase_variables(capsys):
+    code, out, err = run(capsys, "simulate", "--n", "3", "--N", "4",
+                         "--H", "xp + q1")
+    assert code == 2 and out == ""
+    assert err == "error: bad Hamiltonian: unknown variable 'q1'\n"
+
+
 def test_simulate_size_budget_exits_2_before_allocating(capsys, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated a trajectory over the budget")

@@ -16,8 +16,8 @@ from itertools import combinations, product
 import pytest
 
 from gnlab import (BudgetExceeded, GnAlgebra, Generator, PhaseContext,
-                   Polynomial, VarId, VarRegistry, build_gn,
-                   building_block, canonical_bracket, casimir,
+                   Polynomial, RegistryMismatch, VarId, VarRegistry,
+                   build_gn, building_block, canonical_bracket, casimir,
                    check_independence, check_involution,
                    check_realization_homomorphism, check_route_equivalence,
                    check_vanishing, det, harmonic_hamiltonian,
@@ -49,6 +49,21 @@ def test_context_parameter_validation():
     ctx = PhaseContext(3, 2, {1: [Fraction(1, 2), 3]})
     assert ctx.alpha(1, 1) == Fraction(1, 2)
     assert ctx.alpha(1, 2) == 3
+
+
+def test_phase_registry_holds_q_and_p_only():
+    ctx = PhaseContext(3, 4, {1: [1, 2, 3, 4]})
+    assert [v.name for v in ctx.registry.var_ids] == \
+        ["q1", "p1", "q2", "p2", "q3", "p3", "q4", "p4"]
+    assert ctx.state_vars() == tuple(ctx.registry.var(f"{x}{k}")
+                                     for x in "qp" for k in range(1, 5))
+
+
+def test_realize_poly_rejects_another_levels_generators():
+    # z1_1 of level 3 sits at the index of y2m in level 4
+    with pytest.raises(RegistryMismatch):
+        PhaseContext.seeded(4, 5).realize_poly(
+            build_gn(3).basis.poly(central(1, 1)))
 
 
 def test_seeded_context_is_deterministic():

@@ -163,9 +163,11 @@ def test_trajectory_budget_is_checked_before_allocating(monkeypatch):
 
 def test_separability_detection():
     ctx = PhaseContext(2, 1)
-    separable = ctx.realize_poly(parse_polynomial("xp - xm", ctx.registry))
+    separable = ctx.realize_poly(
+        parse_polynomial("xp - xm", ctx.algebra.registry))
     assert HamiltonianSystem.build(ctx, separable).is_separable()
-    mixed = ctx.realize_poly(parse_polynomial("h", ctx.registry))  # q*p
+    mixed = ctx.realize_poly(
+        parse_polynomial("h", ctx.algebra.registry))  # q*p
     assert not HamiltonianSystem.build(ctx, mixed).is_separable()
     with pytest.raises(ValueError, match="leapfrog"):
         integrate(HamiltonianSystem.build(ctx, mixed),
@@ -303,7 +305,7 @@ def reference_integrate(system, x0, step, t_end, scheme, observables):
 def test_steppers_match_the_row_by_row_reference(scheme, H, alpha_seed):
     ctx = PhaseContext.seeded(3, 4, alpha_seed)
     system = HamiltonianSystem.build(
-        ctx, ctx.realize_poly(parse_polynomial(H, ctx.registry)))
+        ctx, ctx.realize_poly(parse_polynomial(H, ctx.algebra.registry)))
     obs = {f"{side}_m{m}": p
            for side in ("left", "right")
            for m, p in integral_set(ctx, side).items()}
@@ -335,7 +337,7 @@ def test_constant_and_zero_observables_sample_every_row(t_end):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_orbit_leaves_non_finite_rows():
     ctx = PhaseContext(2, 3)
-    H = ctx.realize_poly(parse_polynomial("xp + xm^3", ctx.registry))
+    H = ctx.realize_poly(parse_polynomial("xp + xm^3", ctx.algebra.registry))
     traj = integrate(HamiltonianSystem.build(ctx, H),
                      [3.0, 3.0, 3.0, 0.0, 0.0, 0.0], 1e-2, 5.0)
     assert traj.states.shape == (501, 6)

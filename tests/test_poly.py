@@ -75,6 +75,19 @@ def test_registry_isolation():
         r1.poly("nope")
 
 
+def test_var_takes_names_and_own_variables_only():
+    reg = abc_registry()
+    a = reg.var("a")
+    assert reg.var("a") == reg.var(a) == a
+    # same name, other index; and an index this registry does not have
+    for foreign in (VarRegistry(["b", "a"]).var("a"),
+                    VarRegistry(["a", "b", "c", "d", "e"]).var("e")):
+        with pytest.raises(RegistryMismatch, match="another registry"):
+            reg.var(foreign)
+    with pytest.raises(MissingVariable, match="unknown variable"):
+        reg.var("nope")
+
+
 # ----------------------------------------------------------------------
 # calculus and evaluation
 

@@ -54,6 +54,19 @@ def test_quotient_level3_goldens():
     assert rep.of(central(1, 1)) == [[0, 0, 0]] * 3
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_quotient_is_the_top_left_block_of_the_faithful_rep(n):
+    """No faithful image has a nonzero column past n, so the span W of
+    slots n+1..2n-2 goes to 0 and the quotient V/W is the top-left n x n
+    block of every faithful image."""
+    alg = build_gn(n)
+    faithful, quotient = build_faithful_rep(alg), build_quotient_rep(alg)
+    for g in alg.basis.order:
+        m = faithful.of(g)
+        assert all(v == 0 for row in m for v in row[n:]), g.name
+        assert quotient.of(g) == [row[:n] for row in m[:n]], g.name
+
+
 def test_homomorphism_and_kernels():
     for n in (2, 3, 4, 5):
         alg = build_gn(n)
