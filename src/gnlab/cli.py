@@ -9,6 +9,10 @@ same configuration and seeds; GN_LAB_SEED overrides --seed when set.
 A report, JSON or text, is streamed in pieces through one buffer that
 passes it on to stdout or `--out` in blocks of about 64 KiB, so even C_9's
 152,531 terms leave in a few hundred writes.
+`verify` builds what its checks share (the phase context and C_n) once,
+then, where the process may run on two or more CPUs, forks one worker
+that claims checks from the same queue as the parent; the report is
+byte-identical to that of a one-process run.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -326,24 +331,128 @@ def _wrap_independence(ctx: PhaseContext, seed: int) -> Report:
 def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
                     sweep: int) -> list[Report]:
     alg = ctx.algebra
-    reports = [check_jacobi(alg)]
+    cas = ctx.casimir  # built once, before the checks are shared out
+    checks = [lambda: check_jacobi(alg)]
     if alg.n >= 3:
-        reports += [check_subalgebra_chain(alg), check_levi(alg)]
-    return reports + [
-        check_structure(alg),
-        check_homomorphism(build_faithful_rep(alg)),
-        check_homomorphism(build_quotient_rep(alg)),
-        check_field_homomorphism(alg),
-        verify_annihilation(ctx.casimir),
-        verify_intertwining(ctx.casimir),
-        check_grading(ctx.casimir),
-        check_uniqueness(ctx.casimir, sweep),
-        check_realization_homomorphism(ctx),
-        check_route_equivalence(ctx),
-        check_vanishing(ctx),
-        check_involution(ctx),
-        _wrap_independence(ctx, cfg.seed),
-    ]
+        checks += [lambda: check_subalgebra_chain(alg),
+                   lambda: check_levi(alg)]
+    return _run_checks(checks + [
+        lambda: check_structure(alg),
+        lambda: check_homomorphism(build_faithful_rep(alg)),
+        lambda: check_homomorphism(build_quotient_rep(alg)),
+        lambda: check_field_homomorphism(alg),
+        lambda: verify_annihilation(cas),
+        lambda: verify_intertwining(cas),
+        lambda: check_grading(cas),
+        lambda: check_uniqueness(cas, sweep),
+        lambda: check_realization_homomorphism(ctx),
+        lambda: check_route_equivalence(ctx),
+        lambda: check_vanishing(ctx),
+        lambda: check_involution(ctx),
+        lambda: _wrap_independence(ctx, cfg.seed),
+    ])
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_checks(checks: list) -> list[Report]:
+    """Call each zero-argument check and return their Reports in order.
+
+    The check indices are written, one byte each, into a ticket pipe whose
+    write end is then closed; a process claims the next check by reading
+    one byte (atomic on a pipe) and stops at end of file.  Where the
+    process may run on two or more CPUs, can fork and has a single thread,
+    one forked worker claims checks alongside it, so the larger checks
+    spread over both processes whatever their order.  An exception of
+    either process reaches the caller as it was raised."""
+    tickets, deal = os.pipe()
+    try:
+        with open(deal, "wb") as fh:
+            fh.write(bytes(range(len(checks))))
+        if _cpus() >= 2 and hasattr(os, "fork") \
+                and threading.active_count() == 1:
+            done = _claim_with_worker(checks, tickets)
+        else:
+            done = _claim(checks, tickets)
+    finally:
+        os.close(tickets)
+    return [done[i] for i in range(len(checks))]
+
+
+def _claim(checks: list, tickets: int) -> dict[int, Report]:
+    """Run the checks whose indices this process reads from `tickets`."""
+    done = {}
+    while ticket := os.read(tickets, 1):
+        done[ticket[0]] = checks[ticket[0]]()
+    return done
+
+
+def _claim_with_worker(checks: list, tickets: int) -> dict[int, Report]:
+    """`_claim` in this process and in one forked worker, which pickles
+    its ``{index: Report}``, or the exception it hit with its traceback,
+    into a result pipe.  The worker leaves by `os._exit`, so it flushes no
+    inherited stdout or `--out` buffer and runs no exit handler.  It is
+    always reaped here, and killed first if this process raises, in its
+    own check or while it waits.  Where no process can be forked, this one
+    claims every check."""
+    import pickle
+    import signal
+
+    results, sink = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(results)
+        os.close(sink)
+        return _claim(checks, tickets)
+    if pid == 0:
+        try:
+            os.close(results)
+            try:
+                out = _claim(checks, tickets)
+            except BaseException as exc:
+                out = _portable(exc)
+            with open(sink, "wb") as fh:
+                fh.write(pickle.dumps(out))
+        finally:
+            os._exit(0)
+    os.close(sink)
+    try:
+        done = _claim(checks, tickets)
+        with open(results, "rb", closefd=False) as fh:
+            data = fh.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(results)
+        os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the verify worker ended without a result")
+    theirs = pickle.loads(data)
+    if isinstance(theirs, tuple):
+        exc, where = theirs
+        raise exc from RuntimeError(f"in the verify worker:\n{where}")
+    return {**done, **theirs}
+
+
+def _portable(exc: BaseException) -> tuple[BaseException, str]:
+    """`exc`, or a RuntimeError naming it where it does not survive
+    pickling, and the text of its traceback."""
+    import pickle
+    import traceback
+
+    where = "".join(traceback.format_exception(exc))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc, where
 
 
 def cmd_verify(args) -> int:

@@ -169,7 +169,13 @@ class PhaseContext:
 
     def realize_poly(self, f: Polynomial, side: str = "left",
                      m: int | None = None) -> Polynomial:
-        """Realize a polynomial in generator variables over a site window."""
+        """Realize a polynomial in generator variables over a site window.
+
+        Raise RegistryMismatch, a ValueError, unless `f` is over this
+        context's algebra registry."""
+        if f.registry is not self.algebra.registry:
+            raise RegistryMismatch(
+                "not a polynomial in this context's generators")
         return f.substitute(self.realization_images(side, m))
 
 

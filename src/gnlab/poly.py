@@ -387,8 +387,8 @@ class Polynomial:
 
         All images must share one registry (the target); variables of self
         without an image raise MissingVariable.  Keys are names or VarIds,
-        read by `VarRegistry.var`, and a constant reads none.  With no
-        images the polynomial is returned unchanged.
+        read by `VarRegistry.var`.  With no images the polynomial is
+        returned unchanged.
 
         Coverage and the degree bound are checked on the terms before
         anything is expanded.  The expansion is one multivariate Horner
@@ -414,8 +414,7 @@ class Polynomial:
                 raise RegistryMismatch(
                     "substitution images span several registries")
         assert target is not None
-        imap = {self.registry.var(k).index: img for k, img in
-                images.items()} if self.total_degree() else {}
+        imap = {self.registry.var(k).index: img for k, img in images.items()}
         # Work fraction-free: image i is scaled[i] / den[i] with integer
         # coefficients, and the whole sum is carried times the lcm of the
         # term denominators, so only the final division makes Fractions.

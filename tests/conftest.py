@@ -10,7 +10,10 @@ complementary half-row minors.
 """
 
 import json
+import os
 from fractions import Fraction
+
+import pytest
 
 from gnlab import GnAlgebra, Polynomial, VarRegistry
 from gnlab.poly import exponents, monomial, poly_sum
@@ -142,6 +145,15 @@ def random_poly(reg: VarRegistry, rng, names=None, max_terms=4,
 def rational_point(reg: VarRegistry, rng) -> dict:
     return {v: Fraction(rng.randint(-50, 50), rng.randint(1, 7))
             for v in reg.var_ids}
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Every test reaps each process it starts, `verify`'s worker among
+    them: after the test this process has no child, running or exited."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -8,8 +8,10 @@ import importlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +174,100 @@ def test_verify_respects_ceiling(capsys):
     code, _, err = run(capsys, "verify", "--n", "3", "--N", "4",
                        "--ceiling-n", "2")
     assert code == 2 and "ceiling" in err
+
+
+def _fork_calls(monkeypatch, cpus: int, then=None) -> list:
+    """Let the CLI see `cpus` CPUs and count its `os.fork` calls; `then`
+    runs in both processes right after each fork, with fork's result."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    real = os.fork
+    calls = []
+
+    def fork():
+        calls.append(None)
+        pid = real()
+        if then is not None:
+            then(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _worker_first(pid):
+    """In the parent, wait until the worker has exited (leaving it to be
+    reaped), so the worker claims the first check."""
+    deadline = time.monotonic() + 30
+    while pid and os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT
+                            | os.WNOHANG) is None:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            raise AssertionError("the worker did not finish in 30 s")
+        time.sleep(0.005)
+
+
+def _parent_first(pid):
+    """In the worker, sleep until the parent kills it, so the parent claims
+    the first check."""
+    if pid == 0:
+        time.sleep(10)
+
+
+@pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1)],
+                         ids=["one-cpu", "two-cpus"])
+def test_verify_output_is_the_same_with_and_without_a_worker(
+        capsys, monkeypatch, cpus, forks):
+    """With two CPUs one forked worker shares the checks (the fork count
+    rules out a silent fall back to one process); the bytes are the same."""
+    command = "verify --n 5 --N 6 --seed 3 --format json"
+    calls = _fork_calls(monkeypatch, cpus)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and len(calls) == forks
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("cpus, then, killed", [(1, None, []),
+                                                (2, _worker_first, [False]),
+                                                (2, _parent_first, [True])],
+                         ids=["in-process", "worker", "parent"])
+def test_a_check_over_budget_exits_2_in_either_process(capsys, monkeypatch,
+                                                       cpus, then, killed):
+    """The error and exit code are those of one process; a worker is
+    killed when the parent's own check raises, and always reaped."""
+    def over_budget(alg):
+        raise BudgetExceeded("jacobi over budget")
+
+    monkeypatch.setattr(cli, "check_jacobi", over_budget)
+    calls = _fork_calls(monkeypatch, cpus, then)
+    real_waitpid, statuses = os.waitpid, []
+
+    def waitpid(pid, options):
+        got = real_waitpid(pid, options)
+        statuses.append(got[1])
+        return got
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    assert run(capsys, "verify", "--n", "3", "--N", "4") \
+        == (2, "", "error: jacobi over budget\n")
+    assert len(calls) == cpus - 1
+    assert [os.WIFSIGNALED(s) for s in statuses] == killed
+
+
+def test_a_worker_that_ends_without_a_result_is_an_error(capsys,
+                                                         monkeypatch):
+    parent = os.getpid()
+
+    def vanish(alg):
+        assert os.getpid() != parent, "the parent claimed the first check"
+        os._exit(0)
+
+    monkeypatch.setattr(cli, "check_jacobi", vanish)
+    _fork_calls(monkeypatch, 2, _worker_first)
+    with pytest.raises(RuntimeError, match="without a result"):
+        main(["verify", "--n", "3", "--N", "4"])
+    assert capsys.readouterr().out == ""
 
 
 def test_exact_commands_do_not_import_numpy():

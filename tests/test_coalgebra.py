@@ -189,12 +189,15 @@ def test_realize_windows():
 
 def test_realize_poly_of_constants():
     ctx = PhaseContext.seeded(3, 3)
-    reg = ctx.registry
+    reg = ctx.algebra.registry
     for value in (Fraction(-7, 3), Fraction(5), Fraction(0)):
         got = ctx.realize_poly(reg.const(value), "right", 2)
-        assert got.registry is reg
-        assert got == reg.const(value)
+        assert got.registry is ctx.registry
+        assert got == ctx.registry.const(value)
     assert ctx.realize_poly(reg.zero()).is_zero
+    # a constant of the phase registry is not a polynomial in generators
+    with pytest.raises(RegistryMismatch):
+        ctx.realize_poly(ctx.registry.const(Fraction(5)))
 
 
 def test_canonical_bracket_basics():
