@@ -247,7 +247,6 @@ def _weight_zero_blocks(alg: GnAlgebra,
 
 @dataclass(frozen=True, eq=False)
 class AnsatzSolution:
-    n: int
     degree: int
     monomials: int
     basis: tuple[Polynomial, ...]
@@ -307,8 +306,7 @@ def solve_ansatz(alg: GnAlgebra, degree: int,
     reduced-echelon basis of the whole system.  `monomials` counts every
     degree-d monomial.
     """
-    n = alg.n
-    count = ansatz_monomials(n, degree, budget)
+    count = ansatz_monomials(alg.n, degree, budget)
     sources = generating_set(alg)
     fields = [f for f in build_coadjoint(alg) if f.source in sources]
     _check_degree(degree - 1 + max(f.degree for f in fields), "a derivation")
@@ -336,7 +334,7 @@ def solve_ansatz(alg: GnAlgebra, degree: int,
             found.append((block[max(vec)][0], Polynomial(
                 reg, {block[j][1]: v for j, v in vec.items()})))
     found.sort(key=lambda item: item[0])
-    return AnsatzSolution(n=n, degree=degree, monomials=count,
+    return AnsatzSolution(degree=degree, monomials=count,
                           basis=tuple(p for _, p in found))
 
 

@@ -11,8 +11,9 @@ passes it on to stdout or `--out` in blocks of about 64 KiB, so even C_9's
 152,531 terms leave in a few hundred writes.
 `verify` builds what its checks share (the phase context and C_n) once,
 then, where the process may run on two or more CPUs, forks one worker
-that claims checks from the same queue as the parent; the report is
-byte-identical to that of a one-process run.
+that claims checks from the same queue as the parent and sends back the
+Reports it finished; the parent runs every check it has no Report for.
+The report, or the error, is that of a one-process run.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class RunConfig:
     seed: int
     alpha_seed: int
     alpha_rows: dict[int, list[Fraction]] | None
-    ceiling_n: int
     fmt: str
     out: str | None
 
@@ -128,8 +128,8 @@ def _resolve_config(args, need_N: bool) -> RunConfig:
         if N is None:
             # default phase size n+1, held at 6 to keep default runs quick
             N = min(n + 1, 6) if n < 6 else n
-        if N < 1:
-            raise UsageError("N must be at least 1")
+        if N < n:
+            raise UsageError("N must be at least n so that integrals exist")
     alpha_rows = file_opts["alpha"] or None
     if alpha_rows is not None:
         missing = [i for i in range(1, n - 1) if i not in alpha_rows]
@@ -137,8 +137,7 @@ def _resolve_config(args, need_N: bool) -> RunConfig:
             raise UsageError(f"config lacks alpha rows {missing}")
     return RunConfig(command=args.command, n=n, N=N, seed=seed,
                      alpha_seed=alpha_seed, alpha_rows=alpha_rows,
-                     ceiling_n=args.ceiling_n, fmt=args.format,
-                     out=args.out)
+                     fmt=args.format, out=args.out)
 
 
 def _context(cfg: RunConfig) -> PhaseContext:
@@ -363,105 +362,81 @@ def _cpus() -> int:
 def _run_checks(checks: list) -> list[Report]:
     """Call each zero-argument check and return their Reports in order.
 
+    Where the process may run on two or more CPUs, can fork and has a
+    single thread, a forked worker first shares the checks with this
+    process (`_shared_reports`).  Then this process runs, in order, every
+    check it has no Report for: all of them in a one-process run, else
+    those the worker did not report.  So a check that raised in the worker
+    raises here as it would in one process, and a lost worker costs time,
+    not the run."""
+    shared = _cpus() >= 2 and hasattr(os, "fork") \
+        and threading.active_count() == 1
+    done = _shared_reports(checks) if shared else {}
+    return [done[i] if i in done else check()
+            for i, check in enumerate(checks)]
+
+
+def _shared_reports(checks: list) -> dict[int, Report]:
+    """The Reports, by index, of the checks this process and one forked
+    worker finished between them.
+
     The check indices are written, one byte each, into a ticket pipe whose
-    write end is then closed; a process claims the next check by reading
-    one byte (atomic on a pipe) and stops at end of file.  Where the
-    process may run on two or more CPUs, can fork and has a single thread,
-    one forked worker claims checks alongside it, so the larger checks
-    spread over both processes whatever their order.  An exception of
-    either process reaches the caller as it was raised."""
-    tickets, deal = os.pipe()
-    try:
-        with open(deal, "wb") as fh:
-            fh.write(bytes(range(len(checks))))
-        if _cpus() >= 2 and hasattr(os, "fork") \
-                and threading.active_count() == 1:
-            done = _claim_with_worker(checks, tickets)
-        else:
-            done = _claim(checks, tickets)
-    finally:
-        os.close(tickets)
-    return [done[i] for i in range(len(checks))]
-
-
-def _claim(checks: list, tickets: int) -> dict[int, Report]:
-    """Run the checks whose indices this process reads from `tickets`."""
-    done = {}
-    while ticket := os.read(tickets, 1):
-        done[ticket[0]] = checks[ticket[0]]()
-    return done
-
-
-def _claim_with_worker(checks: list, tickets: int) -> dict[int, Report]:
-    """`_claim` in this process and in one forked worker, which pickles
-    its ``{index: Report}``, or the exception it hit with its traceback,
-    into a result pipe.  The worker leaves by `os._exit`, so it flushes no
-    inherited stdout or `--out` buffer and runs no exit handler.  It is
-    always reaped here, and killed first if this process raises, in its
-    own check or while it waits.  Where no process can be forked, this one
-    claims every check."""
+    write end is then closed; each process claims the next check by
+    reading one byte (atomic on a pipe) until end of file, so the larger
+    checks spread over both processes whatever their order.  The worker
+    stops at its first exception, pickles the ``{index: Report}`` it
+    finished into a result pipe and leaves by `os._exit`, so it flushes no
+    inherited stdout or `--out` buffer and runs no exit handler.  A worker
+    that cannot be forked, is killed or cannot pickle its Reports gives
+    none.  The worker is always reaped here, and killed first if this
+    process raises, in its own check or while it waits."""
     import pickle
     import signal
 
+    tickets, deal = os.pipe()
+    with open(deal, "wb") as fh:
+        fh.write(bytes(range(len(checks))))
     results, sink = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(results)
-        os.close(sink)
-        return _claim(checks, tickets)
+        for fd in (tickets, results, sink):
+            os.close(fd)
+        return {}
     if pid == 0:
         try:
             os.close(results)
-            try:
-                out = _claim(checks, tickets)
-            except BaseException as exc:
-                out = _portable(exc)
+            done = {}
+            # the parent runs a check that raised here again, and raises
+            with contextlib.suppress(Exception):
+                while ticket := os.read(tickets, 1):
+                    done[ticket[0]] = checks[ticket[0]]()
             with open(sink, "wb") as fh:
-                fh.write(pickle.dumps(out))
+                fh.write(pickle.dumps(done))
         finally:
             os._exit(0)
     os.close(sink)
+    done = {}
     try:
-        done = _claim(checks, tickets)
+        while ticket := os.read(tickets, 1):
+            done[ticket[0]] = checks[ticket[0]]()
         with open(results, "rb", closefd=False) as fh:
             data = fh.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(tickets)
         os.close(results)
         os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("the verify worker ended without a result")
-    theirs = pickle.loads(data)
-    if isinstance(theirs, tuple):
-        exc, where = theirs
-        raise exc from RuntimeError(f"in the verify worker:\n{where}")
-    return {**done, **theirs}
-
-
-def _portable(exc: BaseException) -> tuple[BaseException, str]:
-    """`exc`, or a RuntimeError naming it where it does not survive
-    pickling, and the text of its traceback."""
-    import pickle
-    import traceback
-
-    where = "".join(traceback.format_exception(exc))
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc, where
+    return {**done, **pickle.loads(data)} if data else done
 
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args, need_N=True)
-    if cfg.n > cfg.ceiling_n:
+    if cfg.n > args.ceiling_n:
         raise UsageError(
-            f"n = {cfg.n} above the verification ceiling {cfg.ceiling_n}")
-    if cfg.N < cfg.n:
-        raise UsageError("N must be at least n so that integrals exist")
+            f"n = {cfg.n} above the verification ceiling {args.ceiling_n}")
     # the uniqueness sweep's top degree, whose ansatz must fit the budget
     sweep = min(cfg.n - 1, args.max_ansatz_degree)
     if sweep >= 1:
@@ -487,8 +462,6 @@ def cmd_verify(args) -> int:
 
 def cmd_integrals(args) -> int:
     cfg = _resolve_config(args, need_N=True)
-    if cfg.N < cfg.n:
-        raise UsageError("N must be at least n so that integrals exist")
     ctx = _context(cfg)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     with _report(cfg) as emit:
@@ -515,8 +488,6 @@ def cmd_integrals(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args, need_N=True)
-    if cfg.N < cfg.n:
-        raise UsageError("N must be at least n so that integrals exist")
     if not (math.isfinite(args.step) and args.step > 0):
         raise UsageError("step must be positive and finite")
     if not (math.isfinite(args.t_end) and args.t_end >= 0):
@@ -684,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--ceiling-n", type=int, default=7, dest="ceiling_n")
     common.add_argument("--out", default=None,
                         help="write the report (or the trajectory CSV for "
                              "simulate) to this path")
@@ -707,6 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--alpha-seed", type=int, default=1, dest="alpha_seed")
+    p.add_argument("--ceiling-n", type=int, default=7, dest="ceiling_n")
     p.add_argument("--max-ansatz-degree", type=int, default=4,
                    dest="max_ansatz_degree")
     p.set_defaults(fn=cmd_verify)

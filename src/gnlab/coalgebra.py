@@ -397,7 +397,6 @@ class IndependenceResult:
     rank: int
     expected: int
     attempts: tuple[int, ...]
-    seed: int
 
     @property
     def independent(self) -> bool:
@@ -429,4 +428,4 @@ def check_independence(ctx: PhaseContext, seed: int = 0) -> IndependenceResult:
         if r == expected:
             break
     return IndependenceResult(rank=r, expected=expected,
-                              attempts=tuple(attempts), seed=seed)
+                              attempts=tuple(attempts))

@@ -8,6 +8,7 @@ import importlib
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -255,19 +256,52 @@ def test_a_check_over_budget_exits_2_in_either_process(capsys, monkeypatch,
     assert [os.WIFSIGNALED(s) for s in statuses] == killed
 
 
-def test_a_worker_that_ends_without_a_result_is_an_error(capsys,
-                                                         monkeypatch):
-    parent = os.getpid()
+def _verify_5_6_matches_its_golden(capsys):
+    command = "verify --n 5 --N 6 --seed 3 --format json"
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == OUTPUT_SHA256[command]
+
+
+def test_the_parent_runs_the_checks_of_a_worker_that_vanishes(capsys,
+                                                              monkeypatch):
+    """A worker that ends without sending its Reports costs time, not the
+    run: the parent runs the check the worker claimed, and the report is
+    that of one process."""
+    parent, real, ran = os.getpid(), cli.check_jacobi, []
 
     def vanish(alg):
-        assert os.getpid() != parent, "the parent claimed the first check"
-        os._exit(0)
+        if os.getpid() != parent:
+            os._exit(0)
+        ran.append(None)
+        return real(alg)
 
     monkeypatch.setattr(cli, "check_jacobi", vanish)
-    _fork_calls(monkeypatch, 2, _worker_first)
-    with pytest.raises(RuntimeError, match="without a result"):
-        main(["verify", "--n", "3", "--N", "4"])
-    assert capsys.readouterr().out == ""
+    calls = _fork_calls(monkeypatch, 2, _worker_first)
+    _verify_5_6_matches_its_golden(capsys)
+    assert len(calls) == 1 and len(ran) == 1
+
+
+def test_the_parent_runs_the_checks_of_a_worker_that_cannot_pickle(
+        capsys, monkeypatch):
+    def unpicklable(obj, *args, **kwargs):
+        raise pickle.PicklingError("cannot pickle the Reports")
+
+    monkeypatch.setattr(pickle, "dumps", unpicklable)
+    calls = _fork_calls(monkeypatch, 2)
+    _verify_5_6_matches_its_golden(capsys)
+    assert len(calls) == 1
+
+
+def test_verify_runs_in_one_process_where_fork_fails(capsys, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process can be forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    _verify_5_6_matches_its_golden(capsys)
 
 
 def test_exact_commands_do_not_import_numpy():
@@ -749,6 +783,20 @@ def test_rank_has_no_trials_option(capsys):
         main(["rank", "--n", "3", "--trials", "3"])
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["casimir", "--n", "3"],
+                                  ["integrals", "--n", "2", "--N", "3"],
+                                  ["simulate"],
+                                  ["dump-rep", "--n", "3"],
+                                  ["rank", "--n", "3"],
+                                  ["ansatz", "--n", "3", "--degree", "2"]],
+                         ids=lambda argv: argv[0])
+def test_only_verify_has_a_ceiling_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--ceiling-n", "9"])
+    assert exc.value.code == 2
+    assert "--ceiling-n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["rank", "dump-rep"])
