@@ -35,7 +35,8 @@ from .algebra import (beltrametti_blasi, build_gn, check_jacobi, check_levi,
 from .casimir import (ANSATZ_BUDGET, ansatz_monomials, casimir,
                       check_casimir_level, check_grading, check_uniqueness,
                       solve_ansatz, verify_annihilation, verify_intertwining)
-from .coalgebra import (PhaseContext, check_independence, check_involution,
+from .coalgebra import (PhaseContext, check_independence,
+                        check_integral_budget, check_involution,
                         check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
                         integral_family, integral_set, window)
@@ -72,8 +73,9 @@ class RunConfig:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Key/value config text: `alpha.<i> = [a, b, ...]`, `seed = <int>`,
-    `alpha_seed = <int>`; values are rationals like 3 or -1/2."""
+    """Key/value config text: `alpha.<i> = [a, b, ...]` with i >= 1,
+    `seed = <int>`, `alpha_seed = <int>` (or `alpha-seed`); values are
+    rationals like 3 or -1/2, and no key may be given twice."""
     opts: dict = {"alpha": {}}
     try:
         text = open(path, encoding="utf-8").read()
@@ -93,6 +95,11 @@ def _parse_config_file(path: str) -> dict:
                 i = int(key[6:])
             except ValueError:
                 raise UsageError(f"config line {lineno}: bad row index") from None
+            if i < 1:
+                raise UsageError(
+                    f"config line {lineno}: row index {i} is not positive")
+            if i in opts["alpha"]:
+                raise UsageError(f"config line {lineno}: alpha.{i} given twice")
             if not (value.startswith("[") and value.endswith("]")):
                 raise UsageError(f"config line {lineno}: expected [a, b, ...]")
             items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
@@ -101,8 +108,11 @@ def _parse_config_file(path: str) -> dict:
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"config line {lineno}: bad rational") from None
         elif key in ("seed", "alpha_seed", "alpha-seed"):
+            key = key.replace("-", "_")
+            if key in opts:
+                raise UsageError(f"config line {lineno}: {key} given twice")
             try:
-                opts[key.replace("-", "_")] = int(value)
+                opts[key] = int(value)
             except ValueError:
                 raise UsageError(f"config line {lineno}: bad integer") from None
         else:
@@ -130,6 +140,7 @@ def _resolve_config(args, need_N: bool) -> RunConfig:
             N = min(n + 1, 6) if n < 6 else n
         if N < n:
             raise UsageError("N must be at least n so that integrals exist")
+        check_integral_budget(n, N)
     alpha_rows = file_opts["alpha"] or None
     if alpha_rows is not None:
         missing = [i for i in range(1, n - 1) if i not in alpha_rows]

@@ -11,7 +11,10 @@ right, and rational parameter rows a^(i) of length N.  Feeding these images
 into the degree-n invariant C_n produces one conserved quantity per window
 size m; the same quantity is, independently, minus a sum of squared n x n
 determinants built from the parameter rows and one q and one p row (the
-"building blocks").  Both routes are implemented and compared.
+"building blocks").  Both routes are implemented and compared.  The
+sums of squares of all windows are built in one pass over the site
+subsets: each block is squared once, and each side's windows are running
+sums of the squares that first enter them.
 
 The window realisation is the primitive coproduct x -> x(1) + ... + x(m)
 followed by the one-site realisation on every site, which is why the
@@ -26,6 +29,7 @@ registry of q1, p1, ..., qN, pN alone.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +38,8 @@ from itertools import combinations
 
 from .algebra import Generator, X_MINUS, X_PLUS, build_gn
 from .casimir import CasimirResult, casimir, generating_set
-from .poly import (Polynomial, RegistryMismatch, VarId, VarRegistry, derive,
-                   det, poly_sum, rank_rational)
+from .poly import (BudgetExceeded, Polynomial, RegistryMismatch, VarId,
+                   VarRegistry, derive, det, poly_sum, rank_rational)
 from .reports import Report
 
 
@@ -49,6 +53,31 @@ def window(side: str, m: int, N: int) -> tuple[int, int]:
     if side == "right":
         return (N - m + 1, N)
     raise ValueError(f"side must be left or right, not {side!r}")
+
+
+# Highest level whose building blocks are expanded, and most (window, site
+# subset) pairs, C(N + 1, n + 1), that the integrals of one side sum.  With
+# N = n, `integrals --format json` takes 0.45 s and 24 MB at level 12, and
+# each level above up to doubles both: 1.1 s and 53 MB at 14, 4.4 s and
+# 218 MB at 16.  At n = 2 it takes 2.7 s and 40 MB for N = 80 (85,320
+# pairs), 6.1 s and 63 MB for N = 100 (166,650) and 25 s and 174 MB for
+# N = 150 (562,475); fresh processes on a 2-core x86-64 host.
+MAX_BLOCK_N = 12
+MAX_INTEGRAL_PAIRS = 100_000
+
+
+def check_integral_budget(n: int, N: int) -> None:
+    """Raise BudgetExceeded unless the integrals at level n over N sites
+    fit `MAX_BLOCK_N` and `MAX_INTEGRAL_PAIRS`."""
+    if n > MAX_BLOCK_N:
+        raise BudgetExceeded(
+            f"building blocks of level {n} are too large to expand: levels "
+            f"above {MAX_BLOCK_N} are refused")
+    pairs = math.comb(N + 1, n + 1)
+    if pairs > MAX_INTEGRAL_PAIRS:
+        raise BudgetExceeded(
+            f"the integrals at n = {n}, N = {N} sum {pairs:,} (window, site "
+            f"subset) pairs per side, above the budget {MAX_INTEGRAL_PAIRS:,}")
 
 
 class PhaseContext:
@@ -81,9 +110,8 @@ class PhaseContext:
                 raise ValueError(f"parameter row {i} must have length {N}")
             rows[i] = row
         self.alpha_rows = rows
-        # memoised window images by site range and integrals by side
+        # memoised window images by site range
         self._images: dict[tuple[int, int], dict[VarId, Polynomial]] = {}
-        self._integrals: dict[str, dict[int, Polynomial]] = {}
 
     @classmethod
     def seeded(cls, n: int, N: int, alpha_seed: int = 1) -> "PhaseContext":
@@ -126,6 +154,29 @@ class PhaseContext:
     def casimir(self) -> CasimirResult:
         """C_n of this context's algebra, built on first use."""
         return casimir(self.algebra)
+
+    @cached_property
+    def integrals(self) -> dict[str, dict[int, Polynomial]]:
+        """Minus the sum of squared building blocks over each window, by
+        side and window size m = n..N, built on first use in one pass: a
+        site subset S first enters the left window max S and the right
+        window N + 1 - min S, so each square is subtracted from those two
+        windows' increments, and each side's windows are running sums."""
+        n, N = self.n, self.N
+        check_integral_budget(n, N)
+        sets = {s: {m: {} for m in range(n, N + 1)} for s in ("left", "right")}
+        for combo in combinations(range(1, N + 1), n):
+            blk = building_block(self, combo)
+            square = (blk * blk).terms
+            for step in (sets["left"][combo[-1]],
+                         sets["right"][N + 1 - combo[0]]):
+                for mono, c in square.items():
+                    step[mono] = step.get(mono, 0) - c
+        for members in sets.values():
+            total = self.registry.zero()
+            for m, step in members.items():
+                members[m] = total = total + Polynomial(self.registry, step)
+        return sets
 
     # ------------------------------------------------------------------
     def realize(self, g: Generator, side: str = "left",
@@ -241,36 +292,12 @@ def building_block(ctx: PhaseContext, indices) -> Polynomial:
     return det(_window_rows(ctx, idx))
 
 
-def integrals_via_sum_of_squares(ctx: PhaseContext, side: str, m: int,
-                                 squares: dict | None = None) -> Polynomial:
-    """Minus the sum of squared building blocks over all increasing
-    n-tuples inside the window.  `squares` memoises each square by its
-    site subset across the windows of one caller."""
-    a, b = window(side, m, ctx.N)
-    squares = {} if squares is None else squares
-    parts = []
-    for combo in combinations(range(a, b + 1), ctx.n):
-        sq = squares.get(combo)
-        if sq is None:
-            blk = building_block(ctx, combo)
-            sq = squares[combo] = blk * blk
-        parts.append(sq)
-    return -poly_sum(ctx.registry, parts)
-
-
 def integral_set(ctx: PhaseContext, side: str) -> dict[int, Polynomial]:
     """Conserved quantities for every admissible window m = n..N, keyed by
-    window size, from the sum-of-squares route.  Both sides are built
-    together, once per context, squaring each site subset's building block
-    once, and shared between callers, which must not mutate them."""
+    window size, from the sum-of-squares route (`PhaseContext.integrals`),
+    shared between callers, which must not mutate them."""
     window(side, ctx.N, ctx.N)  # an unknown side raises before any work
-    if side not in ctx._integrals:
-        squares: dict = {}
-        for s in ("left", "right"):
-            ctx._integrals[s] = {
-                m: integrals_via_sum_of_squares(ctx, s, m, squares)
-                for m in range(ctx.n, ctx.N + 1)}
-    return ctx._integrals[side]
+    return ctx.integrals[side]
 
 
 def integral_family(ctx: PhaseContext) -> dict[str, Polynomial]:

@@ -618,7 +618,15 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
                             "--budget", "10"], "budget"),
                           (["ansatz", "--n", "4", "--degree", "0"], "degree"),
                           (["rank", "--n", "41"], "too large"),
-                          (["dump-rep", "--n", "41"], "too large")):
+                          (["dump-rep", "--n", "41"], "too large"),
+                          (["verify", "--n", "2", "--N", "200"], "1,333,300"),
+                          (["integrals", "--n", "2", "--N", "200"],
+                           "1,333,300 (window, site subset) pairs per side"),
+                          (["simulate", "--n", "2", "--N", "200"], "1,333,300"),
+                          (["verify", "--n", "24", "--N", "24"], "level 24"),
+                          (["integrals", "--n", "24", "--N", "24"],
+                           "building blocks of level 24 are too large"),
+                          (["simulate", "--n", "24", "--N", "24"], "level 24")):
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2 and out == "" and message in err
         assert target.read_text() == "kept\n"
@@ -852,7 +860,9 @@ def test_env_seed_override(capsys, monkeypatch):
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nalpha.1 = [1, -2, 3/2, 4]\nseed = 11\n")
+    # rows above n - 2 are ignored
+    cfg.write_text("# comment\nalpha.1 = [1, -2, 3/2, 4]\nseed = 11\n"
+                   "alpha.2 = [5, 6, 7, 8]\n")
     code, out, _ = run(capsys, "integrals", "--n", "3", "--N", "4",
                        "--config", str(cfg), "--format", "json")
     assert code == 0
@@ -877,6 +887,23 @@ def test_config_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "--n", "2", "--config",
                        str(tmp_path / "missing.cfg"))
     assert code == 2 and "cannot read" in err
+    for text, message in (
+            ("alpha.1 = [1, 2, 3]\nalpha.1 = [4, 5, 6]\n",
+             "config line 2: alpha.1 given twice"),
+            ("alpha.1 = [1, 2, 3]\nalpha.01 = [4, 5, 6]\n",
+             "config line 2: alpha.1 given twice"),
+            ("alpha.1 = [1, 2, 3]\nalpha.-2 = [9, 9]\n",
+             "config line 2: row index -2 is not positive"),
+            ("alpha.0 = [9, 9, 9]\nalpha.1 = [1, 2, 3]\n",
+             "config line 1: row index 0 is not positive"),
+            ("seed = 1\nalpha.1 = [1, 2, 3]\nseed = 2\n",
+             "config line 3: seed given twice"),
+            ("alpha_seed = 1\nalpha.1 = [1, 2, 3]\nalpha-seed = 2\n",
+             "config line 3: alpha_seed given twice")):
+        bad.write_text(text)
+        code, out, err = run(capsys, "integrals", "--n", "3", "--N", "3",
+                             "--config", str(bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_config_missing_alpha_row(tmp_path, capsys):

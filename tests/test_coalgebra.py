@@ -22,10 +22,10 @@ from gnlab import (BudgetExceeded, GnAlgebra, Generator, PhaseContext,
                    check_realization_homomorphism, check_route_equivalence,
                    check_vanishing, det, harmonic_hamiltonian,
                    integral_family,
-                   integral_set, integrals_via_coproduct,
-                   integrals_via_sum_of_squares, window)
+                   integral_set, integrals_via_coproduct, window)
 from conftest import random_poly
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
+from gnlab.coalgebra import check_integral_budget
 
 
 def test_window_arithmetic():
@@ -316,7 +316,7 @@ def test_route_equivalence_small():
         assert check_route_equivalence(ctx).passed
         for m in range(n, N + 1):
             assert integrals_via_coproduct(ctx, "left", m) == \
-                integrals_via_sum_of_squares(ctx, "left", m)
+                sum_of_squares(ctx, "left", m)
 
 
 def test_full_window_integral_is_the_realized_invariant():
@@ -376,6 +376,27 @@ def _counting_substitution(monkeypatch):
 
 # fractional parameters: A A^T then has non-integral constant entries
 RATIONAL_ROWS = {1: ["1/2", -3, "2/3", 5, "-1/7"], 2: [4, "5/6", -1, "3/4", 2]}
+
+
+def sum_of_squares(ctx, side, m):
+    """Minus the sum of the squared building blocks of every n-subset of
+    the window's sites, summed afresh for each window."""
+    a, b = window(side, m, ctx.N)
+    return -sum((building_block(ctx, c) ** 2
+                 for c in combinations(range(a, b + 1), ctx.n)),
+                ctx.registry.zero())
+
+
+@pytest.mark.parametrize("n,N,rows", [(2, 2, None), (2, 6, None),
+                                      (3, 6, None), (4, 7, None),
+                                      (5, 8, None), (4, 5, RATIONAL_ROWS)])
+def test_running_sums_match_each_window_summed_afresh(n, N, rows):
+    ctx = PhaseContext(n, N, rows) if rows else PhaseContext.seeded(n, N)
+    for side in ("left", "right"):
+        members = integral_set(ctx, side)
+        assert list(members) == list(range(n, N + 1))
+        for m, p in members.items():
+            assert p.terms == sum_of_squares(ctx, side, m).terms, (side, m)
 
 
 @pytest.mark.parametrize("n,N,rows", [(n, N, None) for n, N in ORACLE_SIZES]
@@ -539,6 +560,20 @@ def test_each_square_is_built_once_per_site_subset(monkeypatch):
         assert p.terms == want.terms
 
 
+def test_integral_set_refuses_sizes_over_the_budget(monkeypatch):
+    def no_block(ctx, indices):
+        raise AssertionError("built a building block over the budget")
+
+    monkeypatch.setattr(coalgebra_module, "building_block", no_block)
+    # C(86, 3) = 102,340 pairs per side at (2, 85); level 13 is one too many
+    for n, N, message in ((2, 85, "above the budget 100,000"),
+                          (13, 13, "levels above 12 are refused")):
+        with pytest.raises(BudgetExceeded, match=message):
+            integral_set(PhaseContext.seeded(n, N), "left")
+    for n, N in ((2, 84), (4, 14), (6, 12), (9, 9), (12, 12)):
+        check_integral_budget(n, N)
+
+
 def test_integral_family_order_and_members():
     ctx = PhaseContext.seeded(3, 5)
     family = integral_family(ctx)
@@ -546,7 +581,7 @@ def test_integral_family_order_and_members():
                             "right_m3", "right_m4"]
     for name, p in family.items():
         side, m = name.split("_m")
-        assert p == integrals_via_sum_of_squares(ctx, side, int(m))
+        assert p == sum_of_squares(ctx, side, int(m))
 
 
 def test_independence_counts():
@@ -569,5 +604,5 @@ def test_level7_routes_agree_and_vanish_below_threshold():
     for side in ("left", "right"):
         full = integrals_via_coproduct(ctx, side, 7)
         assert not full.is_zero
-        assert full == integrals_via_sum_of_squares(ctx, side, 7)
+        assert full == sum_of_squares(ctx, side, 7)
         assert integrals_via_coproduct(ctx, side, 6).is_zero

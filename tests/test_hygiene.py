@@ -4,8 +4,10 @@ defines is referenced by code in some library module.  The package
 ``__init__`` is exempt from the first scan, because its imports are the
 public re-exports, but those imports are not references in the second: a
 re-export alone does not keep a definition alive, so API that only tests
-call has no place in the library.  Every command-line option the CLI
-declares is read by it, so a flag whose value nothing uses cannot linger.
+call has no place in the library, and a top-level function or class
+must be referenced outside its own body.  Every command-line option the
+CLI declares is read by it, so a flag whose value nothing uses cannot
+linger.
 """
 
 import ast
@@ -48,24 +50,35 @@ def test_library_modules_use_every_import():
 def dead_definitions(sources: dict[str, str]) -> list[str]:
     """Functions, classes and methods defined in `sources` (module name ->
     text) whose name is never referenced, as a name or an attribute, in
-    any of them.  Importing a name is not a reference, so a re-export in
+    any of them; for a top-level function or class only references outside
+    its own body count, so neither recursion nor its decorator keeps it
+    alive.  Importing a name is not a reference, so a re-export in
     ``__init__`` alone leaves it unreferenced; dunder methods are called
     by the language."""
-    defined: list[tuple[str, int, str]] = []
-    referenced: set[str] = set()
+    defined: list[tuple[str, int, str, set]] = []
+    # each name -> the top-level definitions holding a reference to it
+    # (None for the module's other code)
+    holders: dict[str, set] = {}
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if not (node.name.startswith("__")
-                        and node.name.endswith("__")):
-                    defined.append((module, node.lineno, node.name))
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+        for top in ast.parse(source).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                owner = (module, top.name)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    if not (node.name.startswith("__")
+                            and node.name.endswith("__")):
+                        own = {owner} if node is top else set()
+                        defined.append((module, node.lineno, node.name, own))
+                elif isinstance(node, ast.Name):
+                    holders.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    holders.setdefault(node.attr, set()).add(owner)
     return [f"{module} line {line}: {name}"
-            for module, line, name in defined if name not in referenced]
+            for module, line, name, own in defined
+            if not holders.get(name, set()) - own]
 
 
 def test_dead_definitions_are_detected():
@@ -77,12 +90,14 @@ def test_dead_definitions_are_detected():
               "class Box:\n    def __init__(self):\n        pass\n"
               "    @property\n    def size(self):\n        return 1\n"
               "    def unused(self):\n        pass\n"
-              "def reexported():\n    pass\n"),
+              "def reexported():\n    pass\n"
+              "@functools.cache\ndef spin(k):\n    return spin(k - 1)\n"),
         "b": "from .a import exported\nexported()\n",
     }
     assert dead_definitions(sources) == ["a line 5: orphan",
+                                         "a line 13: unused",
                                          "a line 15: reexported",
-                                         "a line 13: unused"]
+                                         "a line 18: spin"]
 
 
 def test_library_defines_nothing_unreferenced():
