@@ -448,10 +448,11 @@ def cmd_verify(args) -> int:
     if cfg.n > args.ceiling_n:
         raise UsageError(
             f"n = {cfg.n} above the verification ceiling {args.ceiling_n}")
+    if args.max_ansatz_degree < 1:
+        raise UsageError("max-ansatz-degree must be at least 1")
     # the uniqueness sweep's top degree, whose ansatz must fit the budget
     sweep = min(cfg.n - 1, args.max_ansatz_degree)
-    if sweep >= 1:
-        ansatz_monomials(cfg.n, sweep)
+    ansatz_monomials(cfg.n, sweep)
     ctx = _context(cfg)
     with _report(cfg) as emit:
         reports = _verify_reports(cfg, ctx, sweep)
@@ -503,6 +504,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("step must be positive and finite")
     if not (math.isfinite(args.t_end) and args.t_end >= 0):
         raise UsageError("t-end must be nonnegative and finite")
+    if not (math.isfinite(args.drift_threshold) and args.drift_threshold >= 0):
+        raise UsageError("drift-threshold must be nonnegative and finite")
     ctx = _context(cfg)
     try:
         gen_poly = parse_polynomial(args.H, ctx.algebra.registry)

@@ -9,16 +9,16 @@ A level-n algebra acts on N canonical degrees of freedom through
 with the sums over a site window: sites 1..m on the left, N-m+1..N on the
 right, and rational parameter rows a^(i) of length N.  Feeding these images
 into the degree-n invariant C_n produces one conserved quantity per window
-size m; the same quantity is, independently, minus a sum of squared n x n
-determinants built from the parameter rows and one q and one p row (the
-"building blocks").  Both routes are implemented and compared.  The
-sums of squares of all windows are built in one pass over the site
-subsets: each block is squared once, and each side's windows are running
-sums of the squares that first enter them.
+size m; the same quantity is minus a sum of squared n x n determinants
+built from the parameter rows and one q and one p row (the "building
+blocks").  The integrals are built as those sums, in one pass over the
+site subsets: each block is squared once, and each side's windows are
+running sums of the squares that first enter them.  That they equal the
+realised C_n is certified by Cauchy-Binet, with nothing substituted into
+C_n (`check_route_equivalence`).
 
 The window realisation is the primitive coproduct x -> x(1) + ... + x(m)
-followed by the one-site realisation on every site, which is why the
-substitution route carries the coproduct's name.  The coproduct on a
+followed by the one-site realisation on every site.  The coproduct on a
 tensor registry itself is not needed here; the tests build it to check
 coassociativity and that it is an algebra homomorphism.
 
@@ -263,12 +263,6 @@ def canonical_bracket(ctx: PhaseContext, f: Polynomial,
         g.total_degree() - 1)) * Fraction(1, den)
 
 
-def integrals_via_coproduct(ctx: PhaseContext, side: str, m: int) -> Polynomial:
-    """Window-m conserved quantity: the invariant with every generator
-    replaced by its window realisation."""
-    return ctx.casimir.polynomial.substitute(ctx.realization_images(side, m))
-
-
 def _window_rows(ctx: PhaseContext, sites) -> list[list[Polynomial]]:
     """The n x |sites| matrix A over the given sites, as its rows: the
     parameter rows alpha^(1..n-2), then the q row and the p row."""
@@ -332,42 +326,55 @@ def check_realization_homomorphism(ctx: PhaseContext) -> Report:
                   {"n": ctx.n, "N": ctx.N, "pairs": pairs}, fails)
 
 
+def _realises_gram(ctx: PhaseContext, side: str, m: int) -> bool:
+    """Whether the bordered matrix M realised over window m is A A^T entry
+    by entry, with A the rows alpha^(1..n-2), q, p over the window
+    (`_window_rows`).  The entries come from the window images and A from
+    the parameters, so the two sides share no formulas."""
+    n, reg, matrix = ctx.n, ctx.registry, ctx.casimir.matrix
+    a, b = window(side, m, ctx.N)
+    A = _window_rows(ctx, range(a, b + 1))
+    return all(ctx.realize_poly(matrix[i][j], side, m) == poly_sum(
+        reg, [x * y for x, y in zip(A[i], A[j])])
+        for i in range(n) for j in range(n))
+
+
 def check_route_equivalence(ctx: PhaseContext) -> Report:
-    """Substitution route equals sum-of-squares route for every window on
-    both sides; the two full windows share one substitution of C_n."""
+    """C_n realised over each window m = n..N of both sides is the window's
+    integral, minus the sum of its squared building blocks, by Cauchy-Binet:
+    the window realisation phi_m is a ring homomorphism and C_n = -det M,
+    and `_realises_gram` shows phi_m(M) = A A^T, so C_n o phi_m =
+    -det(A A^T) = -sum_S det(A_S)^2 over the n-subsets S of the window,
+    each det(A_S) a building block.  The two full windows share one check.
+
+    This neither builds the integrals nor runs `det` or the running sums
+    of `PhaseContext.integrals`; the tests cover those (the
+    `sum_of_squares` and C_n-substitution oracles in tests/test_coalgebra.py,
+    the cofactor and sympy oracles for `det`)."""
     fails: list[str] = []
     compared = 0
-    via_sub: dict[tuple[int, int], Polynomial] = {}
+    certified: dict[tuple[int, int], bool] = {}
     for side in ("left", "right"):
-        for m, via_sq in integral_set(ctx, side).items():
+        for m in range(ctx.n, ctx.N + 1):
             compared += 1
             sites = window(side, m, ctx.N)
-            if sites not in via_sub:
-                via_sub[sites] = integrals_via_coproduct(ctx, side, m)
-            if via_sub[sites] != via_sq:
+            if sites not in certified:
+                certified[sites] = _realises_gram(ctx, side, m)
+            if not certified[sites]:
                 fails.append(f"routes differ at side={side}, m={m}")
     return Report("route_equivalence",
                   {"n": ctx.n, "N": ctx.N, "windows": compared}, fails)
 
 
 def check_vanishing(ctx: PhaseContext) -> Report:
-    """Below the threshold window m = n the realised invariant is
-    identically zero: with A the n x m matrix of rows alpha^(1..n-2), q, p
-    over the window (`_window_rows`, whose n x n minors are the building
-    blocks), the realised bordered matrix M is checked to be A A^T
-    entry by entry, and a product through m < n columns has rank at most m,
-    so C_n = -det M realises to zero.  At m = n it is not (for generic
-    parameters), read from the sum-of-squares route, which
-    `check_route_equivalence` compares with the substitution."""
-    n, reg, matrix = ctx.n, ctx.registry, ctx.casimir.matrix
+    """Below the threshold window m = n the realised invariant is zero: M
+    realises to A A^T (`_realises_gram`), and a product through m < n
+    columns has rank at most m, so C_n = -det M realises to zero.  At m = n
+    it is not (for generic parameters), read from the integrals."""
     fails: list[str] = []
     for side in ("left", "right"):
-        for m in range(1, min(n, ctx.N + 1)):
-            a, b = window(side, m, ctx.N)
-            A = _window_rows(ctx, range(a, b + 1))
-            if any(ctx.realize_poly(matrix[i][j], side, m) != poly_sum(
-                    reg, [x * y for x, y in zip(A[i], A[j])])
-                   for i in range(n) for j in range(n)):
+        for m in range(1, min(ctx.n, ctx.N + 1)):
+            if not _realises_gram(ctx, side, m):
                 fails.append(f"realised M is not A A^T: side={side}, m={m}")
     threshold_nonzero = None
     if ctx.N >= ctx.n:

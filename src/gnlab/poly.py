@@ -415,33 +415,18 @@ class Polynomial:
                     "substitution images span several registries")
         assert target is not None
         imap = {self.registry.var(k).index: img for k, img in images.items()}
-        # Work fraction-free: image i is scaled[i] / den[i] with integer
-        # coefficients, and the whole sum is carried times the lcm of the
-        # term denominators, so only the final division makes Fractions.
-        # Only the images of variables present are scaled.
-        den: dict[int, int] = {}
-        decoded = []
-        common = 1
         top = 0
-        for m, c in self.terms.items():
+        for m in self.terms:
             degree = 0
-            d = 1 if type(c) is int else c.denominator
             for i, e in exponents(m):
                 img = imap.get(i)
                 if img is None:
                     raise MissingVariable(
                         f"no image for {self.registry.name_of(i)!r}")
                 degree += e * img.total_degree()
-                if i not in den:
-                    den[i] = img.denominator()
-                d *= den[i] ** e
             top = max(top, degree)
-            common = math.lcm(common, d)
-            decoded.append((m, c, d))
         _check_degree(top, "a substitution")
-        scaled = {i: (imap[i] * n).terms for i, n in den.items()}
-        left = {m: {0: (c if type(c) is int else c.numerator) * (common // d)}
-                for m, c, d in decoded}
+        left = {m: {0: c} for m, c in self.terms.items()}
         acc = left.pop(0, {})
         while left:
             rest_of: dict[int, dict] = {}
@@ -449,10 +434,8 @@ class Polynomial:
                 i = (m.bit_length() - 1) // _BITS
                 rest = m - (1 << (_BITS * i))
                 into = rest_of.setdefault(rest, {}) if rest else acc
-                _addmul(into, part, scaled[i])
+                _addmul(into, part, imap[i].terms)
             left = rest_of
-        if common != 1:
-            acc = {k: Fraction(v, common) for k, v in acc.items()}
         return Polynomial._make(target, _clean(acc))
 
     # ------------------------------------------------------------------

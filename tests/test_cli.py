@@ -93,12 +93,41 @@ OUTPUT_SHA256 = {
 }
 
 
+# SHA-256 of stdout and of the --out CSV of one short `simulate` run with
+# fractional parameter rows, so that realising H substitutes Fraction
+# images and the window integrals have Fraction coefficients.
+SIMULATE_CONFIG = ("alpha.1 = [1/2, -3, 2/3, 5, -1/7]\n"
+                   "alpha.2 = [4, 5/6, -1, 3/4, 2]\n")
+SIMULATE_ARGV = ["simulate", "--n", "4", "--N", "5",
+                 "--x0=0.3,-0.2,0.1,0.5,-0.4,0.2,0.1,-0.3,0.4,0.25",
+                 "--t-end", "0.05"]
+SIMULATE_SHA256 = {
+    "stdout":
+        "bd8712061bea21c919308b33622fb243e65f9e14f0cd8b467d5f20a6034573f2",
+    "csv":
+        "0d6074853f05bb68d7e6d46f846266dc71cb329bf5d662cbb25f09c5ecb57886",
+}
+
+
 @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
 def test_output_bytes_golden(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == OUTPUT_SHA256[command]
+
+
+def test_simulate_bytes_golden(tmp_path, capsys):
+    cfg = tmp_path / "rational.cfg"
+    cfg.write_text(SIMULATE_CONFIG)
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run(capsys, *SIMULATE_ARGV, "--config", str(cfg),
+                       "--out", str(out_csv))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        SIMULATE_SHA256["stdout"]
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == \
+        SIMULATE_SHA256["csv"]
 
 
 def test_casimir_size_guard_exits_2(capsys, monkeypatch):
@@ -500,12 +529,18 @@ def test_simulate_rejects_bad_inputs(capsys):
                                  ("--t-end", "nan", "t-end"),
                                  ("--t-end", "inf", "t-end"),
                                  ("--x0", "nan,0,0,0", "x0"),
-                                 ("--x0", "0,0,0,inf", "x0")):
+                                 ("--x0", "0,0,0,inf", "x0"),
+                                 ("--drift-threshold", "inf",
+                                  "drift-threshold")):
         code, out, err = run(capsys, "simulate", "--n", "2", "--N", "2",
                              f"{flag}={value}")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
         assert "finite" in err and "Traceback" not in err
+    # a zero threshold is valid: a run without steps has no drift
+    code, out, _ = run(capsys, "simulate", "--n", "2", "--N", "2",
+                       "--t-end", "0", "--drift-threshold", "0")
+    assert code == 0 and json.loads(out)["threshold"] == 0.0
 
 
 def test_simulate_hamiltonian_takes_generators_not_phase_variables(capsys):
@@ -626,7 +661,15 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
                           (["verify", "--n", "24", "--N", "24"], "level 24"),
                           (["integrals", "--n", "24", "--N", "24"],
                            "building blocks of level 24 are too large"),
-                          (["simulate", "--n", "24", "--N", "24"], "level 24")):
+                          (["simulate", "--n", "24", "--N", "24"], "level 24"),
+                          (["verify", "--n", "4", "--max-ansatz-degree", "0"],
+                           "max-ansatz-degree must be at least 1"),
+                          (["verify", "--n", "4", "--max-ansatz-degree", "-2"],
+                           "max-ansatz-degree must be at least 1"),
+                          (["simulate", "--drift-threshold", "nan"],
+                           "drift-threshold must be nonnegative and finite"),
+                          (["simulate", "--drift-threshold", "-1"],
+                           "drift-threshold must be nonnegative and finite")):
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2 and out == "" and message in err
         assert target.read_text() == "kept\n"

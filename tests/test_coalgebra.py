@@ -21,8 +21,7 @@ from gnlab import (BudgetExceeded, GnAlgebra, Generator, PhaseContext,
                    check_independence, check_involution,
                    check_realization_homomorphism, check_route_equivalence,
                    check_vanishing, det, harmonic_hamiltonian,
-                   integral_family,
-                   integral_set, integrals_via_coproduct, window)
+                   integral_family, integral_set, window)
 from conftest import random_poly
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
 from gnlab.coalgebra import check_integral_budget
@@ -310,41 +309,6 @@ def test_building_block_expansion_matches_determinant():
                 building_block(ctx, combo)
 
 
-def test_route_equivalence_small():
-    for (n, N) in ((2, 3), (3, 4)):
-        ctx = PhaseContext.seeded(n, N)
-        assert check_route_equivalence(ctx).passed
-        for m in range(n, N + 1):
-            assert integrals_via_coproduct(ctx, "left", m) == \
-                sum_of_squares(ctx, "left", m)
-
-
-def test_full_window_integral_is_the_realized_invariant():
-    ctx = PhaseContext.seeded(3, 4)
-    full = integrals_via_coproduct(ctx, "left", ctx.N)
-    assert full == ctx.realize_poly(ctx.casimir.polynomial)
-    assert full == integrals_via_coproduct(ctx, "right", ctx.N)
-
-
-def test_vanishing_below_threshold():
-    ctx = PhaseContext.seeded(3, 5)
-    rep = check_vanishing(ctx)
-    assert rep.passed
-    assert integrals_via_coproduct(ctx, "left", 2).is_zero
-    assert not integrals_via_coproduct(ctx, "left", 3).is_zero
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_vanishing_threshold_matches_the_substitution(n):
-    """`check_vanishing` reads the threshold window from the sum-of-squares
-    route; C_n with the window images substituted is its oracle."""
-    ctx = PhaseContext.seeded(n, n)
-    rep = check_vanishing(ctx)
-    assert rep.passed and rep.data["threshold_nonzero"] is True
-    for side in ("left", "right"):
-        assert not integrals_via_coproduct(ctx, side, n).is_zero
-
-
 def test_vanishing_fails_on_a_zero_threshold_integral():
     ctx = PhaseContext.seeded(3, 4)
     integral_set(ctx, "right")[3] = ctx.registry.zero()
@@ -360,17 +324,25 @@ coalgebra_module = importlib.import_module("gnlab.coalgebra")
 ORACLE_SIZES = [(3, 5), (4, 6), (6, 6)]
 
 
+def integrals_via_coproduct(ctx, side, m):
+    """Window-m conserved quantity by substitution: C_n with every
+    generator replaced by its window realisation."""
+    return ctx.casimir.polynomial.substitute(ctx.realization_images(side, m))
+
+
 def _counting_substitution(monkeypatch):
-    """Record each (side, m) that `integrals_via_coproduct` substitutes."""
-    real = coalgebra_module.integrals_via_coproduct
+    """Record the degree of each polynomial of degree above one that is
+    substituted.  The entries of the bordered matrix are linear, so a
+    record means that C_n, or some other product, was substituted."""
+    real = Polynomial.substitute
     calls = []
 
-    def counting(ctx, side, m):
-        calls.append((side, m))
-        return real(ctx, side, m)
+    def counting(f, images):
+        if f.total_degree() > 1:
+            calls.append(f.total_degree())
+        return real(f, images)
 
-    monkeypatch.setattr(coalgebra_module, "integrals_via_coproduct",
-                        counting)
+    monkeypatch.setattr(Polynomial, "substitute", counting)
     return calls
 
 
@@ -413,6 +385,96 @@ def test_vanishing_certificate_matches_the_substitution(monkeypatch, n, N,
     for side in ("left", "right"):
         for m in range(1, n):
             assert integrals_via_coproduct(ctx, side, m).is_zero
+
+
+def test_route_equivalence_small():
+    for (n, N) in ((2, 3), (3, 4)):
+        ctx = PhaseContext.seeded(n, N)
+        assert check_route_equivalence(ctx).passed
+        for m in range(n, N + 1):
+            assert integrals_via_coproduct(ctx, "left", m) == \
+                sum_of_squares(ctx, "left", m)
+
+
+def test_full_window_integral_is_the_realized_invariant():
+    ctx = PhaseContext.seeded(3, 4)
+    full = integrals_via_coproduct(ctx, "left", ctx.N)
+    assert full == ctx.realize_poly(ctx.casimir.polynomial)
+    assert full == integrals_via_coproduct(ctx, "right", ctx.N)
+
+
+def test_vanishing_below_threshold():
+    ctx = PhaseContext.seeded(3, 5)
+    rep = check_vanishing(ctx)
+    assert rep.passed
+    assert integrals_via_coproduct(ctx, "left", 2).is_zero
+    assert not integrals_via_coproduct(ctx, "left", 3).is_zero
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_vanishing_threshold_matches_the_substitution(n):
+    """`check_vanishing` reads the threshold window from the sum-of-squares
+    route; C_n with the window images substituted is its oracle."""
+    ctx = PhaseContext.seeded(n, n)
+    rep = check_vanishing(ctx)
+    assert rep.passed and rep.data["threshold_nonzero"] is True
+    for side in ("left", "right"):
+        assert not integrals_via_coproduct(ctx, side, n).is_zero
+
+
+@pytest.mark.parametrize("n,N,rows", [(2, 3, None)]
+                         + [(n, N, None) for n, N in ORACLE_SIZES]
+                         + [(4, 5, RATIONAL_ROWS)])
+def test_integral_set_matches_coproduct_route(n, N, rows):
+    ctx = PhaseContext(n, N, rows) if rows else PhaseContext.seeded(n, N)
+    for side in ("left", "right"):
+        members = integral_set(ctx, side)
+        assert list(members) == list(range(n, N + 1))
+        for m, p in members.items():
+            assert p == integrals_via_coproduct(ctx, side, m), (side, m)
+
+
+def test_level7_routes_agree_and_vanish_below_threshold():
+    ctx = PhaseContext.seeded(7, 7)
+    for side in ("left", "right"):
+        full = integrals_via_coproduct(ctx, side, 7)
+        assert not full.is_zero
+        assert full == sum_of_squares(ctx, side, 7)
+        assert integrals_via_coproduct(ctx, side, 6).is_zero
+
+
+def test_route_equivalence_substitutes_nothing(monkeypatch):
+    """The certificate realises only the linear entries of M and never
+    builds the integrals, yet counts every window m = n..N of both
+    sides."""
+    ctx = PhaseContext.seeded(4, 6)
+    calls = _counting_substitution(monkeypatch)
+    rep = check_route_equivalence(ctx)
+    assert rep.passed and rep.data["windows"] == 2 * (6 - 4 + 1)
+    assert calls == []
+    assert "integrals" not in vars(ctx)
+
+
+@pytest.mark.parametrize("side,m,failures", [
+    ("left", 4, ["routes differ at side=left, m=4"]),
+    ("right", 5, ["routes differ at side=right, m=5"]),
+    # the two full windows share one site range, and so one image
+    ("right", 6, ["routes differ at side=left, m=6",
+                  "routes differ at side=right, m=6"])])
+def test_route_equivalence_fails_on_one_changed_window_parameter(side, m,
+                                                                 failures):
+    """alpha^(2) at the window's first site is changed in that window's
+    memoised images alone: the realised M is no longer A A^T there, and
+    every other window, those below the threshold included, still
+    passes."""
+    ctx = PhaseContext.seeded(4, 6)
+    a, _ = window(side, m, ctx.N)
+    kept = ctx.alpha_rows[2]
+    ctx.alpha_rows[2] = kept[:a - 1] + (kept[a - 1] + 1,) + kept[a:]
+    ctx.realization_images(side, m)  # memoised with the changed parameter
+    ctx.alpha_rows[2] = kept
+    assert check_route_equivalence(ctx).failures == failures
+    assert check_vanishing(ctx).passed
 
 
 @pytest.mark.parametrize("n,N", ORACLE_SIZES)
@@ -477,16 +539,6 @@ def test_involution_fails_when_the_full_windows_differ():
     assert not [f for f in rep.failures if f.startswith("{right_m4,")]
 
 
-def test_route_equivalence_substitutes_the_full_window_once(monkeypatch):
-    ctx = PhaseContext.seeded(4, 6)
-    assert ctx.realization_images("left") is ctx.realization_images("right")
-    calls = _counting_substitution(monkeypatch)
-    rep = check_route_equivalence(ctx)
-    assert rep.passed and rep.data["windows"] == 6
-    assert calls == [("left", 4), ("left", 5), ("left", 6),
-                     ("right", 4), ("right", 5)]
-
-
 def test_involution_small():
     for (n, N) in ((2, 3), (3, 4)):
         ctx = PhaseContext.seeded(n, N)
@@ -497,15 +549,6 @@ def test_involution_small():
     members = integral_set(ctx, "left")
     assert canonical_bracket(ctx, members[2], members[3]).is_zero
     assert canonical_bracket(ctx, members[2], members[4]).is_zero
-
-
-def test_integral_set_matches_coproduct_route():
-    ctx = PhaseContext.seeded(2, 3)
-    for side in ("left", "right"):
-        members = integral_set(ctx, side)
-        assert list(members) == [2, 3]
-        for m, p in members.items():
-            assert p == integrals_via_coproduct(ctx, side, m)
 
 
 def test_memoised_images_and_integrals_match_a_fresh_context():
@@ -597,12 +640,3 @@ def test_independence_counts():
 def test_independence_rejects_undersized_phase_space():
     with pytest.raises(ValueError):
         check_independence(PhaseContext.seeded(3, 2))
-
-
-def test_level7_routes_agree_and_vanish_below_threshold():
-    ctx = PhaseContext.seeded(7, 7)
-    for side in ("left", "right"):
-        full = integrals_via_coproduct(ctx, side, 7)
-        assert not full.is_zero
-        assert full == sum_of_squares(ctx, side, 7)
-        assert integrals_via_coproduct(ctx, side, 6).is_zero
