@@ -148,7 +148,6 @@ class StructureConstants:
             [{} for _ in basis.order]
         # the monomial of each generator variable, by basis position
         self._units = [monomial({basis.var(g).index: 1}) for g in basis.order]
-        self._unit_position = {u: k for k, u in enumerate(self._units)}
         pos = basis.index
 
         def put(a: Generator, b: Generator, c: int, k: Generator):
@@ -171,10 +170,6 @@ class StructureConstants:
         """The linear polynomial of a vector."""
         return Polynomial(self.basis.registry,
                           {self._units[k]: c for k, c in vector.items()})
-
-    def vector(self, p: Polynomial) -> dict[int, int | Fraction]:
-        """The vector of a linear polynomial in the generators."""
-        return {self._unit_position[m]: c for m, c in p.terms.items()}
 
     def of(self, a: Generator, b: Generator) -> Polynomial:
         pos = self.basis.index

@@ -6,10 +6,10 @@ by the ladder columns (-y_{i,-}, y_{i,+}) and the 2 x 2 corner
 [[-2 x-, h], [h, 2 x+]].  Minus its determinant is a degree-n polynomial
 C_n that every coadjoint field annihilates, i.e. a Casimir invariant.
 
-Verification runs three independent routes: direct annihilation, the
-entrywise intertwining identity  x^(M) = -(Q M + M Q^T)  against the
-quotient matrix representation Q, and a linear-ansatz solver that finds
-all invariant polynomials of a fixed degree from scratch.
+Verification runs two independent routes: a certificate resting on the
+entrywise identity  X_g(M) = -(Q_g M + M Q_g^T)  between each coadjoint
+field X_g and the quotient matrix representation Q, and a linear-ansatz
+solver that finds all invariant polynomials of a fixed degree from scratch.
 
 The bracket preserves a Z x Z^{n-2} grading: the h-weight (+-2 on x+-,
 +-1 on y_{i,+-}, 0 on h and z) and the ladder multidegree (e_i on
@@ -18,9 +18,7 @@ structure constant is homogeneous of the summed grade, and the ansatz
 solver relies on it: each coadjoint field maps one grade block of
 monomials into another, and the h field multiplies a monomial by its
 weight, so the invariants are found block by block over the weight-0
-monomials alone.  Its rows, and `verify_annihilation`, take the n fields
-of x+, x- and the y_{i,-}: these generate g_n, and since X_[a,b] =
-[X_a, X_b] (`check_field_homomorphism`) what they kill every field kills.
+monomials alone.
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ from itertools import product, repeat
 from .algebra import (Generator, GnAlgebra, H, X_MINUS, X_PLUS,
                       canonical_order, central, triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, _check_degree, _degrees, det,
-                   exponents, monomial, rank_rational, sparse_nullspace,
-                   variable_mask)
-from .representations import build_coadjoint, build_quotient_rep
+                   exponents, monomial, poly_sum, rank_rational,
+                   sparse_nullspace, variable_mask)
+from .representations import MatrixRep, build_coadjoint, build_quotient_rep
 from .reports import Report
 
 
@@ -91,10 +89,14 @@ def casimir(alg: GnAlgebra) -> CasimirResult:
     above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
     check_casimir_level(alg.n)
     m = casimir_matrix(alg)
-    # negating the first row gives -det M_n without a pass over its terms
-    c = det([[-e for e in m[0]], *m[1:]])
+    c = _minus_det(m)
     return CasimirResult(algebra=alg, matrix=m, polynomial=c,
                          degree=c.total_degree())
+
+
+def _minus_det(m: Rows) -> Polynomial:
+    """-det M, by negating the first row: no pass over the terms."""
+    return det([[-e for e in m[0]], *m[1:]])
 
 
 def generating_set(alg: GnAlgebra) -> list[Generator]:
@@ -117,50 +119,53 @@ def generating_set(alg: GnAlgebra) -> list[Generator]:
     return sources
 
 
-def verify_annihilation(cas: CasimirResult) -> Report:
-    """Every coadjoint field sends C_n to zero: the fields of
-    `generating_set` are applied, and the T_n `fields` counts follow from
-    X_[a,b] = [X_a, X_b], so a pass holds only together with a passing
-    `check_field_homomorphism`, which `verify` runs in the same report."""
-    alg, c = cas.algebra, cas.polynomial
-    fields = build_coadjoint(alg)
+def _intertwining_failures(cas: CasimirResult, rep: MatrixRep) -> list[str]:
+    """X_g(M_ij) = -(Q_g M + M Q_g^T)_ij for every generator g and entry
+    (i, j), where X_g is the `build_coadjoint` field of g and Q_g its image
+    in `rep`: one failure per generator for which an entry differs."""
+    m, n = cas.matrix, cas.algebra.n
     fails: list[str] = []
-    for g in generating_set(alg):
-        r = fields[alg.basis.index(g)].apply(c)
-        if not r.is_zero:
-            fails.append(f"field of {g.name} gives {r.text()[:80]}")
-    return Report("annihilation",
-                  {"n": alg.n, "fields": alg.basis.dim,
-                   "terms": len(c.terms)}, fails)
+    for field in build_coadjoint(cas.algebra):
+        # the nonzero entries of each row of Q_g as (column, -value)
+        q = [[(k, -v) for k, v in enumerate(row) if v]
+             for row in rep.of(field.source)]
+        for i, j in product(range(n), repeat=2):
+            rhs = poly_sum(cas.algebra.registry,
+                           [m[k][j] * c for k, c in q[i]]
+                           + [m[i][k] * c for k, c in q[j]])
+            if field.apply(m[i][j]) != rhs:
+                fails.append(f"intertwining fails for {field.source.name}")
+                break
+    return fails
+
+
+def verify_annihilation(cas: CasimirResult) -> Report:
+    """All T_n coadjoint fields send C_n to zero, certified without
+    applying any to C_n.  A field X_g is a derivation, so Jacobi's formula
+    gives X_g(det M) = tr(adj M X_g(M)), X_g acting entrywise.  Where
+    X_g(M) = -(Q_g M + M Q_g^T), as adj M M = M adj M = (det M) 1, the
+    traces tr(adj M Q_g M) and tr(adj M M Q_g^T) are both tr(Q_g) det M,
+    so X_g(det M) = -2 tr(Q_g) det M.  The report checks the premises:
+    that identity for every field, a traceless Q_g, and C_n = -det M."""
+    alg, c = cas.algebra, cas.polynomial
+    quotient = build_quotient_rep(alg)
+    fails = _intertwining_failures(cas, quotient)
+    for g in alg.basis.order:
+        trace = sum(row[i] for i, row in enumerate(quotient.of(g)))
+        if trace:
+            fails.append(f"quotient image of {g.name} has trace {trace}")
+    if c != _minus_det(cas.matrix):
+        fails.append("C_n is not -det M")
+    return Report("annihilation", {"n": alg.n, "fields": alg.basis.dim,
+                                   "terms": len(c.terms)}, fails)
 
 
 def verify_intertwining(cas: CasimirResult) -> Report:
-    """Entrywise bracket action on the matrix equals -(Q M + M Q^T) for the
-    quotient representation Q; the algebraic core of the invariance proof.
-    The entries of M are linear in the generators and Q has integer
-    entries, so both sides are vectors over the basis, and the left one is
-    read from the bracket table."""
-    alg, m, n = cas.algebra, cas.matrix, cas.algebra.n
-    sc = alg.constants
-    entries = [[sc.vector(e) for e in row] for row in m]
-    quotient = build_quotient_rep(alg)
-    fails: list[str] = []
-    for a, g in enumerate(alg.basis.order):
-        # the nonzero entries of each row of Q as (column, -value)
-        q = [[(k, -v) for k, v in enumerate(row) if v]
-             for row in quotient.of(g)]
-        for i, j in product(range(n), repeat=2):
-            diff = sc.add_bracket({}, {a: 1}, entries[i][j])
-            for k, c in q[i]:
-                for p, x in entries[k][j].items():
-                    diff[p] = diff.get(p, 0) - c * x
-            for k, c in q[j]:
-                for p, x in entries[i][k].items():
-                    diff[p] = diff.get(p, 0) - c * x
-            if any(diff.values()):
-                fails.append(f"intertwining fails for {g.name}")
-                break
-    return Report("intertwining", {"n": n, "generators": alg.basis.dim}, fails)
+    """Entrywise field action on M equals -(Q M + M Q^T) for the quotient
+    representation Q: the identity `verify_annihilation` rests on."""
+    alg = cas.algebra
+    return Report("intertwining", {"n": alg.n, "generators": alg.basis.dim},
+                  _intertwining_failures(cas, build_quotient_rep(alg)))
 
 
 def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:

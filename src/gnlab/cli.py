@@ -499,6 +499,11 @@ def cmd_integrals(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # gnlab makes no BLAS call, but importing numpy starts an OpenBLAS
+    # thread pool; one thread saves its start-up.  A value already set, or
+    # a numpy already loaded, is left alone.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     cfg = _resolve_config(args, need_N=True)
     if not (math.isfinite(args.step) and args.step > 0):
         raise UsageError("step must be positive and finite")
@@ -644,6 +649,8 @@ def cmd_rank(args) -> int:
 
 def cmd_ansatz(args) -> int:
     cfg = _resolve_config(args, need_N=False)
+    if args.budget < 1:
+        raise UsageError("budget must be at least 1")
     ansatz_monomials(cfg.n, args.degree, args.budget)
     with _report(cfg) as emit:
         sol = solve_ansatz(build_gn(cfg.n), args.degree, args.budget)

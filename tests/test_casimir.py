@@ -199,10 +199,10 @@ def test_annihilation_small_levels():
         assert rep.data["fields"] == len(build_gn(n).basis.order)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_annihilation_matches_the_all_field_oracle(n):
-    """`verify_annihilation` applies the n generating fields; every one of
-    the T_n fields, applied here, must kill C_n as well."""
+    """`verify_annihilation` applies no field to C_n; every one of the T_n
+    fields, applied here, must kill it."""
     cas = casimir(build_gn(n))
     assert verify_annihilation(cas).passed
     for field in build_coadjoint(cas.algebra):
@@ -210,15 +210,49 @@ def test_annihilation_matches_the_all_field_oracle(n):
 
 
 def test_annihilation_fails_on_a_term_the_x_plus_field_moves():
-    # x- is killed by the fields of x- and the y_{i,-}, but not by x+'s
+    # x- is killed by the fields of x- and the y_{i,-}, but not by x+'s;
+    # the matrix is untouched, so only the determinant premise fails
     cas = casimir(build_gn(4))
     alg = cas.algebra
     bad = dataclasses.replace(
         cas, polynomial=cas.polynomial + alg.basis.poly(X_MINUS))
     rep = verify_annihilation(bad)
-    assert len(rep.failures) == 1
-    assert rep.failures[0].startswith("field of xp gives ")
+    assert rep.failures == ["C_n is not -det M"]
     assert rep.data["fields"] == alg.basis.dim
+    x_plus = build_coadjoint(alg)[alg.basis.index(X_PLUS)]
+    assert not x_plus.apply(bad.polynomial).is_zero
+
+
+def test_annihilation_and_intertwining_fail_on_a_rescaled_corner():
+    """M_5 with its x+ corner 3 x+ and C_n rebuilt as -det of it: the
+    determinant premise holds, the identity does not, and the all-field
+    oracle finds the fields that no longer kill the polynomial."""
+    cas = casimir(build_gn(5))
+    alg = cas.algebra
+    m = [list(row) for row in cas.matrix]
+    m[-1][-1] = 3 * alg.basis.poly(X_PLUS)
+    m = tuple(map(tuple, m))
+    bad = dataclasses.replace(cas, matrix=m, polynomial=-det(m))
+    moved = [f.source.name for f in build_coadjoint(alg)
+             if not f.apply(bad.polynomial).is_zero]
+    assert moved == ["xm", "xp", "y1m", "y2m", "y3m"]
+    want = [f"intertwining fails for {g}" for g in moved]
+    assert verify_intertwining(bad).failures == want
+    assert verify_annihilation(bad).failures == want
+
+
+def test_annihilation_names_a_quotient_image_with_a_trace(monkeypatch):
+    exact = casimir_module.build_quotient_rep
+
+    def traced(alg):
+        rep = exact(alg)
+        q = [list(row) for row in rep.of(H)]
+        q[0][0] += 1
+        return dataclasses.replace(rep, image={**rep.image, H: q})
+
+    monkeypatch.setattr(casimir_module, "build_quotient_rep", traced)
+    assert verify_annihilation(casimir(build_gn(5))).failures == [
+        "intertwining fails for h", "quotient image of h has trace 1"]
 
 
 def test_intertwining_small_levels():
@@ -419,13 +453,10 @@ def test_generation_check_needs_every_ladder_source(monkeypatch):
                         lambda i: y_minus(1 if i == 2 else i))
     with pytest.raises(ValueError, match="y2m, y2p, .*z2_2"):
         casimir_module.generating_set(alg)
-    # and solve_ansatz and verify_annihilation refuse a set that does not
-    # generate
+    # and solve_ansatz refuses a set that does not generate
     monkeypatch.setattr(casimir_module, "y_minus", lambda i: y_minus(1))
     with pytest.raises(ValueError, match="do not generate g_5"):
         solve_ansatz(build_gn(5), 2)
-    with pytest.raises(ValueError, match="do not generate g_5"):
-        verify_annihilation(casimir(build_gn(5)))
 
 
 @pytest.mark.parametrize("degree", [2, 4])

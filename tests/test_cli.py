@@ -77,6 +77,10 @@ OUTPUT_SHA256 = {
     # M = A A^T on the windows m = 1..6
     "verify --n 7 --N 7 --format json":
         "235afd3c90cb87915afce2a63d77590d4c8d7ea00659eea0678cf3e43302836e",
+    # C_8 (18,155 terms) through the annihilation certificate, and the
+    # uniqueness sweep to degree 4 over 36 generators
+    "verify --n 8 --N 8 --ceiling-n 8 --format json":
+        "b4ca92a97a97a74198de6fb8ccc4948183aeae4fa0fc325af3d1a99d51bebe1c",
     # the text forms, each written line by line
     "verify --n 4":
         "5043e2f7558301efdb0f0177971b1301677b4492adf65f71b1cb1538b5ad65ab",
@@ -346,6 +350,31 @@ def test_exact_commands_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv, preset, want", [
+    (["simulate", "--n", "2", "--N", "3", "--t-end", "0.01"], None, "1"),
+    (["simulate", "--n", "2", "--N", "3", "--t-end", "0.01"], "3", "3"),
+    (["verify", "--n", "3", "--N", "4"], None, None)])
+def test_simulate_asks_for_one_openblas_thread(argv, preset, want):
+    """`simulate` sets OPENBLAS_NUM_THREADS to 1 before numpy loads unless
+    it is set already; `verify` leaves the environment alone."""
+    script = ("import contextlib, io, os, sys\n"
+              "import gnlab.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = gnlab.cli.main({argv!r})\n"
+              "assert code == 0, code\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{want}\n"
 
 
 def _cli_process(*argv, **kwargs):
@@ -652,6 +681,10 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
                           (["ansatz", "--n", "4", "--degree", "4",
                             "--budget", "10"], "budget"),
                           (["ansatz", "--n", "4", "--degree", "0"], "degree"),
+                          (["ansatz", "--n", "4", "--degree", "2",
+                            "--budget", "0"], "budget must be at least 1"),
+                          (["ansatz", "--n", "4", "--degree", "2",
+                            "--budget", "-5"], "budget must be at least 1"),
                           (["rank", "--n", "41"], "too large"),
                           (["dump-rep", "--n", "41"], "too large"),
                           (["verify", "--n", "2", "--N", "200"], "1,333,300"),
