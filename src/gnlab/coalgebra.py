@@ -390,29 +390,47 @@ def check_vanishing(ctx: PhaseContext) -> Report:
 def check_involution(ctx: PhaseContext) -> Report:
     """All stored integrals commute within each side, commute with every
     fully-realised generator, and the two full-window integrals coincide.
-    Each `integral_family` member I meets only `generating_set`: by Jacobi
-    and `check_realization_homomorphism` the g with {I, phi(g)} = 0 form a
-    subalgebra, so these certify the T_n that `generator_brackets` counts
-    (the right full-window integral equals the left one, compared last).
-    A pass therefore holds only together with a passing
-    `check_realization_homomorphism`, which `verify` runs in the same
-    report."""
+
+    Each `integral_family` member I is bracketed with `generating_set`
+    alone, and the right full-window integral, which meets no generator,
+    must equal the left one (compared last).  No two integrals are
+    bracketed: for windows m <= k of one side, {I_m, I_k} = 0 follows by
+    the coalgebra argument (Ballesteros & Ragnisco, J. Phys. A 31 (1998)
+    3791).
+
+    - By Jacobi and `check_realization_homomorphism`, the g with
+      {I, phi_N(g)} = 0 form a subalgebra, so the generating set extends
+      to all of g_n: the T_n brackets that `generator_brackets` counts.
+    - Each I_m uses only the q and p of window m's sites, which is tested
+      here.  phi_k(g) - phi_N(g) is a constant or lives on the sites
+      outside window k, so outside window m, and therefore
+      {I_m, phi_k(g)} = {I_m, phi_N(g)} = 0 for every g.
+    - I_k = C_n o phi_k (`check_route_equivalence`), so by Leibniz
+      {I_m, I_k} = sum_g dC_n/dg(phi_k) {I_m, phi_k(g)} = 0.  These are
+      the `pairs`.
+
+    A pass therefore holds only together with passing
+    `check_realization_homomorphism` and `check_route_equivalence`, which
+    `verify` runs in the same report.  `verify` thus never brackets the
+    stored integrals with one another; the pairwise oracle in
+    tests/test_coalgebra.py does, and tests/test_poly_props.py checks
+    the Jacobi and Leibniz rules of `canonical_bracket`."""
     if ctx.N < ctx.n:
         raise ValueError("no integrals exist for N < n")
     fails: list[str] = []
     sets = {side: integral_set(ctx, side) for side in ("left", "right")}
-    pair_count = 0
     for side, iset in sets.items():
-        for m1, m2 in combinations(sorted(iset), 2):
-            pair_count += 1
-            br = canonical_bracket(ctx, iset[m1], iset[m2])
-            if not br.is_zero:
-                fails.append(f"{{{side} m={m1}, {side} m={m2}}} != 0")
+        for m, p in iset.items():
+            a, b = window(side, m, ctx.N)
+            if p.support_indices() - {v.index for k in range(a, b + 1)
+                                      for v in (ctx.qvar(k), ctx.pvar(k))}:
+                fails.append(f"{side} m={m} reaches outside its window")
+    pair_count = sum(math.comb(len(iset), 2) for iset in sets.values())
     gen_count = ctx.algebra.basis.dim * sum(map(len, sets.values()))
+    family = integral_family(ctx)
     for g in generating_set(ctx.algebra):
-        d = ctx.realize(g)
-        for name, p in integral_family(ctx).items():
-            if not canonical_bracket(ctx, p, d).is_zero:
+        for name, p in family.items():
+            if not canonical_bracket(ctx, p, ctx.realize(g)).is_zero:
                 fails.append(f"{{{name}, {g.name}}} != 0")
     if sets["left"][ctx.N] != sets["right"][ctx.N]:
         fails.append("full-window integrals differ between sides")

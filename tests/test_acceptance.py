@@ -124,6 +124,13 @@ def test_08_involution_and_commutation():
         ctx = PhaseContext.seeded(n, N)
         rep = check_involution(ctx)
         assert rep.passed, rep.failures
+    # many nested windows: 10 pairs at (6, 10), 36 per side at (4, 12)
+    t0 = time.time()
+    for (n, N) in ((6, 10), (4, 12)):
+        rep = check_involution(PhaseContext.seeded(n, N))
+        assert rep.passed, rep.failures
+        assert rep.data["pairs"] == 2 * math.comb(N - n + 1, 2)
+    assert time.time() - t0 < 20.0
 
 
 def test_09_vanishing_threshold():

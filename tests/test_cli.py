@@ -77,6 +77,10 @@ OUTPUT_SHA256 = {
     # M = A A^T on the windows m = 1..6
     "verify --n 7 --N 7 --format json":
         "235afd3c90cb87915afce2a63d77590d4c8d7ea00659eea0678cf3e43302836e",
+    # ten within-side pairs of window integrals per side through the
+    # involution certificate
+    "verify --n 4 --N 8 --format json":
+        "88442ba4b866d6e89083751aded6c591c6b249d707bd6f82de4327462bd0817b",
     # C_8 (18,155 terms) through the annihilation certificate, and the
     # uniqueness sweep to degree 4 over 36 generators
     "verify --n 8 --N 8 --ceiling-n 8 --format json":

@@ -494,6 +494,57 @@ def test_involution_matches_the_all_generator_brackets(n, N):
             assert canonical_bracket(ctx, p, d).is_zero, g.name
 
 
+@pytest.mark.parametrize("n,N", [(2, 4), (3, 5), (4, 7), (6, 8)])
+def test_involution_pairs_match_the_direct_brackets(n, N):
+    """`check_involution` certifies the within-side pairs it counts without
+    bracketing two integrals; bracketed directly, every pair commutes."""
+    ctx = PhaseContext.seeded(n, N)
+    rep = check_involution(ctx)
+    assert rep.passed
+    pairs = 0
+    for side in ("left", "right"):
+        members = integral_set(ctx, side)
+        for m, k in combinations(members, 2):
+            pairs += 1
+            assert canonical_bracket(ctx, members[m], members[k]).is_zero, \
+                (side, m, k)
+    assert rep.data["pairs"] == pairs
+
+
+def test_involution_brackets_no_two_integrals(monkeypatch):
+    """Every bracket `check_involution` computes has a realised generator
+    (degree at most 2) on one side; the integrals all have degree 4.  One
+    bracket per generating-set member and `integral_family` member."""
+    n, N = 4, 7
+    real = coalgebra_module.canonical_bracket
+    degrees = []
+
+    def recording(ctx, f, g):
+        degrees.append((f.total_degree(), g.total_degree()))
+        return real(ctx, f, g)
+
+    monkeypatch.setattr(coalgebra_module, "canonical_bracket", recording)
+    ctx = PhaseContext.seeded(n, N)
+    assert check_involution(ctx).passed
+    assert {p.total_degree() for side in ("left", "right")
+            for p in integral_set(ctx, side).values()} == {4}
+    assert len(degrees) == n * (2 * (N - n) + 1) == 28
+    assert all(min(pair) <= 2 for pair in degrees)
+
+
+def test_involution_fails_on_an_integral_that_reaches_outside_its_window():
+    """left m=3 plus right m=3 commutes with every realised generator, yet
+    not with left m=4: the support test alone catches it."""
+    ctx = PhaseContext.seeded(3, 5)
+    left = integral_set(ctx, "left")
+    left[3] = left[3] + integral_set(ctx, "right")[3]
+    for g in ctx.algebra.basis.order:
+        assert canonical_bracket(ctx, left[3], ctx.realize(g)).is_zero
+    assert not canonical_bracket(ctx, left[3], left[4]).is_zero
+    assert check_involution(ctx).failures == \
+        ["left m=3 reaches outside its window"]
+
+
 @pytest.mark.parametrize("g", [H, X_PLUS, y_minus(2), central(1, 2)])
 def test_vanishing_fails_on_a_perturbed_window_image(g):
     ctx = PhaseContext.seeded(4, 6)
@@ -544,11 +595,6 @@ def test_involution_small():
         ctx = PhaseContext.seeded(n, N)
         rep = check_involution(ctx)
         assert rep.passed
-    # directly: two left members commute
-    ctx = PhaseContext.seeded(2, 4)
-    members = integral_set(ctx, "left")
-    assert canonical_bracket(ctx, members[2], members[3]).is_zero
-    assert canonical_bracket(ctx, members[2], members[4]).is_zero
 
 
 def test_memoised_images_and_integrals_match_a_fresh_context():

@@ -168,8 +168,8 @@ def phase_polynomials():
 @given(phase_polynomials(), phase_polynomials(), phase_polynomials())
 def test_canonical_bracket_obeys_jacobi_and_leibniz(f, g, h):
     """`check_involution` brackets each integral with the realised
-    generating set only, and the brackets with the other generators follow
-    from these identities."""
+    generating set only: the brackets with the other generators, and of
+    the integrals with one another, follow from these identities."""
     def br(a, b):
         return canonical_bracket(PHASE, a, b)
 
