@@ -6,10 +6,12 @@ by the ladder columns (-y_{i,-}, y_{i,+}) and the 2 x 2 corner
 [[-2 x-, h], [h, 2 x+]].  Minus its determinant is a degree-n polynomial
 C_n that every coadjoint field annihilates, i.e. a Casimir invariant.
 
-Verification runs two independent routes: a certificate resting on the
+Two independent routes establish it: a certificate resting on the
 entrywise identity  X_g(M) = -(Q_g M + M Q_g^T)  between each coadjoint
 field X_g and the quotient matrix representation Q, and a linear-ansatz
-solver that finds all invariant polynomials of a fixed degree from scratch.
+solver that finds all invariant polynomials of a fixed degree from scratch
+(`verify` sweeps it below degree n only; acceptance test 06 and
+tests/test_casimir.py run it at degree n, where it re-derives C_n).
 
 The bracket preserves a Z x Z^{n-2} grading: the h-weight (+-2 on x+-,
 +-1 on y_{i,+-}, 0 on h and z) and the ladder multidegree (e_i on
@@ -25,8 +27,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product, repeat
 
 from .algebra import (Generator, GnAlgebra, H, X_MINUS, X_PLUS,
@@ -34,7 +37,7 @@ from .algebra import (Generator, GnAlgebra, H, X_MINUS, X_PLUS,
 from .poly import (BudgetExceeded, Polynomial, _check_degree, _degrees, det,
                    exponents, monomial, poly_sum, rank_rational,
                    sparse_nullspace, variable_mask)
-from .representations import MatrixRep, build_coadjoint, build_quotient_rep
+from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
 
 
@@ -69,10 +72,36 @@ def casimir_matrix(alg: GnAlgebra) -> Rows:
 
 @dataclass(frozen=True, eq=False)
 class CasimirResult:
+    """C_n and its matrix M: `polynomial` is -det M, computed from M."""
     algebra: GnAlgebra
     matrix: Rows
-    polynomial: Polynomial
-    degree: int
+    polynomial: Polynomial = field(init=False)
+    degree: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        # -det M, by negating the first row: no pass over the terms
+        c = det([[-e for e in self.matrix[0]], *self.matrix[1:]])
+        object.__setattr__(self, "polynomial", c)
+        object.__setattr__(self, "degree", c.total_degree())
+
+    @cached_property
+    def intertwining_failures(self) -> tuple[str, ...]:
+        """One failure per generator g for which X_g(M_ij), X_g its coadjoint
+        field, differs from -(Q_g M + M Q_g^T)_ij, Q_g its quotient image."""
+        m, alg = self.matrix, self.algebra
+        rep = build_quotient_rep(alg)
+        fails: list[str] = []
+        for f in build_coadjoint(alg):
+            # the nonzero entries of each row of Q_g as (column, -value)
+            q = [[(k, -v) for k, v in enumerate(row) if v]
+                 for row in rep.of(f.source)]
+            for i, j in product(range(alg.n), repeat=2):
+                rhs = poly_sum(alg.registry, [m[k][j] * c for k, c in q[i]]
+                               + [m[i][k] * c for k, c in q[j]])
+                if f.apply(m[i][j]) != rhs:
+                    fails.append(f"intertwining fails for {f.source.name}")
+                    break
+        return tuple(fails)
 
 
 def check_casimir_level(n: int) -> None:
@@ -88,15 +117,7 @@ def casimir(alg: GnAlgebra) -> CasimirResult:
     """C_n = -det of the bordered matrix; homogeneous of degree n.  Levels
     above `MAX_CASIMIR_N` raise BudgetExceeded before any expansion."""
     check_casimir_level(alg.n)
-    m = casimir_matrix(alg)
-    c = _minus_det(m)
-    return CasimirResult(algebra=alg, matrix=m, polynomial=c,
-                         degree=c.total_degree())
-
-
-def _minus_det(m: Rows) -> Polynomial:
-    """-det M, by negating the first row: no pass over the terms."""
-    return det([[-e for e in m[0]], *m[1:]])
+    return CasimirResult(alg, casimir_matrix(alg))
 
 
 def generating_set(alg: GnAlgebra) -> list[Generator]:
@@ -119,43 +140,21 @@ def generating_set(alg: GnAlgebra) -> list[Generator]:
     return sources
 
 
-def _intertwining_failures(cas: CasimirResult, rep: MatrixRep) -> list[str]:
-    """X_g(M_ij) = -(Q_g M + M Q_g^T)_ij for every generator g and entry
-    (i, j), where X_g is the `build_coadjoint` field of g and Q_g its image
-    in `rep`: one failure per generator for which an entry differs."""
-    m, n = cas.matrix, cas.algebra.n
-    fails: list[str] = []
-    for field in build_coadjoint(cas.algebra):
-        # the nonzero entries of each row of Q_g as (column, -value)
-        q = [[(k, -v) for k, v in enumerate(row) if v]
-             for row in rep.of(field.source)]
-        for i, j in product(range(n), repeat=2):
-            rhs = poly_sum(cas.algebra.registry,
-                           [m[k][j] * c for k, c in q[i]]
-                           + [m[i][k] * c for k, c in q[j]])
-            if field.apply(m[i][j]) != rhs:
-                fails.append(f"intertwining fails for {field.source.name}")
-                break
-    return fails
-
-
 def verify_annihilation(cas: CasimirResult) -> Report:
     """All T_n coadjoint fields send C_n to zero, certified without
     applying any to C_n.  A field X_g is a derivation, so Jacobi's formula
     gives X_g(det M) = tr(adj M X_g(M)), X_g acting entrywise.  Where
     X_g(M) = -(Q_g M + M Q_g^T), as adj M M = M adj M = (det M) 1, the
     traces tr(adj M Q_g M) and tr(adj M M Q_g^T) are both tr(Q_g) det M,
-    so X_g(det M) = -2 tr(Q_g) det M.  The report checks the premises:
-    that identity for every field, a traceless Q_g, and C_n = -det M."""
+    so X_g(det M) = -2 tr(Q_g) det M.  C_n = -det M by construction, and
+    the report checks the other premises: that identity, a traceless Q_g."""
     alg, c = cas.algebra, cas.polynomial
     quotient = build_quotient_rep(alg)
-    fails = _intertwining_failures(cas, quotient)
+    fails = list(cas.intertwining_failures)
     for g in alg.basis.order:
         trace = sum(row[i] for i, row in enumerate(quotient.of(g)))
         if trace:
             fails.append(f"quotient image of {g.name} has trace {trace}")
-    if c != _minus_det(cas.matrix):
-        fails.append("C_n is not -det M")
     return Report("annihilation", {"n": alg.n, "fields": alg.basis.dim,
                                    "terms": len(c.terms)}, fails)
 
@@ -165,7 +164,7 @@ def verify_intertwining(cas: CasimirResult) -> Report:
     representation Q: the identity `verify_annihilation` rests on."""
     alg = cas.algebra
     return Report("intertwining", {"n": alg.n, "generators": alg.basis.dim},
-                  _intertwining_failures(cas, build_quotient_rep(alg)))
+                  list(cas.intertwining_failures))
 
 
 def _grading(alg: GnAlgebra) -> dict[int, tuple[int, ...]]:

@@ -9,11 +9,11 @@ same configuration and seeds; GN_LAB_SEED overrides --seed when set.
 A report, JSON or text, is streamed in pieces through one buffer that
 passes it on to stdout or `--out` in blocks of about 64 KiB, so even C_9's
 152,531 terms leave in a few hundred writes.
-`verify` builds what its checks share (the phase context and C_n) once,
-then, where the process may run on two or more CPUs, forks one worker
-that claims checks from the same queue as the parent and sends back the
-Reports it finished; the parent runs every check it has no Report for.
-The report, or the error, is that of a one-process run.
+`verify` builds what its checks share (the phase context, C_n and its
+intertwining identity) once; then, where the process may run on two or
+more CPUs, one forked worker claims checks from the parent's queue and
+sends back the Reports it finished, and the parent runs every check it has
+no Report for.  The report, or the error, is that of a one-process run.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class RunConfig:
     seed: int
     alpha_seed: int
     alpha_rows: dict[int, list[Fraction]] | None
-    fmt: str
+    fmt: str | None
     out: str | None
 
 
@@ -148,7 +148,7 @@ def _resolve_config(args, need_N: bool) -> RunConfig:
             raise UsageError(f"config lacks alpha rows {missing}")
     return RunConfig(command=args.command, n=n, N=N, seed=seed,
                      alpha_seed=alpha_seed, alpha_rows=alpha_rows,
-                     fmt=args.format, out=args.out)
+                     fmt=getattr(args, "format", None), out=args.out)
 
 
 def _context(cfg: RunConfig) -> PhaseContext:
@@ -342,6 +342,7 @@ def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
                     sweep: int) -> list[Report]:
     alg = ctx.algebra
     cas = ctx.casimir  # built once, before the checks are shared out
+    cas.intertwining_failures  # likewise the identity two checks report
     checks = [lambda: check_jacobi(alg)]
     if alg.n >= 3:
         checks += [lambda: check_subalgebra_chain(alg),
@@ -453,6 +454,7 @@ def cmd_verify(args) -> int:
     # the uniqueness sweep's top degree, whose ansatz must fit the budget
     sweep = min(cfg.n - 1, args.max_ansatz_degree)
     ansatz_monomials(cfg.n, sweep)
+    check_casimir_level(cfg.n)
     ctx = _context(cfg)
     with _report(cfg) as emit:
         reports = _verify_reports(cfg, ctx, sweep)
@@ -674,7 +676,6 @@ def cmd_ansatz(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None,
                         help="write the report (or the trajectory CSV for "
@@ -682,18 +683,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="key=value file; supports alpha.<i> = [..], "
                              "seed, alpha_seed")
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="gnlab",
         description="Exact Lie-chain invariants and integrable systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("casimir", parents=[common],
+    p = sub.add_parser("casimir", parents=[report],
                        help="print the level-n invariant")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_casimir)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[report],
                        help="run the full verification suite")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--N", type=int, default=None)
@@ -703,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="max_ansatz_degree")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("integrals", parents=[common],
+    p = sub.add_parser("integrals", parents=[report],
                        help="emit the conserved quantities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
@@ -729,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="drift_threshold")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("dump-rep", parents=[common],
+    p = sub.add_parser("dump-rep", parents=[report],
                        help="dump the matrix representation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--quotient", action="store_true",
@@ -737,12 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "representation")
     p.set_defaults(fn=cmd_dump_rep)
 
-    p = sub.add_parser("rank", parents=[common],
+    p = sub.add_parser("rank", parents=[report],
                        help="commutator-matrix rank and invariant count")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_rank)
 
-    p = sub.add_parser("ansatz", parents=[common],
+    p = sub.add_parser("ansatz", parents=[report],
                        help="solve for all invariants of one degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)

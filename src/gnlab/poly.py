@@ -184,9 +184,6 @@ class VarRegistry:
         except KeyError:
             raise MissingVariable(f"unknown variable {key!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def __len__(self) -> int:
         return len(self._vars)
 

@@ -85,6 +85,10 @@ OUTPUT_SHA256 = {
     # uniqueness sweep to degree 4 over 36 generators
     "verify --n 8 --N 8 --ceiling-n 8 --format json":
         "b4ca92a97a97a74198de6fb8ccc4948183aeae4fa0fc325af3d1a99d51bebe1c",
+    # C_9 (152,531 terms) and its matrix through both certificates, each
+    # built once
+    "verify --n 9 --N 9 --ceiling-n 9 --format json":
+        "6731fa655efcde56b52e708dc1b2c34fd5c854d46da63efc34f12d245233e3de",
     # the text forms, each written line by line
     "verify --n 4":
         "5043e2f7558301efdb0f0177971b1301677b4492adf65f71b1cb1538b5ad65ab",
@@ -291,6 +295,32 @@ def test_a_check_over_budget_exits_2_in_either_process(capsys, monkeypatch,
         == (2, "", "error: jacobi over budget\n")
     assert len(calls) == cpus - 1
     assert [os.WIFSIGNALED(s) for s in statuses] == killed
+
+
+def test_verify_expands_c_n_and_its_identity_once(capsys, monkeypatch):
+    """In one process, `verify --n 5 --N 5` takes det of M_5 once, in
+    `casimir`, and sums the right-hand side -(Q_g M + M Q_g^T)_ij once for
+    each of the 15 generators g and 25 entries (i, j): the annihilation
+    and intertwining checks share C_5 and the identity."""
+    casimir_module = importlib.import_module("gnlab.casimir")
+    real_det, real_sum = casimir_module.det, casimir_module.poly_sum
+    sizes, sums = [], []
+
+    def det(rows):
+        sizes.append(len(rows))
+        return real_det(rows)
+
+    def poly_sum(registry, polys):
+        sums.append(None)
+        return real_sum(registry, polys)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(casimir_module, "det", det)
+    monkeypatch.setattr(casimir_module, "poly_sum", poly_sum)
+    code, out, _ = run(capsys, "verify", "--n", "5", "--N", "5")
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert sizes == [5]
+    assert len(sums) == 15 * 5 * 5
 
 
 def _verify_5_6_matches_its_golden(capsys):
@@ -681,6 +711,9 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
                           (["verify", "--n", "4", "--N", "3"], "N must"),
                           (["verify", "--n", "9", "--ceiling-n", "9",
                             "--max-ansatz-degree", "5"], "budget"),
+                          (["verify", "--n", "11", "--N", "11",
+                            "--ceiling-n", "11", "--max-ansatz-degree", "1"],
+                           "C_11 is too large to expand"),
                           (["integrals", "--n", "4", "--N", "3"], "N must"),
                           (["ansatz", "--n", "4", "--degree", "4",
                             "--budget", "10"], "budget"),
@@ -885,6 +918,14 @@ def test_only_verify_has_a_ceiling_option(capsys, argv):
         main([*argv, "--ceiling-n", "9"])
     assert exc.value.code == 2
     assert "--ceiling-n" in capsys.readouterr().err
+
+
+def test_simulate_has_no_format_option(capsys):
+    """simulate prints JSON whatever the flag, so it declares none."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["rank", "dump-rep"])
