@@ -14,8 +14,7 @@ from .coalgebra import (IndependenceResult, PhaseContext, building_block,
                         canonical_bracket, check_independence,
                         check_involution, check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
-                        harmonic_hamiltonian, integral_family, integral_set,
-                        window)
+                        integral_family, integral_set, window)
 from .dynamics import (DriftStats, HamiltonianSystem, Trajectory,
                        compile_evaluator, drift_report, integrate)
 from .poly import (BudgetExceeded, MissingVariable, Polynomial,

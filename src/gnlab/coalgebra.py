@@ -7,20 +7,18 @@ A level-n algebra acts on N canonical degrees of freedom through
     z_{i,j} -> sum a^(i)_k a^(j)_k
 
 with the sums over a site window: sites 1..m on the left, N-m+1..N on the
-right, and rational parameter rows a^(i) of length N.  Feeding these images
-into the degree-n invariant C_n produces one conserved quantity per window
-size m; the same quantity is minus a sum of squared n x n determinants
-built from the parameter rows and one q and one p row (the "building
-blocks").  The integrals are built as those sums, in one pass over the
-site subsets: each block is squared once, and each side's windows are
-running sums of the squares that first enter them.  That they equal the
-realised C_n is certified by Cauchy-Binet, with nothing substituted into
-C_n (`check_route_equivalence`).
+right, and rational parameter rows a^(i) of length N.  This window map
+phi_m is the primitive coproduct x -> x(1) + ... + x(m) followed by the
+one-site realisation (the tests build the coproduct).  C_n o phi_m is one
+conserved quantity per window size m, I_m = -det(A A^T) with A the
+parameter rows and one q and one p row over the window: minus the sum of
+the squared n x n minors of A (the "building blocks"), each squared once
+when `integrals` or `simulate` builds them.
 
-The window realisation is the primitive coproduct x -> x(1) + ... + x(m)
-followed by the one-site realisation on every site.  The coproduct on a
-tensor registry itself is not needed here; the tests build it to check
-coassociativity and that it is an algebra homomorphism.
+`verify` builds no integral: it certifies I_m = C_n o phi_m by
+Cauchy-Binet from phi_m(M) = A A^T, and reads the threshold, involution
+and independence from the same identity: the rank of the parameter rows,
+the Poisson property of every window map, and A A^T's adjugate.
 
 A realisation maps polynomials in the generators to polynomials in (q, p),
 and the two rings keep separate registries: the algebra's own, and a phase
@@ -36,8 +34,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import Generator, X_MINUS, X_PLUS, build_gn
-from .casimir import CasimirResult, casimir, generating_set
+from .algebra import Generator, build_gn
+from .casimir import CasimirResult, casimir
 from .poly import (BudgetExceeded, Polynomial, RegistryMismatch, VarId,
                    VarRegistry, derive, det, poly_sum, rank_rational)
 from .reports import Report
@@ -230,13 +228,6 @@ class PhaseContext:
         return f.substitute(self.realization_images(side, m))
 
 
-def harmonic_hamiltonian(ctx: PhaseContext) -> Polynomial:
-    """Realisation of x+ - x-: the N-dimensional unit-frequency oscillator
-    sum_k (p_k^2 + q_k^2) / 2."""
-    P = ctx.algebra.basis.poly
-    return ctx.realize_poly(P(X_PLUS) - P(X_MINUS))
-
-
 # ----------------------------------------------------------------------
 # Brackets and integrals
 
@@ -263,14 +254,17 @@ def canonical_bracket(ctx: PhaseContext, f: Polynomial,
         g.total_degree() - 1)) * Fraction(1, den)
 
 
-def _window_rows(ctx: PhaseContext, sites) -> list[list[Polynomial]]:
+def _window_rows(ctx: PhaseContext, sites, point=None) -> list[list]:
     """The n x |sites| matrix A over the given sites, as its rows: the
-    parameter rows alpha^(1..n-2), then the q row and the p row."""
-    reg = ctx.registry
-    rows = [[reg.const(ctx.alpha(i, k)) for k in sites]
+    parameter rows alpha^(1..n-2), then the q row and the p row.  Its
+    entries are polynomials, or rationals with q and p read from `point`
+    (phase variable -> value)."""
+    const, value = ((ctx.registry.const, ctx.registry.poly) if point is None
+                    else (Fraction, point.__getitem__))
+    rows = [[const(ctx.alpha(i, k)) for k in sites]
             for i in range(1, ctx.n - 1)]
-    rows.append([ctx.q(k) for k in sites])
-    rows.append([ctx.p(k) for k in sites])
+    rows.append([value(ctx.qvar(k)) for k in sites])
+    rows.append([value(ctx.pvar(k)) for k in sites])
     return rows
 
 
@@ -295,9 +289,9 @@ def integral_set(ctx: PhaseContext, side: str) -> dict[int, Polynomial]:
 
 
 def integral_family(ctx: PhaseContext) -> dict[str, Polynomial]:
-    """The family whose independence is checked and whose drift is
-    simulated: left_m{m} for m = n..N, then right_m{m} for m = n..N-1 (the
-    right full window repeats the left one)."""
+    """The family whose drift is simulated and whose independence is
+    checked (over the same windows, unbuilt): left_m{m} for m = n..N, then
+    right_m{m} for m = n..N-1 (the right full window repeats the left)."""
     left = integral_set(ctx, "left")
     right = integral_set(ctx, "right")
     family = {f"left_m{m}": left[m] for m in range(ctx.n, ctx.N + 1)}
@@ -309,21 +303,27 @@ def integral_family(ctx: PhaseContext) -> dict[str, Polynomial]:
 # Checks
 
 
+def _poisson_failures(ctx: PhaseContext, side: str,
+                      m: int | None = None) -> list[str]:
+    """The generator pairs (a, b), as "(a, b)", on which the window map
+    phi_m fails to be a Poisson map: the canonical bracket of the realised
+    a and b is not the realised [a, b]."""
+    alg = ctx.algebra
+    return [f"({a.name}, {b.name})"
+            for a, b in combinations(alg.basis.order, 2)
+            if canonical_bracket(ctx, ctx.realize(a, side, m),
+                                 ctx.realize(b, side, m))
+            != ctx.realize_poly(alg.constants.of(a, b), side, m)]
+
+
 def check_realization_homomorphism(ctx: PhaseContext) -> Report:
     """Canonical brackets of realised generators match realised brackets
     over the full window."""
-    alg = ctx.algebra
-    fails: list[str] = []
-    realized = {g: ctx.realize(g) for g in alg.basis.order}
-    pairs = 0
-    for a, b in combinations(alg.basis.order, 2):
-        pairs += 1
-        lhs = canonical_bracket(ctx, realized[a], realized[b])
-        rhs = ctx.realize_poly(alg.constants.of(a, b))
-        if lhs != rhs:
-            fails.append(f"realisation breaks on ({a.name}, {b.name})")
+    fails = [f"realisation breaks on {pair}"
+             for pair in _poisson_failures(ctx, "left")]
     return Report("realization",
-                  {"n": ctx.n, "N": ctx.N, "pairs": pairs}, fails)
+                  {"n": ctx.n, "N": ctx.N,
+                   "pairs": math.comb(ctx.algebra.basis.dim, 2)}, fails)
 
 
 def _realises_gram(ctx: PhaseContext, side: str, m: int) -> bool:
@@ -347,8 +347,7 @@ def check_route_equivalence(ctx: PhaseContext) -> Report:
     -det(A A^T) = -sum_S det(A_S)^2 over the n-subsets S of the window,
     each det(A_S) a building block.  The two full windows share one check.
 
-    This neither builds the integrals nor runs `det` or the running sums
-    of `PhaseContext.integrals`; the tests cover those (the
+    This builds no integral; the tests cover the built ones (the
     `sum_of_squares` and C_n-substitution oracles in tests/test_coalgebra.py,
     the cofactor and sympy oracles for `det`)."""
     fails: list[str] = []
@@ -369,8 +368,11 @@ def check_route_equivalence(ctx: PhaseContext) -> Report:
 def check_vanishing(ctx: PhaseContext) -> Report:
     """Below the threshold window m = n the realised invariant is zero: M
     realises to A A^T (`_realises_gram`), and a product through m < n
-    columns has rank at most m, so C_n = -det M realises to zero.  At m = n
-    it is not (for generic parameters), read from the integrals."""
+    columns has rank at most m, so C_n = -det M realises to zero.  At
+    m = n it is -det(A)^2, and by Laplace along the q and p rows det A sums
+    the independent q_a p_b - q_b p_a (a < b) times the complementary
+    (n-2)-minors of the parameter rows: it is nonzero exactly when those
+    rows have rank n - 2 over the window."""
     fails: list[str] = []
     for side in ("left", "right"):
         for m in range(1, min(ctx.n, ctx.N + 1)):
@@ -378,8 +380,11 @@ def check_vanishing(ctx: PhaseContext) -> Report:
                 fails.append(f"realised M is not A A^T: side={side}, m={m}")
     threshold_nonzero = None
     if ctx.N >= ctx.n:
-        threshold_nonzero = all(not integral_set(ctx, side)[ctx.n].is_zero
-                                for side in ("left", "right"))
+        threshold_nonzero = all(
+            rank_rational(dict(enumerate(row[a - 1:b]))
+                          for row in ctx.alpha_rows.values()) == ctx.n - 2
+            for a, b in (window(side, ctx.n, ctx.N)
+                         for side in ("left", "right")))
         if not threshold_nonzero:
             fails.append("vanishes at the threshold window m = n")
     return Report("vanishing",
@@ -388,55 +393,35 @@ def check_vanishing(ctx: PhaseContext) -> Report:
 
 
 def check_involution(ctx: PhaseContext) -> Report:
-    """All stored integrals commute within each side, commute with every
-    fully-realised generator, and the two full-window integrals coincide.
+    """Within each side the window integrals I_m = C_n o phi_m, m = n..N,
+    commute pairwise and with every fully realised generator, by the
+    coalgebra argument (Ballesteros & Ragnisco, J. Phys. A 31 (1998) 3791)
+    from three premises: every window map phi_m is a Poisson map,
+    {phi_m(a), phi_m(b)} = phi_m([a, b]) (`check_realization_homomorphism`
+    for the full window, this check for each proper window m = n..N-1 of
+    both sides); C_n is a Lie-Poisson Casimir (`verify_annihilation`); and
+    I_m = C_n o phi_m (`check_route_equivalence`).
 
-    Each `integral_family` member I is bracketed with `generating_set`
-    alone, and the right full-window integral, which meets no generator,
-    must equal the left one (compared last).  No two integrals are
-    bracketed: for windows m <= k of one side, {I_m, I_k} = 0 follows by
-    the coalgebra argument (Ballesteros & Ragnisco, J. Phys. A 31 (1998)
-    3791).
+    So {I_m, phi_m(g)} = phi_m({C_n, g}) = 0.  For m <= k, phi_k(g) -
+    phi_m(g) is a constant or lives on sites outside window m, where I_m
+    has no variable, so {I_m, phi_k(g)} = 0 and by Leibniz {I_m, I_k} =
+    sum_g dC_n/dg(phi_k) {I_m, phi_k(g)} = 0: the `pairs`.  The k = N case
+    gives the `generator_brackets`, dim g_n per integral.  The two full
+    windows are one site range, so one integral.
 
-    - By Jacobi and `check_realization_homomorphism`, the g with
-      {I, phi_N(g)} = 0 form a subalgebra, so the generating set extends
-      to all of g_n: the T_n brackets that `generator_brackets` counts.
-    - Each I_m uses only the q and p of window m's sites, which is tested
-      here.  phi_k(g) - phi_N(g) is a constant or lives on the sites
-      outside window k, so outside window m, and therefore
-      {I_m, phi_k(g)} = {I_m, phi_N(g)} = 0 for every g.
-    - I_k = C_n o phi_k (`check_route_equivalence`), so by Leibniz
-      {I_m, I_k} = sum_g dC_n/dg(phi_k) {I_m, phi_k(g)} = 0.  These are
-      the `pairs`.
-
-    A pass therefore holds only together with passing
-    `check_realization_homomorphism` and `check_route_equivalence`, which
-    `verify` runs in the same report.  `verify` thus never brackets the
-    stored integrals with one another; the pairwise oracle in
-    tests/test_coalgebra.py does, and tests/test_poly_props.py checks
-    the Jacobi and Leibniz rules of `canonical_bracket`."""
+    A pass holds only together with the three checks above, which `verify`
+    runs in the same report.  No integral is built or bracketed here; the
+    oracles in tests/test_coalgebra.py bracket them."""
     if ctx.N < ctx.n:
         raise ValueError("no integrals exist for N < n")
-    fails: list[str] = []
-    sets = {side: integral_set(ctx, side) for side in ("left", "right")}
-    for side, iset in sets.items():
-        for m, p in iset.items():
-            a, b = window(side, m, ctx.N)
-            if p.support_indices() - {v.index for k in range(a, b + 1)
-                                      for v in (ctx.qvar(k), ctx.pvar(k))}:
-                fails.append(f"{side} m={m} reaches outside its window")
-    pair_count = sum(math.comb(len(iset), 2) for iset in sets.values())
-    gen_count = ctx.algebra.basis.dim * sum(map(len, sets.values()))
-    family = integral_family(ctx)
-    for g in generating_set(ctx.algebra):
-        for name, p in family.items():
-            if not canonical_bracket(ctx, p, ctx.realize(g)).is_zero:
-                fails.append(f"{{{name}, {g.name}}} != 0")
-    if sets["left"][ctx.N] != sets["right"][ctx.N]:
-        fails.append("full-window integrals differ between sides")
+    fails = [f"window map breaks on {pair}: side={side}, m={m}"
+             for side in ("left", "right") for m in range(ctx.n, ctx.N)
+             for pair in _poisson_failures(ctx, side, m)]
+    windows = ctx.N - ctx.n + 1
     return Report("involution",
-                  {"n": ctx.n, "N": ctx.N, "pairs": pair_count,
-                   "generator_brackets": gen_count}, fails)
+                  {"n": ctx.n, "N": ctx.N, "pairs": 2 * math.comb(windows, 2),
+                   "generator_brackets": ctx.algebra.basis.dim * 2 * windows},
+                  fails)
 
 
 # Random phase points `check_independence` tries before it reports a rank
@@ -455,27 +440,60 @@ class IndependenceResult:
         return self.rank == self.expected
 
 
+def _adjugate(G: list[list[Fraction]]) -> list[list[Fraction]]:
+    """adj G of a square rational matrix of size s by Faddeev-LeVerrier:
+    from B_1 = I and B_{k+1} = tr(G B_k) / k I - G B_k, adj G = B_s.  It
+    divides by k alone, so a singular G needs no branch."""
+    s = len(G)
+    B = [[Fraction(i == j) for j in range(s)] for i in range(s)]
+    for k in range(1, s):
+        B = [[-sum(x * y for x, y in zip(row, col)) for col in zip(*B)]
+             for row in G]
+        c = -sum(B[i][i] for i in range(s)) / k
+        for i in range(s):
+            B[i][i] += c
+    return B
+
+
+def _gradient(ctx: PhaseContext, sites: range,
+              point: dict[VarId, Fraction]) -> dict[int, Fraction]:
+    """The gradient at `point` of the integral over a window, -det G with
+    G = A A^T (`_window_rows`), by state column: q_k at k - 1 and p_k at
+    N + k - 1.  By Jacobi's formula, with dG/dq_k = e_q a_k^T + a_k e_q^T
+    for a_k the column of site k, dI/dq_k = -2 (adj G A)_{q,k}, and
+    likewise for p."""
+    A = _window_rows(ctx, sites, point)
+    adj = _adjugate([[sum(x * y for x, y in zip(r, s)) for s in A]
+                     for r in A])
+    return {k + offset: -2 * sum(x * y for x, y in zip(row, col))
+            for row, offset in ((adj[-2], -1), (adj[-1], ctx.N - 1))
+            for k, col in zip(sites, zip(*A))}
+
+
 def check_independence(ctx: PhaseContext, seed: int = 0) -> IndependenceResult:
     """Jacobian rank of the harmonic H and the `integral_family` {left
     m=n..N, right m=n..N-1} at random rational phase points, resampling on
-    deficiency up to `INDEPENDENCE_ATTEMPTS` times.
-
-    The expected count is 2(N - n) + 2.
+    deficiency up to `INDEPENDENCE_ATTEMPTS` times; the expected count is
+    2(N - n) + 2.  H = sum_k (p_k^2 + q_k^2) / 2 has gradient (q, p), and
+    each integral's gradient is read from its Gram adjugate (`_gradient`).
     """
     if ctx.N < ctx.n:
         raise ValueError("no integrals exist for N < n")
-    members = [harmonic_hamiltonian(ctx), *integral_family(ctx).values()]
-    expected = 2 * (ctx.N - ctx.n) + 2
+    n, N = ctx.n, ctx.N
+    windows = [range(a, b + 1) for a, b in (
+        window(side, m, N) for side, top in (("left", N + 1), ("right", N))
+        for m in range(n, top))]
+    expected = 2 * (N - n) + 2
     state = ctx.state_vars()
-    grads = [[f.partial(v) for v in state] for f in members]
     rng = random.Random(seed)
     attempts: list[int] = []
     r = 0
     for _ in range(INDEPENDENCE_ATTEMPTS):
         point = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                  for v in state}
-        r = rank_rational({j: g.eval(point) for j, g in enumerate(row)}
-                          for row in grads)
+        r = rank_rational([{j: point[v] for j, v in enumerate(state)},
+                           *(_gradient(ctx, sites, point)
+                             for sites in windows)])
         attempts.append(r)
         if r == expected:
             break

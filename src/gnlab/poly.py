@@ -60,8 +60,8 @@ class RegistryMismatch(ValueError):
 
 
 class MissingVariable(ValueError):
-    """An evaluation or substitution does not cover a variable, or a name
-    is not registered."""
+    """A substitution does not cover a variable, or a name is not
+    registered."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -215,8 +215,8 @@ class Polynomial:
     """Immutable sparse polynomial over one variable registry.
 
     Supports +, -, * (with polynomials or rational scalars), ** with a
-    nonnegative integer, exact equality, partial derivatives, exact
-    evaluation, and substitution of polynomials for variables.
+    nonnegative integer, exact equality, partial derivatives, and
+    substitution of polynomials for variables.
     """
 
     __slots__ = ("registry", "terms", "_degree")
@@ -323,10 +323,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # ------------------------------------------------------------------
     def total_degree(self) -> int:
         if self._degree is None:
@@ -363,21 +359,6 @@ class Polynomial:
             if e:
                 out[m - unit] = c * e
         return self._make(self.registry, _clean(out))
-
-    def eval(self, assignment: Mapping) -> Fraction:
-        """Exact evaluation; every variable present must be assigned."""
-        amap = {self.registry.var(k).index: _rational(v)
-                for k, v in assignment.items()}
-        total = 0
-        for m, c in self.terms.items():
-            prod = c
-            for i, e in exponents(m):
-                if i not in amap:
-                    raise MissingVariable(
-                        f"no value for {self.registry.name_of(i)!r}")
-                prod *= amap[i] ** e
-            total += prod
-        return Fraction(total)
 
     def substitute(self, images: Mapping) -> "Polynomial":
         """Ring homomorphism sending each variable to its image polynomial.

@@ -1,8 +1,8 @@
-"""Shared test helpers: an independent determinant oracle, the
-Lie-Poisson bracket and the commutator matrix as polynomial oracles of the
-bracket table, an independent canonical term order, a reference writer and
-a reader for the JSON polynomial form, and small random polynomial
-generators.
+"""Shared test helpers: an independent determinant oracle, exact
+evaluation, the realised harmonic oscillator, the Lie-Poisson bracket and
+the commutator matrix as polynomial oracles of the bracket table, an
+independent canonical term order, a reference writer and a reader for the
+JSON polynomial form, and small random polynomial generators.
 
 The determinant oracle expands along the last column with no memoization,
 so it shares no code path with the library's memoized expansion in
@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from gnlab import GnAlgebra, Polynomial, VarRegistry
+from gnlab import (GnAlgebra, MissingVariable, PhaseContext, Polynomial,
+                   VarRegistry)
+from gnlab.algebra import X_MINUS, X_PLUS
 from gnlab.poly import exponents, monomial, poly_sum
 
 
@@ -31,7 +33,7 @@ def cofactor_det(rows):
     out = None
     for r in range(size):
         entry = rows[r][last]
-        if entry.is_zero:
+        if not entry:
             continue
         minor = [[rows[i][j] for j in range(last)]
                  for i in range(size) if i != r]
@@ -42,6 +44,28 @@ def cofactor_det(rows):
     if out is None:
         return rows[0][0].registry.zero()
     return out
+
+
+def evaluate(p: Polynomial, point) -> Fraction:
+    """Exact value of `p` at `point`, a map from variable names or VarIds
+    to rationals; every variable of `p` must be assigned."""
+    values = {p.registry.var(k).index: Fraction(v) for k, v in point.items()}
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for i, e in exponents(m):
+            if i not in values:
+                raise MissingVariable(
+                    f"no value for {p.registry.name_of(i)!r}")
+            c *= values[i] ** e
+        total += c
+    return total
+
+
+def harmonic_hamiltonian(ctx: PhaseContext) -> Polynomial:
+    """Realisation of x+ - x-: the N-dimensional unit-frequency oscillator
+    sum_k (p_k^2 + q_k^2) / 2."""
+    P = ctx.algebra.basis.poly
+    return ctx.realize_poly(P(X_PLUS) - P(X_MINUS))
 
 
 def lie_poisson(alg: GnAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -58,7 +82,7 @@ def lie_poisson(alg: GnAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
         dfi = f.partial(reg.var_ids[i])
         for j in sorted(gparts):
             t = alg.constants.of(generator_of_var[i], generator_of_var[j])
-            if not (t.is_zero or dfi.is_zero or gparts[j].is_zero):
+            if t and dfi and gparts[j]:
                 products.append(t * dfi * gparts[j])
     return poly_sum(reg, products)
 

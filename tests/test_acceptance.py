@@ -10,14 +10,14 @@ import math
 import random
 import time
 
-from conftest import cofactor_det
+from conftest import cofactor_det, harmonic_hamiltonian
 from gnlab import (PhaseContext, beltrametti_blasi, build_faithful_rep,
                    build_gn, build_quotient_rep, casimir, check_independence,
                    check_involution, check_jacobi, check_levi,
                    check_homomorphism, check_route_equivalence,
                    check_subalgebra_chain, check_uniqueness, check_vanishing,
-                   compute_centre, drift_report, harmonic_hamiltonian,
-                   integral_set, integrate, parse_polynomial, triangular,
+                   compute_centre, drift_report, integral_set, integrate,
+                   parse_polynomial, triangular,
                    verify_annihilation, verify_intertwining,
                    HamiltonianSystem)
 from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus

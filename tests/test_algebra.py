@@ -76,15 +76,15 @@ def test_bracket_relation_table():
         assert c.of(H, y_minus(i)) == -P(y_minus(i))
         assert c.of(X_MINUS, y_plus(i)) == P(y_minus(i))
         assert c.of(X_PLUS, y_minus(i)) == P(y_plus(i))
-        assert c.of(X_MINUS, y_minus(i)).is_zero
-        assert c.of(X_PLUS, y_plus(i)).is_zero
+        assert not c.of(X_MINUS, y_minus(i))
+        assert not c.of(X_PLUS, y_plus(i))
     assert c.of(y_plus(1), y_minus(1)) == P(central(1, 1))
     assert c.of(y_plus(1), y_minus(2)) == P(central(1, 2))
     assert c.of(y_plus(2), y_minus(1)) == P(central(1, 2))
-    assert c.of(y_plus(1), y_plus(2)).is_zero
-    assert c.of(y_minus(1), y_minus(2)).is_zero
+    assert not c.of(y_plus(1), y_plus(2))
+    assert not c.of(y_minus(1), y_minus(2))
     for g in alg.basis.order:
-        assert c.of(central(1, 2), g).is_zero
+        assert not c.of(central(1, 2), g)
 
 
 def test_bracket_is_a_biderivation():
@@ -113,7 +113,7 @@ def test_bracket_jacobi_on_polynomials():
         total = (lie_poisson(alg, lie_poisson(alg, f, g), k)
                  + lie_poisson(alg, lie_poisson(alg, g, k), f)
                  + lie_poisson(alg, lie_poisson(alg, k, f), g))
-        assert total.is_zero
+        assert not total
 
 
 def test_jacobi_check():

@@ -81,6 +81,14 @@ OUTPUT_SHA256 = {
     # involution certificate
     "verify --n 4 --N 8 --format json":
         "88442ba4b866d6e89083751aded6c591c6b249d707bd6f82de4327462bd0817b",
+    # 19 gradient rows from the Gram adjugates, 18 proper windows of
+    # Poisson-map brackets, and the threshold rank of the parameter rows
+    "verify --n 5 --N 14 --format json":
+        "a9c06f2c2b01fb0d47525a8561b4c9ccdaa729937d34bd2c10e67eb72186db7c",
+    # the same certificates with Fraction parameters (SIMULATE_CONFIG's
+    # rows), so the Gram adjugates have Fraction entries
+    "verify --n 4 --N 5 --config rational.cfg --format json":
+        "3eb8d7a31ad8641514b15b626b7838f6581669a537a6130904136b9e4554d794",
     # C_8 (18,155 terms) through the annihilation certificate, and the
     # uniqueness sweep to degree 4 over 36 generators
     "verify --n 8 --N 8 --ceiling-n 8 --format json":
@@ -122,7 +130,10 @@ SIMULATE_SHA256 = {
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
-def test_output_bytes_golden(capsys, command):
+def test_output_bytes_golden(capsys, tmp_path, monkeypatch, command):
+    # the file a `--config rational.cfg` names holds SIMULATE_CONFIG's rows
+    (tmp_path / "rational.cfg").write_text(SIMULATE_CONFIG)
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
@@ -198,6 +209,31 @@ def test_verify_builds_the_casimir_once(monkeypatch):
     reports = cli._verify_reports(cfg, cli._context(cfg), 3)
     assert len(reports) == 16 and all(r.passed for r in reports)
     assert len(calls) == 1
+
+
+def test_verify_builds_no_integral(monkeypatch):
+    """No check of `verify` reads the integrals: in one process, all 16
+    leave the context's integral cache unbuilt and expand no building
+    block, with N > n and with N = n."""
+    coalgebra = importlib.import_module("gnlab.coalgebra")
+    real = coalgebra.building_block
+    blocks = []
+
+    def counting(ctx, indices):
+        blocks.append(indices)
+        return real(ctx, indices)
+
+    monkeypatch.setattr(coalgebra, "building_block", counting)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    for n, N in ((4, 7), (6, 6)):
+        args = cli.build_parser().parse_args(
+            ["verify", "--n", str(n), "--N", str(N)])
+        cfg = cli._resolve_config(args, need_N=True)
+        ctx = cli._context(cfg)
+        reports = cli._verify_reports(cfg, ctx, 3)
+        assert len(reports) == 16 and all(r.passed for r in reports)
+        assert "integrals" not in vars(ctx)
+    assert blocks == []
 
 
 def test_verify_text_lines(capsys):

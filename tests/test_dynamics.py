@@ -13,10 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import evaluate, harmonic_hamiltonian
 from gnlab import (BudgetExceeded, HamiltonianSystem, PhaseContext,
                    Polynomial, compile_evaluator, drift_report,
-                   harmonic_hamiltonian, integral_set, integrate,
-                   parse_polynomial)
+                   integral_set, integrate, parse_polynomial)
 from gnlab.poly import exponents, monomial
 
 
@@ -37,7 +37,7 @@ def test_compiled_evaluator_matches_exact():
         fn = compile_evaluator(p, slot_of)
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                  for _ in range(4)]
-        exact = p.eval({v: point[i] for i, v in enumerate(ctx.state_vars())})
+        exact = evaluate(p, dict(zip(ctx.state_vars(), point)))
         got = fn(np.array([float(v) for v in point]))
         assert math.isclose(got, float(exact), rel_tol=1e-12, abs_tol=1e-12)
 

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import (cofactor_det, poly_from_json, poly_json,
+from conftest import (cofactor_det, evaluate, poly_from_json, poly_json,
                       poly_json_reference, random_poly, rational_point)
 from gnlab import (BudgetExceeded, MissingVariable, Polynomial,
                    RegistryMismatch, VarRegistry, det, parse_polynomial,
@@ -97,7 +97,7 @@ def test_partial_derivatives():
     a, b = reg.poly("a"), reg.poly("b")
     va = reg.var("a")
     assert (a ** 4).partial(va) == 4 * a ** 3
-    assert b.partial(va).is_zero
+    assert not b.partial(va)
     rng = random.Random(3)
     for _ in range(25):
         f = random_poly(reg, rng)
@@ -113,15 +113,16 @@ def test_eval_is_a_homomorphism():
         f = random_poly(reg, rng)
         g = random_poly(reg, rng)
         point = rational_point(reg, rng)
-        assert (f * g).eval(point) == f.eval(point) * g.eval(point)
-        assert (f + g).eval(point) == f.eval(point) + g.eval(point)
+        fx, gx = evaluate(f, point), evaluate(g, point)
+        assert evaluate(f * g, point) == fx * gx
+        assert evaluate(f + g, point) == fx + gx
 
 
 def test_eval_requires_full_assignment():
     reg = abc_registry()
     p = reg.poly("a") * reg.poly("b")
     with pytest.raises(MissingVariable):
-        p.eval({"a": 1})
+        evaluate(p, {"a": 1})
 
 
 def test_substitute_composes_with_eval():
@@ -136,8 +137,9 @@ def test_substitute_composes_with_eval():
                   for v in reg.var_ids}
         point = rational_point(target, rng)
         composed = f.substitute(images)
-        direct = f.eval({v: img.eval(point) for v, img in images.items()})
-        assert composed.eval(point) == direct
+        direct = evaluate(f, {v: evaluate(img, point)
+                              for v, img in images.items()})
+        assert evaluate(composed, point) == direct
 
 
 def test_substitute_folds_constant_images():
@@ -151,13 +153,13 @@ def test_substitute_folds_constant_images():
     # b^2 -> 4/9 and c -> 0: only the a and d parts are expanded
     assert f.substitute(images) == \
         Fraction(4, 3) * (u + 1) + target.const(Fraction(-8, 3))
-    assert (a * c).substitute(images).is_zero
+    assert not (a * c).substitute(images)
     assert reg.const(7).substitute(images) == target.const(7)
     # an exponent of 128 or more fills the top bit of its variable's byte
     assert (a ** 200 * b).substitute({"a": target.const(-1), "b": u}) == u
     # the zero polynomial has nothing to expand: the target's zero
     zero = reg.zero().substitute(images)
-    assert zero.is_zero and zero.registry is target
+    assert not zero and zero.registry is target
     # a non-homogeneous f whose remainders meet in different rounds: a*c
     # and a^2 reach a after one peel, a*b*d after two, b*d and c reach the
     # unit monomial after two and one; checked against evaluation
@@ -168,8 +170,8 @@ def test_substitute_folds_constant_images():
     images = {"a": Fraction(1, 2) * u + v, "b": Fraction(2, 3) * u ** 2 - 1,
               "c": two.const(Fraction(3, 4)), "d": v - Fraction(1, 3) * u}
     point = {"u": Fraction(-2, 5), "v": Fraction(7, 3)}
-    values = {name: img.eval(point) for name, img in images.items()}
-    assert f.substitute(images).eval(point) == f.eval(values)
+    values = {name: evaluate(img, point) for name, img in images.items()}
+    assert evaluate(f.substitute(images), point) == evaluate(f, values)
 
 
 def test_zero_image_does_not_hide_an_uncovered_variable():
@@ -192,7 +194,7 @@ def test_det_small_goldens():
     assert det([[a]]) == a
     assert det([[a, b], [c, d]]) == a * d - b * c
     # a singular matrix built from a repeated row
-    assert det([[a, b], [a, b]]).is_zero
+    assert not det([[a, b], [a, b]])
 
 
 def test_det_rejects_empty_ragged_non_square_and_mixed_rows():
@@ -246,7 +248,7 @@ def test_det_matches_cofactor_oracle():
         for k, case in enumerate(cases):
             got = det(case)
             assert got == cofactor_det(case)
-            assert got.is_zero or k < 2
+            assert not got or k < 2
 
 
 def permutation_sign(perm) -> int:

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (canonical_order, poly_from_json, poly_json,
-                      poly_json_reference)
+from conftest import (canonical_order, evaluate, poly_from_json,
+                      poly_json, poly_json_reference)
 from gnlab import (PhaseContext, Polynomial, VarRegistry,
                    build_gn, canonical_bracket, casimir, det)
 from gnlab.poly import _clean, derive, exponents, monomial, poly_sum
@@ -106,9 +106,9 @@ def test_substitute_is_a_ring_homomorphism(f, g, images, point):
     # evaluation after substitution is evaluation at the images' values,
     # an oracle that shares no code with the expansion
     at = dict(zip(TARGET.var_ids, point))
-    values = {v: img.eval(at) for v, img in phi.items()}
+    values = {v: evaluate(img, at) for v, img in phi.items()}
     for p in (f, f * g):
-        assert p.substitute(phi).eval(at) == p.eval(values)
+        assert evaluate(p.substitute(phi), at) == evaluate(p, values)
 
 
 @settings
@@ -173,7 +173,7 @@ def test_canonical_bracket_obeys_jacobi_and_leibniz(f, g, h):
     def br(a, b):
         return canonical_bracket(PHASE, a, b)
 
-    assert (br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))).is_zero
+    assert not (br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g)))
     assert br(f, g * h) == br(f, g) * h + g * br(f, h)
     assert br(f, g) == -br(g, f)
 
