@@ -10,8 +10,10 @@ Two independent routes establish it: a certificate resting on the
 entrywise identity  X_g(M) = -(Q_g M + M Q_g^T)  between each coadjoint
 field X_g and the quotient matrix representation Q, and a linear-ansatz
 solver that finds all invariant polynomials of a fixed degree from scratch
-(`verify` sweeps it below degree n only; acceptance test 06 and
-tests/test_casimir.py run it at degree n, where it re-derives C_n).
+(acceptance test 06 and tests/test_casimir.py run it at degree n, where
+it re-derives C_n).  `verify` sweeps below degree n only, where a rank
+modulo a prime certifies that the invariants are the central polynomials
+and the solver runs only where that rank falls short.
 
 The bracket preserves a Z x Z^{n-2} grading: the h-weight (+-2 on x+-,
 +-1 on y_{i,+-}, 0 on h and z) and the ladder multidegree (e_i on
@@ -35,7 +37,7 @@ from itertools import product, repeat
 from .algebra import (Generator, GnAlgebra, H, X_MINUS, X_PLUS,
                       canonical_order, central, triangular, y_minus, y_plus)
 from .poly import (BudgetExceeded, Polynomial, _check_degree, _degrees, det,
-                   exponents, monomial, poly_sum, rank_rational,
+                   exponents, monomial, poly_sum, rank_mod_p, rank_rational,
                    sparse_nullspace, variable_mask)
 from .representations import build_coadjoint, build_quotient_rep
 from .reports import Report
@@ -291,6 +293,34 @@ def ansatz_monomials(n: int, degree: int,
     return math.comb(triangular(n) + degree - 1, degree)
 
 
+def _ansatz_blocks(alg: GnAlgebra, degree: int):
+    """The degree-d ansatz system, one weight-0 block at a time: each block
+    of (column, monomial) pairs (`_weight_zero_blocks`) with its equations
+    as sparse rows over the block's positions, sorted by (field position,
+    produced monomial).  The rows come from the fields of `generating_set`
+    (see `solve_ansatz`)."""
+    sources = generating_set(alg)
+    fields = [f for f in build_coadjoint(alg) if f.source in sources]
+    _check_degree(degree - 1 + max(f.degree for f in fields), "a derivation")
+    # variable v -> (field position, u - v, k) for each term k*u of the
+    # field's coefficient on v: a column m with exponent e on v adds e*k
+    # at row (field, m - v + u)
+    table: dict[int, list[tuple[int, int, int | Fraction]]] = {}
+    for fi, f in enumerate(fields):
+        for i, a in f.terms.items():
+            table.setdefault(i, []).extend(
+                (fi, u - monomial({i: 1}), k) for u, k in a.items())
+    for block in _weight_zero_blocks(alg, _grading(alg), degree).values():
+        # rows keyed by (field position, produced monomial): one equation
+        rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        for j, (_, mono) in enumerate(block):
+            for i, e in exponents(mono):
+                for fi, shift, k in table.get(i, ()):
+                    row = rows.setdefault((fi, mono + shift), {})
+                    row[j] = row.get(j, 0) + e * k
+        yield block, [rows[k] for k in sorted(rows)]
+
+
 def solve_ansatz(alg: GnAlgebra, degree: int,
                  budget: int = ANSATZ_BUDGET) -> AnsatzSolution:
     """All polynomials of the exact given degree killed by every coadjoint
@@ -304,37 +334,17 @@ def solve_ansatz(alg: GnAlgebra, degree: int,
     order over the canonical generators.  The fields preserve the grading,
     so the system splits into one block per grade; a column of nonzero
     h-weight is a pivot (the h field scales it by its weight), so only the
-    weight-0 monomials are enumerated and only their blocks are solved.
-    Reduced-echelon pivots are the columns independent of those to their
-    left, so the union of the block bases, ordered by free column, is the
-    reduced-echelon basis of the whole system.  `monomials` counts every
-    degree-d monomial.
+    weight-0 monomials are enumerated and only their blocks are solved
+    (`_ansatz_blocks`).  Reduced-echelon pivots are the columns independent
+    of those to their left, so the union of the block bases, ordered by
+    free column, is the reduced-echelon basis of the whole system.
+    `monomials` counts every degree-d monomial.
     """
     count = ansatz_monomials(alg.n, degree, budget)
-    sources = generating_set(alg)
-    fields = [f for f in build_coadjoint(alg) if f.source in sources]
-    _check_degree(degree - 1 + max(f.degree for f in fields), "a derivation")
-    # variable v -> (field position, u - v, k) for each term k*u of the
-    # field's coefficient on v: a column m with exponent e on v adds e*k
-    # at row (field, m - v + u)
-    table: dict[int, list[tuple[int, int, int | Fraction]]] = {}
-    for fi, f in enumerate(fields):
-        for i, a in f.terms.items():
-            table.setdefault(i, []).extend(
-                (fi, u - monomial({i: 1}), k) for u, k in a.items())
     reg = alg.registry
     found: list[tuple[int, Polynomial]] = []
-    for block in _weight_zero_blocks(alg, _grading(alg), degree).values():
-        # rows keyed by (field position, produced monomial): one equation
-        rows: dict[tuple[int, int], dict[int, int | Fraction]] = {}
-        for j, (_, mono) in enumerate(block):
-            for i, e in exponents(mono):
-                for fi, shift, k in table.get(i, ()):
-                    row = rows.setdefault((fi, mono + shift), {})
-                    row[j] = row.get(j, 0) + e * k
-        vectors = sparse_nullspace([rows[k] for k in sorted(rows)],
-                                   ncols=len(block))
-        for vec in vectors:
+    for block, rows in _ansatz_blocks(alg, degree):
+        for vec in sparse_nullspace(rows, ncols=len(block)):
             found.append((block[max(vec)][0], Polynomial(
                 reg, {block[j][1]: v for j, v in vec.items()})))
     found.sort(key=lambda item: item[0])
@@ -342,13 +352,43 @@ def solve_ansatz(alg: GnAlgebra, degree: int,
                           basis=tuple(p for _, p in found))
 
 
+def _central_kernel(alg: GnAlgebra, degree: int) -> int | None:
+    """The dimension of the degree-d invariants where a rank modulo a prime
+    certifies that they are exactly the central polynomials of degree d,
+    else None.
+
+    No coadjoint field has a coefficient on a central variable, so every
+    monomial in the central variables alone is a zero column of its block.
+    Where the block's rank modulo `PRIME` (`rank_mod_p`, at most the exact
+    rank) equals its count of other columns, those columns are
+    independent, and the block's kernel is spanned by its central
+    monomials.  The dimension is then the count of central monomials over
+    all blocks.  The rows go shortest first, which leaves the elimination
+    less fill-in, and are read only until the rank is full."""
+    ansatz_monomials(alg.n, degree)
+    central = set(map(alg.basis.index, alg.basis.centrals))
+    if any(central.intersection(f.terms) for f in build_coadjoint(alg)):
+        return None
+    others = ~variable_mask(central)
+    kernel = 0
+    for block, rows in _ansatz_blocks(alg, degree):
+        size = sum(1 for _, mono in block if mono & others)
+        if rank_mod_p(sorted(rows, key=len), size) != size:
+            return None
+        kernel += len(block) - size
+    return kernel
+
+
 def check_uniqueness(cas: CasimirResult,
                      max_degree: int | None = None) -> Report:
     """Below degree n every invariant is a polynomial in the central
     variables alone, and the degree-d invariants have the dimension
     C(T_{n-2}+d-1, d) of the central degree-d monomials: the support test
-    shows they lie in the central ring, the count that they fill it.  At
-    degree n (when swept) the solution space contains C_n and has one
+    shows they lie in the central ring, the count that they fill it.
+    Below degree n both follow from a rank modulo a prime
+    (`_central_kernel`) where it certifies them; where it falls short,
+    and at degree n (when swept), `solve_ansatz` finds the invariants
+    exactly.  At degree n the solution space contains C_n and has one
     dimension more."""
     alg, n = cas.algebra, cas.algebra.n
     if max_degree is None:
@@ -359,12 +399,16 @@ def check_uniqueness(cas: CasimirResult,
     dims: dict[str, int] = {}
     contains = None
     for degree in range(1, min(max_degree, n) + 1):
-        sol = solve_ansatz(alg, degree)
-        dims[str(degree)] = sol.dimension
         want = math.comb(centrals + degree - 1, degree) + (degree == n)
-        if sol.dimension != want:
+        kernel = _central_kernel(alg, degree) if degree < n else None
+        sol = None if kernel is not None else solve_ansatz(alg, degree)
+        dim = kernel if sol is None else sol.dimension
+        dims[str(degree)] = dim
+        if dim != want:
             fails.append(f"degree-{degree} invariants have dimension "
-                         f"{sol.dimension}, not {want}")
+                         f"{dim}, not {want}")
+        if sol is None:
+            continue
         if degree < n:
             for p in sol.basis:
                 if p.support_indices() - z_idx:

@@ -37,6 +37,7 @@ from .casimir import (ANSATZ_BUDGET, ansatz_monomials, casimir,
                       solve_ansatz, verify_annihilation, verify_intertwining)
 from .coalgebra import (PhaseContext, check_independence,
                         check_integral_budget, check_involution,
+                        check_jacobian_budget,
                         check_realization_homomorphism,
                         check_route_equivalence, check_vanishing,
                         integral_family, integral_set, window)
@@ -140,7 +141,6 @@ def _resolve_config(args, need_N: bool) -> RunConfig:
             N = min(n + 1, 6) if n < 6 else n
         if N < n:
             raise UsageError("N must be at least n so that integrals exist")
-        check_integral_budget(n, N)
     alpha_rows = file_opts["alpha"] or None
     if alpha_rows is not None:
         missing = [i for i in range(1, n - 1) if i not in alpha_rows]
@@ -455,6 +455,7 @@ def cmd_verify(args) -> int:
     sweep = min(cfg.n - 1, args.max_ansatz_degree)
     ansatz_monomials(cfg.n, sweep)
     check_casimir_level(cfg.n)
+    check_jacobian_budget(cfg.n, cfg.N)
     ctx = _context(cfg)
     with _report(cfg) as emit:
         reports = _verify_reports(cfg, ctx, sweep)
@@ -476,6 +477,7 @@ def cmd_verify(args) -> int:
 
 def cmd_integrals(args) -> int:
     cfg = _resolve_config(args, need_N=True)
+    check_integral_budget(cfg.n, cfg.N)
     ctx = _context(cfg)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     with _report(cfg) as emit:
@@ -507,6 +509,7 @@ def cmd_simulate(args) -> int:
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     cfg = _resolve_config(args, need_N=True)
+    check_integral_budget(cfg.n, cfg.N)
     if not (math.isfinite(args.step) and args.step > 0):
         raise UsageError("step must be positive and finite")
     if not (math.isfinite(args.t_end) and args.t_end >= 0):

@@ -33,12 +33,15 @@ The module also carries the exact linear algebra used everywhere else:
   expansion in complementary minors of the top and bottom halves of the
   rows, each half's minors memoised per column subset,
 * one exact eliminator over sparse rational rows, which gives the rank of
-  a rational system and its nullspace in reduced-echelon parametrisation.
+  a rational system and its nullspace in reduced-echelon parametrisation,
+* and the rank of such a system modulo one large prime, a lower bound on
+  the exact rank that certifies full rank cheaply where it reaches it.
 """
 
 from __future__ import annotations
 
 import ast
+import bisect
 import json
 import math
 import operator
@@ -752,6 +755,51 @@ def _echelon(rows: Iterable[Mapping[int, Fraction | int]]
 def rank_rational(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
     """Exact rank of a rational system given as sparse rows {col: coeff}."""
     return len(_echelon(rows))
+
+
+# The Mersenne prime 2^61 - 1, the modulus of `rank_mod_p`.
+PRIME = (1 << 61) - 1
+
+
+def rank_mod_p(rows: Iterable[Mapping[int, Fraction | int]],
+               limit: int) -> int:
+    """Rank modulo `PRIME` of a rational system given as sparse rows
+    {col: coeff}, each row first scaled by the lcm of its denominators;
+    the rows are read only until the rank reaches `limit`.
+
+    Scaling a row keeps the rank, and a minor of the scaled integer system
+    that is nonzero modulo the prime is nonzero, so this is at most the
+    exact rank (`rank_rational`): reaching the number of rows, or of
+    nonzero columns, certifies full rank.  The elimination is forward
+    only: each row is reduced by the pivot rows in increasing pivot
+    column, each of which is 1 at its pivot (kept implicit) and nonzero
+    only to its right.  A row's entries are reduced modulo the prime only
+    where they are read.
+    """
+    p = PRIME
+    pivot_rows: dict[int, dict[int, int]] = {}
+    pivots: list[int] = []
+    for raw in rows:
+        if len(pivots) >= limit:
+            break
+        den = math.lcm(*(v.denominator for v in raw.values()
+                         if type(v) is not int))
+        r = {c: v * den if type(v) is int
+             else v.numerator * (den // v.denominator)
+             for c, v in raw.items()}
+        get = r.get
+        for c in pivots:
+            f = r.pop(c, 0) % p
+            if f:
+                for cc, vv in pivot_rows[c].items():
+                    r[cc] = get(cc, 0) - f * vv
+        r = {c: v % p for c, v in r.items() if v % p}
+        if r:
+            c = min(r)
+            inv = pow(r.pop(c), -1, p)
+            pivot_rows[c] = {cc: vv * inv % p for cc, vv in r.items()}
+            bisect.insort(pivots, c)
+    return len(pivots)
 
 
 def sparse_nullspace(rows: Iterable[Mapping[int, Fraction | int]],

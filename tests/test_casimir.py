@@ -467,21 +467,68 @@ def test_generation_check_needs_every_ladder_source(monkeypatch):
 @pytest.mark.parametrize("degree", [2, 4])
 def test_uniqueness_fails_when_a_basis_vector_is_dropped(monkeypatch,
                                                          degree):
+    """Every modular rank falls short, so every degree takes the exact
+    path, and `solve_ansatz` there loses one basis vector at the given
+    degree: below degree n (2) and at it (4)."""
     real = casimir_module.solve_ansatz
+    calls = []
 
     def drop_first(alg, d, *args, **kwargs):
+        calls.append(d)
         sol = real(alg, d, *args, **kwargs)
         if d != degree:
             return sol
         return dataclasses.replace(sol, basis=sol.basis[1:])
 
+    monkeypatch.setattr(casimir_module, "rank_mod_p", lambda rows, limit: -1)
     monkeypatch.setattr(casimir_module, "solve_ansatz", drop_first)
     rep = check_uniqueness(casimir(build_gn(4)), max_degree=4)
+    assert calls == [1, 2, 3, 4]
     want = {2: 6, 4: 16}[degree]
-    assert not rep.passed
+    assert rep.failures == [f"degree-{degree} invariants have dimension "
+                            f"{want - 1}, not {want}"] + [
+        "the degree-n invariant is outside the ansatz span"] * (degree == 4)
     assert rep.data["dimensions"][str(degree)] == want - 1
-    assert (f"degree-{degree} invariants have dimension {want - 1}, "
-            f"not {want}") in rep.failures
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_modular_certificate_matches_the_exact_ansatz(n):
+    """At every degree `verify` sweeps by default, min(n - 1, 4), the
+    modular certificate holds, and its dimension is that of the exact
+    solution, whose every basis vector is central."""
+    alg = build_gn(n)
+    z_idx = set(map(alg.basis.index, alg.basis.centrals))
+    for degree in range(1, min(n - 1, 4) + 1):
+        sol = solve_ansatz(alg, degree)
+        assert casimir_module._central_kernel(alg, degree) == sol.dimension
+        assert all(p.support_indices() <= z_idx for p in sol.basis)
+
+
+def test_a_modular_shortfall_takes_the_exact_path(monkeypatch):
+    """Forced shortfalls, by a rank that always falls short or by the
+    prime 3, under which some blocks lose rank, send degrees to the exact
+    `solve_ansatz` and give the same Reports."""
+    poly_module = importlib.import_module("gnlab.poly")
+    real = casimir_module.solve_ansatz
+    calls = []
+
+    def counting(alg, d, *args, **kwargs):
+        calls.append((alg.n, d))
+        return real(alg, d, *args, **kwargs)
+
+    monkeypatch.setattr(casimir_module, "solve_ansatz", counting)
+    sweeps = [(3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 4)]
+    want = [check_uniqueness(casimir(build_gn(n)), d) for n, d in sweeps]
+    assert calls == [(n, n) for n, d in sweeps if d == n]
+    for patch in ((casimir_module, "rank_mod_p", lambda rows, limit: -1),
+                  (poly_module, "PRIME", 3)):
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            calls.clear()
+            got = [check_uniqueness(casimir(build_gn(n)), d)
+                   for n, d in sweeps]
+        assert got == want
+        assert set(calls) > {(n, n) for n, d in sweeps if d == n}
 
 
 def test_uniqueness_level3():

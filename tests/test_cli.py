@@ -212,9 +212,10 @@ def test_verify_builds_the_casimir_once(monkeypatch):
 
 
 def test_verify_builds_no_integral(monkeypatch):
-    """No check of `verify` reads the integrals: in one process, all 16
-    leave the context's integral cache unbuilt and expand no building
-    block, with N > n and with N = n."""
+    """No check of `verify` reads the integrals or the window images: in
+    one process, all 16 leave the context's integral cache and window
+    images unbuilt and expand no building block, with N > n and with
+    N = n."""
     coalgebra = importlib.import_module("gnlab.coalgebra")
     real = coalgebra.building_block
     blocks = []
@@ -233,7 +234,26 @@ def test_verify_builds_no_integral(monkeypatch):
         reports = cli._verify_reports(cfg, ctx, 3)
         assert len(reports) == 16 and all(r.passed for r in reports)
         assert "integrals" not in vars(ctx)
+        assert not ctx._images
     assert blocks == []
+
+
+def test_verify_has_its_own_budget(capsys):
+    """`verify` builds no integral, so the integral budget does not bound
+    it: (3, 40) sums 101,270 (window, site subset) pairs per side, which
+    `integrals` refuses, and `verify` runs it.  Its own budget bounds the
+    independence Jacobian, and is checked before any work."""
+    code, out, err = run(capsys, "verify", "--n", "3", "--N", "40",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["independence"]["rank"] == 2 * (40 - 3) + 2
+    code, out, err = run(capsys, "integrals", "--n", "3", "--N", "40")
+    assert code == 2 and out == "" and "101,270" in err
+    code, out, err = run(capsys, "verify", "--n", "3", "--N", "400")
+    assert (code, out) == (2, "")
+    assert err == ("error: the independence Jacobian at n = 3, N = 400 has "
+                   "796 x 800 = 636,800 entries, above the budget 30,000\n")
 
 
 def test_verify_text_lines(capsys):
@@ -760,11 +780,13 @@ def test_refused_arguments_leave_an_existing_out_file(tmp_path, capsys):
                             "--budget", "-5"], "budget must be at least 1"),
                           (["rank", "--n", "41"], "too large"),
                           (["dump-rep", "--n", "41"], "too large"),
-                          (["verify", "--n", "2", "--N", "200"], "1,333,300"),
+                          (["verify", "--n", "2", "--N", "200"],
+                           "398 x 400 = 159,200 entries"),
                           (["integrals", "--n", "2", "--N", "200"],
                            "1,333,300 (window, site subset) pairs per side"),
                           (["simulate", "--n", "2", "--N", "200"], "1,333,300"),
-                          (["verify", "--n", "24", "--N", "24"], "level 24"),
+                          (["verify", "--n", "24", "--N", "24"],
+                           "above the verification ceiling"),
                           (["integrals", "--n", "24", "--N", "24"],
                            "building blocks of level 24 are too large"),
                           (["simulate", "--n", "24", "--N", "24"], "level 24"),

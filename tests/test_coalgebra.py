@@ -28,6 +28,11 @@ from gnlab.algebra import H, X_MINUS, X_PLUS, central, y_minus, y_plus
 from gnlab.coalgebra import check_integral_budget
 
 
+def realize(ctx, g, side="left", m=None):
+    """The image of one generator over a site window."""
+    return ctx.realization_images(side, m)[ctx.algebra.basis.var(g)]
+
+
 def test_window_arithmetic():
     assert window("left", 2, 5) == (1, 2)
     assert window("left", 5, 5) == (1, 5)
@@ -169,21 +174,37 @@ def test_realize_goldens():
     ctx = PhaseContext(3, 2, {1: [2, -3]})
     q1, q2 = ctx.q(1), ctx.q(2)
     p1, p2 = ctx.p(1), ctx.p(2)
-    assert ctx.realize(H) == q1 * p1 + q2 * p2
-    assert ctx.realize(X_PLUS) == (p1 ** 2 + p2 ** 2) * Fraction(1, 2)
-    assert ctx.realize(X_MINUS) == -(q1 ** 2 + q2 ** 2) * Fraction(1, 2)
-    assert ctx.realize(y_plus(1)) == 2 * p1 - 3 * p2
-    assert ctx.realize(y_minus(1)) == -(2 * q1 - 3 * q2)
-    assert ctx.realize(central(1, 1)) == ctx.registry.const(13)
+    assert realize(ctx, H) == q1 * p1 + q2 * p2
+    assert realize(ctx, X_PLUS) == (p1 ** 2 + p2 ** 2) * Fraction(1, 2)
+    assert realize(ctx, X_MINUS) == -(q1 ** 2 + q2 ** 2) * Fraction(1, 2)
+    assert realize(ctx, y_plus(1)) == 2 * p1 - 3 * p2
+    assert realize(ctx, y_minus(1)) == -(2 * q1 - 3 * q2)
+    assert realize(ctx, central(1, 1)) == ctx.registry.const(13)
+
+
+def test_site_images_golden():
+    """The one symbolic site: q, p and the parameters as symbols."""
+    site = PhaseContext.seeded(4, 2).site
+    assert [v.name for v in site.registry.var_ids] == ["q", "p", "a1", "a2"]
+    assert site.pairs == (tuple(site.registry.var_ids[:2]),)
+    P = site.registry.poly
+    q, p, a1, a2 = P("q"), P("p"), P("a1"), P("a2")
+    alg = build_gn(4)
+    want = {H: q * p, X_MINUS: -q * q * Fraction(1, 2),
+            X_PLUS: p * p * Fraction(1, 2), y_minus(2): -a2 * q,
+            y_plus(1): a1 * p, central(1, 2): a1 * a2, central(2, 2): a2 * a2}
+    for g, image in want.items():
+        assert site.images[alg.basis.var(g)] == image, g.name
+    assert len(site.images) == alg.basis.dim
 
 
 def test_realize_windows():
     ctx = PhaseContext.seeded(2, 4)
     assert window("left", 2, ctx.N) == (1, 2)
-    assert ctx.realize(X_PLUS, "left", 2) == \
+    assert realize(ctx, X_PLUS, "left", 2) == \
         (ctx.p(1) ** 2 + ctx.p(2) ** 2) * Fraction(1, 2)
     assert window("right", 2, ctx.N) == (3, 4)
-    assert ctx.realize(X_PLUS, "right", 2) == \
+    assert realize(ctx, X_PLUS, "right", 2) == \
         (ctx.p(3) ** 2 + ctx.p(4) ** 2) * Fraction(1, 2)
 
 
@@ -232,7 +253,7 @@ def test_canonical_bracket_matches_textbook_definition(n, N):
     ctx = PhaseContext(n, N, rows)
     q, p = ctx.q, ctx.p
     family = list(integral_family(ctx).values())
-    others = [ctx.realize(g, side, m) for g in ctx.algebra.basis.order
+    others = [realize(ctx, g, side, m) for g in ctx.algebra.basis.order
               for side, m in (("left", N), ("right", n - 1))]
     others += [Fraction(2, 3) * q(1) * p(2) ** 2 - q(N) ** 3,
                Fraction(-1, 5) * p(1) * p(N) + 7 * q(2) * q(1) * p(1),
@@ -339,6 +360,34 @@ def integrals_via_coproduct(ctx, side, m):
     """Window-m conserved quantity by substitution: C_n with every
     generator replaced by its window realisation."""
     return ctx.casimir.polynomial.substitute(ctx.realization_images(side, m))
+
+
+def window_poisson_failures(ctx, side, m):
+    """The generator pairs, as "(a, b)", on which the window map phi_m is
+    not a Poisson map, bracketed over the window's own images."""
+    alg = ctx.algebra
+    return [f"({a.name}, {b.name})"
+            for a, b in combinations(alg.basis.order, 2)
+            if canonical_bracket(ctx, realize(ctx, a, side, m),
+                                 realize(ctx, b, side, m))
+            != ctx.realize_poly(alg.constants.of(a, b), side, m)]
+
+
+def window_is_gram(ctx, side, m):
+    """Whether M realised over window m is A A^T entry by entry, the
+    realised entries read from the window's own images and A built from
+    the parameter rows and the window's q and p."""
+    n, reg, matrix = ctx.n, ctx.registry, ctx.casimir.matrix
+    a, b = window(side, m, ctx.N)
+    A = coalgebra_module._window_rows(ctx, range(a, b + 1))
+    return all(ctx.realize_poly(matrix[i][j], side, m) == sum(
+        (x * y for x, y in zip(A[i], A[j])), reg.zero())
+        for i in range(n) for j in range(n))
+
+
+def all_windows(ctx):
+    return [(side, m) for side in ("left", "right")
+            for m in range(1, ctx.N + 1)]
 
 
 def _counting_substitution(monkeypatch):
@@ -467,26 +516,40 @@ def test_route_equivalence_substitutes_nothing(monkeypatch):
     assert "integrals" not in vars(ctx)
 
 
-@pytest.mark.parametrize("side,m,failures", [
-    ("left", 4, ["routes differ at side=left, m=4"]),
-    ("right", 5, ["routes differ at side=right, m=5"]),
-    # the two full windows share one site range, and so one image
-    ("right", 6, ["routes differ at side=left, m=6",
-                  "routes differ at side=right, m=6"])])
-def test_route_equivalence_fails_on_one_changed_window_parameter(side, m,
-                                                                 failures):
-    """alpha^(2) at the window's first site is changed in that window's
-    memoised images alone: the realised M is no longer A A^T there, and
-    every other window, those below the threshold included, still
-    passes."""
+def site_param_raised(ctx, g, i):
+    """Set the site image of `g` to itself with the parameter a_i raised
+    by one."""
+    site = ctx.site
+    v = ctx.algebra.basis.var(g)
+    P = site.registry.poly
+    site.images[v] = site.images[v].substitute(
+        {x: P(x) + 1 if x.name == f"a{i}" else P(x)
+         for x in site.registry.var_ids})
+
+
+@pytest.mark.parametrize("g,pairs", [
+    (y_minus(2), ["(xm, y2p)", "(xp, y2m)", "(y1p, y2m)", "(y2m, y2p)"]),
+    (y_plus(2), ["(xm, y2p)", "(xp, y2m)", "(y1m, y2p)", "(y2m, y2p)"]),
+    (central(1, 2), ["(y1m, y2p)", "(y1p, y2m)"]),
+    (central(2, 2), ["(y2m, y2p)"])], ids=["y2m", "y2p", "z1_2", "z2_2"])
+def test_route_equivalence_fails_on_one_changed_site_parameter(g, pairs):
+    """a_2 raised by one in the site image of one generator: M no longer
+    realises to a a^T on the site, so every window m = n..N of both sides
+    fails route equivalence, and every window below the threshold fails
+    vanishing.  The site map also stops being a Poisson map, on the pairs
+    whose bracket meets the changed image once (for a central image, the
+    pairs whose bracket is it)."""
     ctx = PhaseContext.seeded(4, 6)
-    a, _ = window(side, m, ctx.N)
-    kept = ctx.alpha_rows[2]
-    ctx.alpha_rows[2] = kept[:a - 1] + (kept[a - 1] + 1,) + kept[a:]
-    ctx.realization_images(side, m)  # memoised with the changed parameter
-    ctx.alpha_rows[2] = kept
-    assert check_route_equivalence(ctx).failures == failures
-    assert check_vanishing(ctx).passed
+    site_param_raised(ctx, g, 2)
+    assert check_route_equivalence(ctx).failures == [
+        f"routes differ at side={side}, m={m}"
+        for side in ("left", "right") for m in (4, 5, 6)]
+    assert check_vanishing(ctx).failures == [
+        f"realised M is not A A^T: side={side}, m={m}"
+        for side in ("left", "right") for m in (1, 2, 3)]
+    assert check_realization_homomorphism(ctx).failures == [
+        f"realisation breaks on {pair}" for pair in pairs]
+    assert not ctx._images
 
 
 @pytest.mark.parametrize("n,N", ORACLE_SIZES)
@@ -502,7 +565,7 @@ def test_involution_matches_the_all_generator_brackets(n, N):
     assert rep.data["generator_brackets"] == \
         len(members) * ctx.algebra.basis.dim
     for g in ctx.algebra.basis.order:
-        d = ctx.realize(g)
+        d = realize(ctx, g)
         for p in members:
             assert not canonical_bracket(ctx, p, d), g.name
 
@@ -525,49 +588,92 @@ def test_involution_pairs_match_the_direct_brackets(n, N):
 
 
 def test_involution_brackets_no_two_integrals(monkeypatch):
-    """`check_involution` brackets realised generators (degree at most 2)
-    alone: each generator pair once over each proper window of both sides,
-    none with N = n, and builds no integral."""
+    """`check_involution` brackets the site images of the generators
+    (degree at most 2, over q, p and the a_i) alone: each generator pair
+    once per context, however many proper windows there are, none with
+    N = n, and it builds no integral and no window image."""
     real = coalgebra_module.canonical_bracket
     degrees = []
 
-    def recording(ctx, f, g):
+    def recording(space, f, g):
+        assert space.registry is f.registry is g.registry is ctx.site.registry
         degrees.append((f.total_degree(), g.total_degree()))
-        return real(ctx, f, g)
+        return real(space, f, g)
 
     monkeypatch.setattr(coalgebra_module, "canonical_bracket", recording)
-    for n, N, brackets in ((4, 7, 2 * 3 * 45), (4, 4, 0)):
+    for n, N, brackets in ((4, 7, 45), (4, 4, 0)):
         degrees.clear()
         ctx = PhaseContext.seeded(n, N)
+        assert check_involution(ctx).passed
         assert check_involution(ctx).passed
         assert len(degrees) == brackets
         assert all(max(pair) <= 2 for pair in degrees)
         assert "integrals" not in vars(ctx)
+        assert not ctx._images
 
 
-@pytest.mark.parametrize("side,m", [("left", 4), ("right", 5)])
-def test_involution_fails_on_a_window_map_that_is_not_poisson(side, m):
-    """y_{1,+} doubled in one proper window's memoised images breaks that
-    window map on every pair whose bracket meets y_{1,+} once; the
-    full-window realisation still passes."""
+def test_involution_fails_on_a_site_map_that_is_not_poisson():
+    """y_{1,+} -> 2 a_1 p on the site breaks the site map on every pair
+    whose bracket meets y_{1,+} once: `realization` names those pairs, and
+    `involution` names them on every proper window of both sides."""
     ctx = PhaseContext.seeded(4, 6)
-    images = ctx.realization_images(side, m)
-    v = ctx.algebra.basis.var(y_plus(1))
-    images[v] = images[v] * 2
+    site = ctx.site
+    site.images[ctx.algebra.basis.var(y_plus(1))] = \
+        2 * site.registry.poly("a1") * site.registry.poly("p")
+    pairs = ("(xm, y1p)", "(xp, y1m)", "(y1m, y1p)", "(y1p, y2m)")
+    assert check_realization_homomorphism(ctx).failures == [
+        f"realisation breaks on {pair}" for pair in pairs]
     assert check_involution(ctx).failures == [
         f"window map breaks on {pair}: side={side}, m={m}"
-        for pair in ("(xm, y1p)", "(xp, y1m)", "(y1m, y1p)", "(y1p, y2m)")]
-    assert check_realization_homomorphism(ctx).passed
+        for side in ("left", "right") for m in (4, 5) for pair in pairs]
 
 
 @pytest.mark.parametrize("g", [H, X_PLUS, y_minus(2), central(1, 2)])
 def test_vanishing_fails_on_a_perturbed_window_image(g):
+    """The site image of g, an entry of M, gains a term q: every window
+    image of g gains the sum of its q_k, so every window below the
+    threshold fails, and so does every window of route equivalence."""
     ctx = PhaseContext.seeded(4, 6)
-    images = ctx.realization_images("right", 2)
+    site = ctx.site
     v = ctx.algebra.basis.var(g)
-    images[v] = images[v] + ctx.q(6)
-    rep = check_vanishing(ctx)
-    assert rep.failures == ["realised M is not A A^T: side=right, m=2"]
+    site.images[v] = site.images[v] + site.registry.poly("q")
+    assert check_vanishing(ctx).failures == [
+        f"realised M is not A A^T: side={side}, m={m}"
+        for side in ("left", "right") for m in (1, 2, 3)]
+    assert check_route_equivalence(ctx).failures == [
+        f"routes differ at side={side}, m={m}"
+        for side in ("left", "right") for m in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("n,N", ORACLE_SIZES)
+def test_site_verdicts_match_the_window_oracles(n, N):
+    """The two site verdicts against the per-window oracles, which bracket
+    and compare each window's own images: both pass on every window of
+    both sides.  After a mutation of the site images, made before any
+    window image is built, both fail on every window: y_{1,+} -> 2 a_1 p,
+    and z_{1,1} -> a_1^2 + 1, a constant that no window bracket
+    differentiates.  A window's parameters can pass a pair by accident
+    (a sum of parameter products that vanishes), so each window fails on
+    some of the site's pairs, and the windows together on all of them."""
+    ctx = PhaseContext.seeded(n, N)
+    assert ctx.site_poisson_failures == () and ctx.site_is_gram
+    for side, m in all_windows(ctx):
+        assert window_poisson_failures(ctx, side, m) == [], (side, m)
+        assert window_is_gram(ctx, side, m), (side, m)
+    for g, image in ((y_plus(1), lambda P: 2 * P("a1") * P("p")),
+                     (central(1, 1), lambda P: P("a1") ** 2 + 1)):
+        broken = PhaseContext.seeded(n, N)
+        site = broken.site
+        site.images[broken.algebra.basis.var(g)] = image(site.registry.poly)
+        pairs = set(broken.site_poisson_failures)
+        assert pairs and not broken.site_is_gram
+        seen = set()
+        for side, m in all_windows(broken):
+            fails = window_poisson_failures(broken, side, m)
+            assert fails and set(fails) <= pairs, (g.name, side, m)
+            seen.update(fails)
+            assert not window_is_gram(broken, side, m), (g.name, side, m)
+        assert seen == pairs
 
 
 def test_vanishing_substitutes_nothing_for_degenerate_parameters(
@@ -612,7 +718,7 @@ def test_memoised_images_and_integrals_match_a_fresh_context():
         assert ctx.realization_images(*w) is imgs
         assert plain(imgs) == plain(fresh.realization_images(*w))
         for g in ctx.algebra.basis.order:
-            assert ctx.realize(g, *w).terms == fresh.realize(g, *w).terms
+            assert realize(ctx, g, *w).terms == realize(fresh, g, *w).terms
     for side, members in sets.items():
         assert integral_set(ctx, side) is members
         assert plain(members) == plain(integral_set(fresh, side))
@@ -703,6 +809,42 @@ def test_gradients_match_the_partials_of_the_integrals(n, N, rows):
             got = coalgebra_module._gradient(ctx, range(a, b + 1), point)
             assert [got.get(j, 0) for j in range(2 * N)] == \
                 [evaluate(f.partial(v), point) for v in state], name
+
+
+@pytest.mark.parametrize("n,N,rows", [
+    (3, 6, None), (4, 7, None), (4, 5, RATIONAL_ROWS),
+    # every Gram matrix singular: the Jacobian is rank deficient
+    (4, 5, {1: [1, 2, 0, 0, 3], 2: [2, 4, 0, 0, 6]})])
+def test_independence_takes_the_exact_rank_only_below_full(monkeypatch, n,
+                                                           N, rows):
+    """A modular rank that reaches the expected count decides without an
+    exact rank, and one that falls short is followed by the exact rank:
+    at every point where a patched rank always falls short.  Under that
+    patch, and under the prime 3, the result is the same."""
+    poly_module = importlib.import_module("gnlab.poly")
+    real = coalgebra_module.rank_rational
+    exact = []
+
+    def counting(rows):
+        exact.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(coalgebra_module, "rank_rational", counting)
+
+    def context():
+        return PhaseContext(n, N, rows) if rows else \
+            PhaseContext.seeded(n, N)
+
+    want = check_independence(context())
+    assert len(exact) == (0 if want.independent else len(want.attempts))
+    for patch in ((coalgebra_module, "rank_mod_p", lambda rows, limit: -1),
+                  (poly_module, "PRIME", 3)):
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            exact.clear()
+            assert check_independence(context()) == want
+            if patch[1] == "rank_mod_p":
+                assert len(exact) == len(want.attempts)
 
 
 def test_adjugate_matches_the_cofactors():

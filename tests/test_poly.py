@@ -5,6 +5,7 @@ Determinants are cross-checked against the plain cofactor oracle in
 conftest, which expands along a different line with no memoization.
 """
 
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from conftest import (cofactor_det, evaluate, poly_from_json, poly_json,
 from gnlab import (BudgetExceeded, MissingVariable, Polynomial,
                    RegistryMismatch, VarRegistry, det, parse_polynomial,
                    rank_rational, sparse_nullspace)
-from gnlab.poly import monomial
+from gnlab.poly import monomial, rank_mod_p
 
 
 def abc_registry():
@@ -289,6 +290,38 @@ def test_rank_rational_goldens():
     assert rank_rational([]) == 0
     # columns are any ordered keys, and integer coefficients are accepted
     assert rank_rational([{10: 1, 3: -1}, {3: 2, 10: -2}, {7: 5}]) == 2
+
+
+def test_rank_mod_p_matches_the_exact_rank(monkeypatch):
+    """On random rational systems of known rank, sparse and with
+    denominators, the rank modulo the prime is the exact rank; read with a
+    limit, it stops there; and it never exceeds the exact rank, which a
+    small prime shows on integer rows that are independent but dependent
+    modulo it."""
+    F = Fraction
+    rng = random.Random(43)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        k = rng.randint(0, min(nrows, ncols))
+        U = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+             for _ in range(nrows)]
+        V = [[F(rng.randint(-3, 3), rng.randint(1, 4))
+              if rng.random() < 0.7 else 0 for _ in range(ncols)]
+             for _ in range(k)]
+        rows = [{j: x for j in range(ncols)
+                 if (x := sum((U[i][t] * V[t][j] for t in range(k)), F(0)))}
+                for i in range(nrows)]
+        rows = [{j: int(x) if x.denominator == 1 and rng.random() < 0.5
+                 else x for j, x in row.items()} for row in rows]
+        exact = rank_rational(rows)
+        assert rank_mod_p(rows, ncols) == exact
+        assert rank_mod_p(rows, exact - 1) == max(exact - 1, 0)
+    assert rank_mod_p([{0: 1, 1: F(1, 2)}, {0: 2, 1: 1}, {2: 7}], 3) == 2
+    assert rank_mod_p([], 4) == 0
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 4}]  # determinant 3
+    assert rank_rational(rows) == 2
+    monkeypatch.setattr(importlib.import_module("gnlab.poly"), "PRIME", 3)
+    assert rank_mod_p(rows, 2) == 1
 
 
 def test_nullspace_goldens():
