@@ -628,6 +628,24 @@ def test_involution_fails_on_a_site_map_that_is_not_poisson():
         for side in ("left", "right") for m in (4, 5) for pair in pairs]
 
 
+@pytest.mark.parametrize("side,m", [("left", 4), ("right", 5)])
+def test_involution_fails_on_a_window_map_that_is_not_poisson(side, m):
+    """y_{1,+} -> 2 a_1 p on the site breaks the proper window map phi_m
+    built from it: bracketed over the window's own images, phi_m fails on
+    every pair whose bracket meets y_{1,+} once, and `involution` names
+    exactly those pairs for that window."""
+    ctx = PhaseContext.seeded(4, 6)
+    site = ctx.site
+    site.images[ctx.algebra.basis.var(y_plus(1))] = \
+        2 * site.registry.poly("a1") * site.registry.poly("p")
+    pairs = ["(xm, y1p)", "(xp, y1m)", "(y1m, y1p)", "(y1p, y2m)"]
+    assert window_poisson_failures(ctx, side, m) == pairs
+    suffix = f": side={side}, m={m}"
+    assert [f for f in check_involution(ctx).failures
+            if f.endswith(suffix)] == [
+        f"window map breaks on {pair}{suffix}" for pair in pairs]
+
+
 @pytest.mark.parametrize("g", [H, X_PLUS, y_minus(2), central(1, 2)])
 def test_vanishing_fails_on_a_perturbed_window_image(g):
     """The site image of g, an entry of M, gains a term q: every window
