@@ -24,10 +24,10 @@ failures instead of asserting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .poly import (Polynomial, VarId, VarRegistry, monomial, rank_rational,
                    sparse_nullspace)
@@ -36,21 +36,32 @@ from .reports import Report
 _KINDS = ("h", "xm", "xp", "ym", "yp", "z")
 
 
-@dataclass(frozen=True)
-class Generator:
+class _GeneratorFields(NamedTuple):
     kind: str
     i: int = 0
     j: int = 0
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("h", "xm", "xp") and (self.i or self.j):
-            raise ValueError(f"{self.kind} takes no indices")
-        if self.kind in ("ym", "yp") and (self.i < 1 or self.j):
+
+class Generator(_GeneratorFields):
+    """One basis element by kind and indices, compared and hashed by
+    value; every construction (`_replace` and unpickling included) checks
+    that the indices suit the kind."""
+    __slots__ = ()
+
+    def __new__(cls, kind: str, i: int = 0, j: int = 0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind in ("h", "xm", "xp") and (i or j):
+            raise ValueError(f"{kind} takes no indices")
+        if kind in ("ym", "yp") and (i < 1 or j):
             raise ValueError("ladder generators take a single index >= 1")
-        if self.kind == "z" and not (1 <= self.i <= self.j):
+        if kind == "z" and not (1 <= i <= j):
             raise ValueError("central indices must satisfy 1 <= i <= j")
+        return super().__new__(cls, kind, i, j)
+
+    @classmethod
+    def _make(cls, iterable) -> Generator:
+        return cls(*iterable)
 
     @property
     def name(self) -> str:
@@ -102,11 +113,12 @@ def canonical_order(n: int) -> tuple[Generator, ...]:
     return tuple(order)
 
 
-@dataclass(frozen=True, eq=False)
 class GnBasis:
-    n: int
-    order: tuple[Generator, ...]
-    registry: VarRegistry
+    def __init__(self, n: int, order: tuple[Generator, ...],
+                 registry: VarRegistry):
+        self.n = n
+        self.order = order
+        self.registry = registry
 
     @property
     def dim(self) -> int:
@@ -186,10 +198,10 @@ class StructureConstants:
         return acc
 
 
-@dataclass(frozen=True, eq=False)
 class GnAlgebra:
-    basis: GnBasis
-    constants: StructureConstants
+    def __init__(self, basis: GnBasis, constants: StructureConstants):
+        self.basis = basis
+        self.constants = constants
 
     @property
     def n(self) -> int:
@@ -320,8 +332,7 @@ def compute_centre(alg: GnAlgebra) -> list[dict[int, Fraction]]:
     return sparse_nullspace(rows.values(), alg.basis.dim)
 
 
-@dataclass(frozen=True)
-class InvariantCount:
+class InvariantCount(NamedTuple):
     """Beltrametti-Blasi data: the commutator rank, an upper bound for it
     (the rank is certified when the two are equal) and the number
     nu = dim - rank of independent invariants."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
@@ -72,19 +71,15 @@ def casimir_matrix(alg: GnAlgebra) -> Rows:
     return tuple(rows)
 
 
-@dataclass(frozen=True, eq=False)
 class CasimirResult:
     """C_n and its matrix M: `polynomial` is -det M, computed from M."""
-    algebra: GnAlgebra
-    matrix: Rows
-    polynomial: Polynomial = field(init=False)
-    degree: int = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, algebra: GnAlgebra, matrix: Rows):
+        self.algebra = algebra
+        self.matrix = matrix
         # -det M, by negating the first row: no pass over the terms
-        c = det([[-e for e in self.matrix[0]], *self.matrix[1:]])
-        object.__setattr__(self, "polynomial", c)
-        object.__setattr__(self, "degree", c.total_degree())
+        self.polynomial = det([[-e for e in matrix[0]], *matrix[1:]])
+        self.degree = self.polynomial.total_degree()
 
     @cached_property
     def intertwining_failures(self) -> tuple[str, ...]:
@@ -251,11 +246,12 @@ def _weight_zero_blocks(alg: GnAlgebra,
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
 class AnsatzSolution:
-    degree: int
-    monomials: int
-    basis: tuple[Polynomial, ...]
+    def __init__(self, degree: int, monomials: int,
+                 basis: tuple[Polynomial, ...]):
+        self.degree = degree
+        self.monomials = monomials
+        self.basis = basis
 
     @property
     def dimension(self) -> int:
@@ -282,9 +278,19 @@ def ansatz_monomials(n: int, degree: int,
     """The number of degree-`degree` monomials in the T_n generators of
     g_n.  A degree below 1 raises ValueError, and more than `budget` of
     them with h-weight 0 (the columns the ansatz builds) BudgetExceeded,
-    before anything is built."""
+    before anything is built.  The count costs about T_n * degree^2 steps,
+    so a degree above the polynomial cap, or one whose count must exceed
+    the budget, is refused first: h and the T_{n-2} central generators
+    have weight 0, and alone give C(T_{n-2} + degree, degree) monomials."""
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
+    _check_degree(degree, "the ansatz")
+    t = triangular(n - 2)
+    if math.comb(t + degree, degree) > budget:
+        raise BudgetExceeded(
+            f"h and the {t} central generators alone give C({t} + {degree}, "
+            f"{degree}) weight-0 monomials of degree {degree}, above the "
+            f"budget {budget}")
     columns = _weight_zero_count(n, degree)
     if columns > budget:
         raise BudgetExceeded(

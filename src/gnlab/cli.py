@@ -25,10 +25,11 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (beltrametti_blasi, build_gn, check_jacobi, check_levi,
                       check_subalgebra_chain, check_structure, triangular)
@@ -61,8 +62,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     n: int
     N: int | None
@@ -73,10 +73,14 @@ class RunConfig:
     out: str | None
 
 
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_config_file(path: str) -> dict:
     """Key/value config text: `alpha.<i> = [a, b, ...]` with i >= 1,
     `seed = <int>`, `alpha_seed = <int>` (or `alpha-seed`); values are
-    rationals like 3 or -1/2, and no key may be given twice."""
+    rationals written as integers or p/q, like 3 or -1/2, and no key may be
+    given twice."""
     opts: dict = {"alpha": {}}
     try:
         text = open(path, encoding="utf-8").read()
@@ -104,6 +108,10 @@ def _parse_config_file(path: str) -> dict:
             if not (value.startswith("[") and value.endswith("]")):
                 raise UsageError(f"config line {lineno}: expected [a, b, ...]")
             items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
+            # other forms Fraction parses are refused: an exponent as in
+            # 1e300000000 would expand to a 300-million-digit integer
+            if not all(map(_RATIONAL.fullmatch, items)):
+                raise UsageError(f"config line {lineno}: bad rational")
             try:
                 opts["alpha"][i] = [Fraction(v) for v in items]
             except (ValueError, ZeroDivisionError):

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import Generator, GnAlgebra, build_gn
 from .casimir import CasimirResult, casimir
@@ -481,8 +481,7 @@ def check_jacobian_budget(n: int, N: int) -> None:
             f"{MAX_JACOBIAN_ENTRIES:,}")
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     rank: int
     expected: int
     attempts: tuple[int, ...]

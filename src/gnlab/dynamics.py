@@ -32,8 +32,7 @@ detected from the monomial support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .coalgebra import PhaseContext
 from .poly import BudgetExceeded, Polynomial, exponents
@@ -100,12 +99,13 @@ def compile_evaluator(poly: Polynomial,
     return lambda s: f(s)[0]
 
 
-@dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
-    ctx: PhaseContext
-    hamiltonian: Polynomial
-    dq_dt: tuple[Polynomial, ...]  # dH/dp_k
-    dp_dt: tuple[Polynomial, ...]  # -dH/dq_k
+    def __init__(self, ctx: PhaseContext, hamiltonian: Polynomial,
+                 dq_dt: tuple[Polynomial, ...], dp_dt: tuple[Polynomial, ...]):
+        self.ctx = ctx
+        self.hamiltonian = hamiltonian
+        self.dq_dt = dq_dt  # dH/dp_k
+        self.dp_dt = dp_dt  # -dH/dq_k
 
     @classmethod
     def build(cls, ctx: PhaseContext,
@@ -128,11 +128,12 @@ class HamiltonianSystem:
         return True
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (samples, 2N), columns q1..qN, p1..pN
-    observables: dict[str, np.ndarray]
+    def __init__(self, times: np.ndarray, states: np.ndarray,
+                 observables: dict[str, np.ndarray]):
+        self.times = times
+        self.states = states  # shape (samples, 2N), columns q1..qN, p1..pN
+        self.observables = observables
 
 
 def _rk4(f: Callable, s: list[float], step: float,
@@ -233,8 +234,7 @@ def integrate(system: HamiltonianSystem, x0, step: float, t_end: float,
     return Trajectory(times=times, states=states, observables=sampled)
 
 
-@dataclass(frozen=True)
-class DriftStats:
+class DriftStats(NamedTuple):
     initial: float
     max_abs_deviation: float
     max_relative_deviation: float

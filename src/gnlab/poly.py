@@ -40,7 +40,6 @@ The module also carries the exact linear algebra used everywhere else:
 
 from __future__ import annotations
 
-import ast
 import bisect
 import json
 import math
@@ -56,6 +55,13 @@ MAX_DEGREE = (1 << _BITS) - 1
 _RENDER_GROUP = 16
 
 _ZERO = Fraction(0)
+
+# Most bits `parse_polynomial` lets a power reach: the exponent times the
+# bit length of the base's largest numerator or denominator, an estimate
+# of the power's coefficient size, may not exceed 2^16 (about 19,700
+# decimal digits).  The base is expanded first, so nested powers are
+# bounded by their real size.
+MAX_POWER_BITS = 1 << 16
 
 
 class RegistryMismatch(ValueError):
@@ -599,7 +605,10 @@ def derive(terms: Mapping[int, Fraction | int], degree: int,
 
 def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:
     """Parse an arithmetic expression (+, -, *, /, **, ^ and parentheses)
-    over registered variable names and rational literals."""
+    over registered variable names and rational literals.  A power beyond
+    `MAX_POWER_BITS` raises ValueError before it is expanded."""
+    import ast
+
     try:
         node = ast.parse(text.replace("^", "**").strip(), mode="eval").body
     except SyntaxError as exc:
@@ -624,7 +633,15 @@ def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:
             if isinstance(nd.op, ast.Pow):
                 right = nd.right
                 if isinstance(right, ast.Constant) and isinstance(right.value, int):
-                    return walk(nd.left) ** right.value
+                    base = walk(nd.left)
+                    bits = max((max(c.numerator.bit_length(),
+                                    c.denominator.bit_length())
+                                for c in base.terms.values()), default=0)
+                    if right.value * bits > MAX_POWER_BITS:
+                        raise ValueError(
+                            f"a {bits}-bit coefficient to the power "
+                            f"{right.value} exceeds {MAX_POWER_BITS} bits")
+                    return base ** right.value
                 raise ValueError("exponents must be literal nonnegative integers")
             raise ValueError("unsupported operator")
         if isinstance(nd, ast.UnaryOp):

@@ -7,14 +7,26 @@ CLI verifier) decide what a failure means.  JSON serialisation is flat:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Report:
-    check: str
-    data: dict
-    failures: list[str] = field(default_factory=list)
+    """A check's name, its data and its failures; two Reports are equal
+    when all three are."""
+
+    def __init__(self, check: str, data: dict,
+                 failures: list[str] | None = None):
+        self.check = check
+        self.data = data
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.check, self.data, self.failures) == \
+            (other.check, other.data, other.failures)
+
+    def __repr__(self) -> str:
+        return (f"Report(check={self.check!r}, data={self.data!r}, "
+                f"failures={self.failures!r})")
 
     @property
     def passed(self) -> bool:

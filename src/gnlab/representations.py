@@ -17,7 +17,6 @@ when every field annihilates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -27,15 +26,18 @@ from .poly import (Polynomial, RegistryMismatch, derive, monomial,
 from .reports import Report
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixRep:
     """Integer images of the generators; `kills` names the generators whose
     span the representation is built to have as its kernel."""
-    name: str
-    size: int
-    image: dict[Generator, list[list[int]]]
-    algebra: GnAlgebra
-    kills: tuple[Generator, ...]
+
+    def __init__(self, name: str, size: int,
+                 image: dict[Generator, list[list[int]]], algebra: GnAlgebra,
+                 kills: tuple[Generator, ...]):
+        self.name = name
+        self.size = size
+        self.image = image
+        self.algebra = algebra
+        self.kills = kills
 
     def of(self, g: Generator) -> list[list[int]]:
         return self.image[g]
@@ -148,16 +150,18 @@ def check_homomorphism(rep: MatrixRep) -> Report:
                   fails)
 
 
-@dataclass(frozen=True, eq=False)
 class CoadjointField:
     """Derivation sum_v terms[v] d/dv attached to one source generator, as
     `derive` takes it: `terms` maps a variable index to the term dict of
     its coefficient, and `degree` is their largest degree, 1 for a nonzero
     field (the coefficients are linear) and 0 for the zero field."""
-    source: Generator
-    terms: dict[int, dict]
-    degree: int
-    algebra: GnAlgebra
+
+    def __init__(self, source: Generator, terms: dict[int, dict],
+                 degree: int, algebra: GnAlgebra):
+        self.source = source
+        self.terms = terms
+        self.degree = degree
+        self.algebra = algebra
 
     def apply(self, p: Polynomial) -> Polynomial:
         if p.registry is not self.algebra.registry:

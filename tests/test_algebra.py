@@ -4,6 +4,7 @@ nesting, the Levi-type split, centre, and invariant counts.
 """
 
 import importlib
+import pickle
 import random
 
 import pytest
@@ -29,6 +30,18 @@ def test_generator_names_and_validation():
         Generator("z", 2, 1)
     with pytest.raises(ValueError):
         Generator("w")
+
+
+def test_generators_are_values_that_stay_valid():
+    """Generators compare and hash by value, survive pickling, and stay
+    validated when `_replace` builds one."""
+    g = y_plus(2)
+    assert g == Generator("yp", 2) and hash(g) == hash(Generator("yp", 2))
+    assert g != y_minus(2) and repr(g) == "Generator(kind='yp', i=2, j=0)"
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert g._replace(i=3) == y_plus(3)
+    with pytest.raises(ValueError):
+        g._replace(i=0)
 
 
 def test_canonical_order():

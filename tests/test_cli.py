@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 
 from conftest import poly_json
-from gnlab import BudgetExceeded, VarRegistry, cli, integrate
+from gnlab import BudgetExceeded, Report, VarRegistry, cli, integrate
 from gnlab.cli import main
+
+# the package exports the function `casimir`, which hides the module
+casimir_module = importlib.import_module("gnlab.casimir")
 
 
 def run(capsys, *argv):
@@ -157,8 +160,7 @@ def test_casimir_size_guard_exits_2(capsys, monkeypatch):
     def no_det(matrix):
         raise AssertionError("expanded a level above the limit")
 
-    monkeypatch.setattr(importlib.import_module("gnlab.casimir"), "det",
-                        no_det)
+    monkeypatch.setattr(casimir_module, "det", no_det)
     code, out, err = run(capsys, "casimir", "--n", "11")
     assert code == 2 and out == ""
     assert err.startswith("error: C_11 is too large to expand")
@@ -406,6 +408,18 @@ def test_the_parent_runs_the_checks_of_a_worker_that_vanishes(capsys,
     assert len(calls) == 1 and len(ran) == 1
 
 
+def test_reports_compare_by_value_and_pickle():
+    """The verify worker returns its Reports pickled; they compare by
+    value, are unhashable, and each gets its own failure list."""
+    a, b = Report("x", {"n": 1}), Report("x", {"n": 1})
+    assert a == b and a.failures is not b.failures
+    a.failures.append("bad")
+    assert a != b and not b.failures
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_the_parent_runs_the_checks_of_a_worker_that_cannot_pickle(
         capsys, monkeypatch):
     def unpicklable(obj, *args, **kwargs):
@@ -428,13 +442,19 @@ def test_verify_runs_in_one_process_where_fork_fails(capsys, monkeypatch):
 
 
 def test_exact_commands_do_not_import_numpy():
-    """Only `simulate` needs numpy, so the CLI and `verify` leave it out."""
+    """Only `simulate` needs numpy, so the CLI and `verify` leave it out;
+    nor do they load `dataclasses`, `inspect` or `ast`, which cost start-up
+    time (`parse_polynomial` alone imports `ast`)."""
     script = ("import contextlib, io, sys\n"
+              "before = set(sys.modules)\n"
               "import gnlab.cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = gnlab.cli.main(['verify', '--n', '3', '--N', '4'])\n"
               "assert code == 0, code\n"
-              "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+              "added = set(sys.modules) - before\n"
+              "slow = added & {'dataclasses', 'inspect', 'ast'}\n"
+              "assert not slow, sorted(slow)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -667,6 +687,20 @@ def test_simulate_hamiltonian_takes_generators_not_phase_variables(capsys):
                          "--H", "xp + q1")
     assert code == 2 and out == ""
     assert err == "error: bad Hamiltonian: unknown variable 'q1'\n"
+
+
+@pytest.mark.parametrize("H, bits, power", [
+    ("7^30000000*xp", 3, 30000000),
+    ("((7^255)^255)^255*xp", 716, 255)])
+def test_simulate_refuses_a_huge_constant_power(capsys, H, bits, power):
+    """A constant power too large to expand is refused before expansion;
+    the nested one is refused at its middle power, whose base 7^255 has
+    716 bits."""
+    code, out, err = run(capsys, "simulate", "--n", "2", "--N", "2",
+                         "--t-end", "0", "--H", H)
+    assert code == 2 and out == ""
+    assert err == (f"error: bad Hamiltonian: a {bits}-bit coefficient to "
+                   f"the power {power} exceeds 65536 bits\n")
 
 
 def test_simulate_size_budget_exits_2_before_allocating(capsys, monkeypatch):
@@ -1011,6 +1045,25 @@ def test_ansatz_command(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("n, degree, message", [
+    (3, 99999, "the ansatz has total degree 99999, above the limit 255"),
+    (3, 2000, "the ansatz has total degree 2000, above the limit 255"),
+    (40, 250, "h and the 741 central generators alone give C(741 + 250, "
+              "250) weight-0 monomials of degree 250, above the budget "
+              "100000")])
+def test_ansatz_refuses_before_counting(capsys, monkeypatch, n, degree,
+                                        message):
+    """A degree above the cap, or one whose weight-0 monomials from h and
+    the centre alone exceed the budget, is refused before the count."""
+    def no_count(*args):
+        raise AssertionError("counted the weight-0 monomials")
+
+    monkeypatch.setattr(casimir_module, "_weight_zero_count", no_count)
+    code, out, err = run(capsys, "ansatz", "--n", str(n), "--degree",
+                         str(degree))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_ansatz_budget_counts_weight_zero_monomials(capsys):
     """(6, 6) has 230,230 monomials but builds only the 41,034 of weight 0,
     which fit the default budget; `monomials` still counts all of them."""
@@ -1078,7 +1131,10 @@ def test_config_file_errors(tmp_path, capsys):
             ("seed = 1\nalpha.1 = [1, 2, 3]\nseed = 2\n",
              "config line 3: seed given twice"),
             ("alpha_seed = 1\nalpha.1 = [1, 2, 3]\nalpha-seed = 2\n",
-             "config line 3: alpha_seed given twice")):
+             "config line 3: alpha_seed given twice"),
+            # an exponent would expand to a 300-million-digit integer
+            ("alpha.1 = [1e300000000, 2, 3]\n", "config line 1: bad rational"),
+            ("alpha.1 = [0.5, 2, 3]\n", "config line 1: bad rational")):
         bad.write_text(text)
         code, out, err = run(capsys, "integrals", "--n", "3", "--N", "3",
                              "--config", str(bad))

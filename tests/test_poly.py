@@ -18,7 +18,7 @@ from conftest import (cofactor_det, evaluate, poly_from_json, poly_json,
 from gnlab import (BudgetExceeded, MissingVariable, Polynomial,
                    RegistryMismatch, VarRegistry, det, parse_polynomial,
                    rank_rational, sparse_nullspace)
-from gnlab.poly import monomial, rank_mod_p
+from gnlab.poly import MAX_POWER_BITS, monomial, rank_mod_p
 
 
 def abc_registry():
@@ -401,6 +401,23 @@ def test_parse_polynomial_forms():
         parse_polynomial("h / xm", reg)
     with pytest.raises(ValueError):
         parse_polynomial("import os", reg)
+
+
+def test_parse_polynomial_bounds_a_power_before_expanding_it():
+    """An exponent times the bit length of its base's coefficients may
+    reach MAX_POWER_BITS and not pass it; a nested power is bounded by its
+    expanded base."""
+    reg = VarRegistry()
+    reg.add("h")
+    assert parse_polynomial("2^32768", reg) == reg.const(2 ** 32768)
+    assert parse_polynomial("(3*h)^255", reg) == (3 * reg.poly("h")) ** 255
+    for text, bits, power in (("2^32769", 2, 32769),
+                              ("(2^1000)^66", 1001, 66),
+                              ("(h/3)^40000", 2, 40000)):
+        with pytest.raises(ValueError, match=(
+                f"a {bits}-bit coefficient to the power {power} exceeds "
+                f"{MAX_POWER_BITS} bits")):
+            parse_polynomial(text, reg)
 
 
 def test_json_roundtrip():
