@@ -9,11 +9,9 @@ same configuration and seeds; GN_LAB_SEED overrides --seed when set.
 A report, JSON or text, is streamed in pieces through one buffer that
 passes it on to stdout or `--out` in blocks of about 64 KiB, so even C_9's
 152,531 terms leave in a few hundred writes.
-`verify` builds what its checks share (the phase context, C_n and its
-intertwining identity) once; then, where the process may run on two or
-more CPUs, one forked worker claims checks from the parent's queue and
-sends back the Reports it finished, and the parent runs every check it has
-no Report for.  The report, or the error, is that of a one-process run.
+`verify` builds what its checks share (the phase context and C_n) once,
+then runs its checks in order in this one process; the first check that
+raises ends the run with that error.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import math
 import os
 import re
 import sys
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -349,107 +346,25 @@ def _wrap_independence(ctx: PhaseContext, seed: int) -> Report:
 def _verify_reports(cfg: RunConfig, ctx: PhaseContext,
                     sweep: int) -> list[Report]:
     alg = ctx.algebra
-    cas = ctx.casimir  # built once, before the checks are shared out
-    cas.intertwining_failures  # likewise the identity two checks report
-    checks = [lambda: check_jacobi(alg)]
+    cas = ctx.casimir
+    reports = [check_jacobi(alg)]
     if alg.n >= 3:
-        checks += [lambda: check_subalgebra_chain(alg),
-                   lambda: check_levi(alg)]
-    return _run_checks(checks + [
-        lambda: check_structure(alg),
-        lambda: check_homomorphism(build_faithful_rep(alg)),
-        lambda: check_homomorphism(build_quotient_rep(alg)),
-        lambda: check_field_homomorphism(alg),
-        lambda: verify_annihilation(cas),
-        lambda: verify_intertwining(cas),
-        lambda: check_grading(cas),
-        lambda: check_uniqueness(cas, sweep),
-        lambda: check_realization_homomorphism(ctx),
-        lambda: check_route_equivalence(ctx),
-        lambda: check_vanishing(ctx),
-        lambda: check_involution(ctx),
-        lambda: _wrap_independence(ctx, cfg.seed),
-    ])
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_checks(checks: list) -> list[Report]:
-    """Call each zero-argument check and return their Reports in order.
-
-    Where the process may run on two or more CPUs, can fork and has a
-    single thread, a forked worker first shares the checks with this
-    process (`_shared_reports`).  Then this process runs, in order, every
-    check it has no Report for: all of them in a one-process run, else
-    those the worker did not report.  So a check that raised in the worker
-    raises here as it would in one process, and a lost worker costs time,
-    not the run."""
-    shared = _cpus() >= 2 and hasattr(os, "fork") \
-        and threading.active_count() == 1
-    done = _shared_reports(checks) if shared else {}
-    return [done[i] if i in done else check()
-            for i, check in enumerate(checks)]
-
-
-def _shared_reports(checks: list) -> dict[int, Report]:
-    """The Reports, by index, of the checks this process and one forked
-    worker finished between them.
-
-    The check indices are written, one byte each, into a ticket pipe whose
-    write end is then closed; each process claims the next check by
-    reading one byte (atomic on a pipe) until end of file, so the larger
-    checks spread over both processes whatever their order.  The worker
-    stops at its first exception, pickles the ``{index: Report}`` it
-    finished into a result pipe and leaves by `os._exit`, so it flushes no
-    inherited stdout or `--out` buffer and runs no exit handler.  A worker
-    that cannot be forked, is killed or cannot pickle its Reports gives
-    none.  The worker is always reaped here, and killed first if this
-    process raises, in its own check or while it waits."""
-    import pickle
-    import signal
-
-    tickets, deal = os.pipe()
-    with open(deal, "wb") as fh:
-        fh.write(bytes(range(len(checks))))
-    results, sink = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (tickets, results, sink):
-            os.close(fd)
-        return {}
-    if pid == 0:
-        try:
-            os.close(results)
-            done = {}
-            # the parent runs a check that raised here again, and raises
-            with contextlib.suppress(Exception):
-                while ticket := os.read(tickets, 1):
-                    done[ticket[0]] = checks[ticket[0]]()
-            with open(sink, "wb") as fh:
-                fh.write(pickle.dumps(done))
-        finally:
-            os._exit(0)
-    os.close(sink)
-    done = {}
-    try:
-        while ticket := os.read(tickets, 1):
-            done[ticket[0]] = checks[ticket[0]]()
-        with open(results, "rb", closefd=False) as fh:
-            data = fh.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(tickets)
-        os.close(results)
-        os.waitpid(pid, 0)
-    return {**done, **pickle.loads(data)} if data else done
+        reports += [check_subalgebra_chain(alg), check_levi(alg)]
+    return reports + [
+        check_structure(alg),
+        check_homomorphism(build_faithful_rep(alg)),
+        check_homomorphism(build_quotient_rep(alg)),
+        check_field_homomorphism(alg),
+        verify_annihilation(cas),
+        verify_intertwining(cas),
+        check_grading(cas),
+        check_uniqueness(cas, sweep),
+        check_realization_homomorphism(ctx),
+        check_route_equivalence(ctx),
+        check_vanishing(ctx),
+        check_involution(ctx),
+        _wrap_independence(ctx, cfg.seed),
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -527,10 +442,9 @@ def cmd_simulate(args) -> int:
     ctx = _context(cfg)
     try:
         gen_poly = parse_polynomial(args.H, ctx.algebra.registry)
-        hamiltonian = ctx.realize_poly(gen_poly)
+        system = HamiltonianSystem.build(ctx, ctx.realize_poly(gen_poly))
     except (ValueError, MissingVariable) as exc:
         raise UsageError(f"bad Hamiltonian: {exc}") from None
-    system = HamiltonianSystem.build(ctx, hamiltonian)
     if args.x0:
         try:
             x0 = [float(v) for v in args.x0.split(",")]

@@ -110,11 +110,22 @@ class HamiltonianSystem:
     @classmethod
     def build(cls, ctx: PhaseContext,
               hamiltonian: Polynomial) -> "HamiltonianSystem":
+        """Raise ValueError where a coefficient of H or of one of its
+        partials, which the integrator turns into floats, is beyond float
+        range."""
         ctx.check_phase(hamiltonian)
         dq = tuple(hamiltonian.partial(ctx.pvar(k))
                    for k in range(1, ctx.N + 1))
         dp = tuple(-hamiltonian.partial(ctx.qvar(k))
                    for k in range(1, ctx.N + 1))
+        for poly in (hamiltonian, *dq, *dp):
+            for coeff in poly.terms.values():
+                try:
+                    float(coeff)
+                except OverflowError:
+                    raise ValueError(
+                        "a coefficient of H or of its partials is beyond "
+                        "float range") from None
         return cls(ctx, hamiltonian, dq, dp)
 
     def is_separable(self) -> bool:

@@ -173,8 +173,8 @@ def rational_point(reg: VarRegistry, rng) -> dict:
 
 @pytest.fixture(autouse=True)
 def no_process_left():
-    """Every test reaps each process it starts, `verify`'s worker among
-    them: after the test this process has no child, running or exited."""
+    """Every test reaps each process it starts: after the test this
+    process has no child, running or exited."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -8,11 +8,8 @@ import importlib
 import io
 import json
 import os
-import pickle
-import signal
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -227,7 +224,6 @@ def test_verify_builds_no_integral(monkeypatch):
         return real(ctx, indices)
 
     monkeypatch.setattr(coalgebra, "building_block", counting)
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
     for n, N in ((4, 7), (6, 6)):
         args = cli.build_parser().parse_args(
             ["verify", "--n", str(n), "--N", str(N)])
@@ -276,83 +272,13 @@ def test_verify_respects_ceiling(capsys):
     assert code == 2 and "ceiling" in err
 
 
-def _fork_calls(monkeypatch, cpus: int, then=None) -> list:
-    """Let the CLI see `cpus` CPUs and count its `os.fork` calls; `then`
-    runs in both processes right after each fork, with fork's result."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-    real = os.fork
-    calls = []
-
-    def fork():
-        calls.append(None)
-        pid = real()
-        if then is not None:
-            then(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-def _worker_first(pid):
-    """In the parent, wait until the worker has exited (leaving it to be
-    reaped), so the worker claims the first check."""
-    deadline = time.monotonic() + 30
-    while pid and os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT
-                            | os.WNOHANG) is None:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            raise AssertionError("the worker did not finish in 30 s")
-        time.sleep(0.005)
-
-
-def _parent_first(pid):
-    """In the worker, sleep until the parent kills it, so the parent claims
-    the first check."""
-    if pid == 0:
-        time.sleep(10)
-
-
-@pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1)],
-                         ids=["one-cpu", "two-cpus"])
-def test_verify_output_is_the_same_with_and_without_a_worker(
-        capsys, monkeypatch, cpus, forks):
-    """With two CPUs one forked worker shares the checks (the fork count
-    rules out a silent fall back to one process); the bytes are the same."""
-    command = "verify --n 5 --N 6 --seed 3 --format json"
-    calls = _fork_calls(monkeypatch, cpus)
-    code, out, _ = run(capsys, *command.split())
-    assert code == 0 and len(calls) == forks
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
-        == OUTPUT_SHA256[command]
-
-
-@pytest.mark.parametrize("cpus, then, killed", [(1, None, []),
-                                                (2, _worker_first, [False]),
-                                                (2, _parent_first, [True])],
-                         ids=["in-process", "worker", "parent"])
-def test_a_check_over_budget_exits_2_in_either_process(capsys, monkeypatch,
-                                                       cpus, then, killed):
-    """The error and exit code are those of one process; a worker is
-    killed when the parent's own check raises, and always reaped."""
+def test_a_check_over_budget_exits_2(capsys, monkeypatch):
     def over_budget(alg):
         raise BudgetExceeded("jacobi over budget")
 
     monkeypatch.setattr(cli, "check_jacobi", over_budget)
-    calls = _fork_calls(monkeypatch, cpus, then)
-    real_waitpid, statuses = os.waitpid, []
-
-    def waitpid(pid, options):
-        got = real_waitpid(pid, options)
-        statuses.append(got[1])
-        return got
-
-    monkeypatch.setattr(os, "waitpid", waitpid)
     assert run(capsys, "verify", "--n", "3", "--N", "4") \
         == (2, "", "error: jacobi over budget\n")
-    assert len(calls) == cpus - 1
-    assert [os.WIFSIGNALED(s) for s in statuses] == killed
 
 
 def test_verify_expands_c_n_and_its_identity_once(capsys, monkeypatch):
@@ -372,7 +298,6 @@ def test_verify_expands_c_n_and_its_identity_once(capsys, monkeypatch):
         sums.append(None)
         return real_sum(registry, polys)
 
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
     monkeypatch.setattr(casimir_module, "det", det)
     monkeypatch.setattr(casimir_module, "poly_sum", poly_sum)
     code, out, _ = run(capsys, "verify", "--n", "5", "--N", "5")
@@ -381,64 +306,50 @@ def test_verify_expands_c_n_and_its_identity_once(capsys, monkeypatch):
     assert len(sums) == 15 * 5 * 5
 
 
-def _verify_5_6_matches_its_golden(capsys):
+def test_reports_compare_by_value():
+    """Reports compare by value, are unhashable, and each gets its own
+    failure list."""
+    a, b = Report("x", {"n": 1}), Report("x", {"n": 1})
+    assert a == b and a.failures is not b.failures
+    a.failures.append("bad")
+    assert a != b and not b.failures
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_verify_output_is_the_same_with_and_without_a_worker(
+        capsys, monkeypatch, cpus):
+    """However many CPUs the CLI sees, `verify` starts no worker process and
+    its bytes match the golden."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    command = "verify --n 5 --N 6 --seed 3 --format json"
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and calls == []
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == OUTPUT_SHA256[command]
+
+
+def test_verify_runs_in_one_process_where_fork_fails(capsys, monkeypatch):
+    """`verify` runs its checks in this process: with `os.fork` made to
+    fail, its report still matches the golden."""
+    def no_fork():
+        raise AssertionError("verify forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     command = "verify --n 5 --N 6 --seed 3 --format json"
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
         == OUTPUT_SHA256[command]
-
-
-def test_the_parent_runs_the_checks_of_a_worker_that_vanishes(capsys,
-                                                              monkeypatch):
-    """A worker that ends without sending its Reports costs time, not the
-    run: the parent runs the check the worker claimed, and the report is
-    that of one process."""
-    parent, real, ran = os.getpid(), cli.check_jacobi, []
-
-    def vanish(alg):
-        if os.getpid() != parent:
-            os._exit(0)
-        ran.append(None)
-        return real(alg)
-
-    monkeypatch.setattr(cli, "check_jacobi", vanish)
-    calls = _fork_calls(monkeypatch, 2, _worker_first)
-    _verify_5_6_matches_its_golden(capsys)
-    assert len(calls) == 1 and len(ran) == 1
-
-
-def test_reports_compare_by_value_and_pickle():
-    """The verify worker returns its Reports pickled; they compare by
-    value, are unhashable, and each gets its own failure list."""
-    a, b = Report("x", {"n": 1}), Report("x", {"n": 1})
-    assert a == b and a.failures is not b.failures
-    a.failures.append("bad")
-    assert a != b and not b.failures
-    assert pickle.loads(pickle.dumps(a)) == a
-    with pytest.raises(TypeError):
-        hash(a)
-
-
-def test_the_parent_runs_the_checks_of_a_worker_that_cannot_pickle(
-        capsys, monkeypatch):
-    def unpicklable(obj, *args, **kwargs):
-        raise pickle.PicklingError("cannot pickle the Reports")
-
-    monkeypatch.setattr(pickle, "dumps", unpicklable)
-    calls = _fork_calls(monkeypatch, 2)
-    _verify_5_6_matches_its_golden(capsys)
-    assert len(calls) == 1
-
-
-def test_verify_runs_in_one_process_where_fork_fails(capsys, monkeypatch):
-    def no_fork():
-        raise BlockingIOError("no process can be forked")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.setattr(os, "fork", no_fork)
-    _verify_5_6_matches_its_golden(capsys)
 
 
 def test_exact_commands_do_not_import_numpy():
@@ -701,6 +612,22 @@ def test_simulate_refuses_a_huge_constant_power(capsys, H, bits, power):
     assert code == 2 and out == ""
     assert err == (f"error: bad Hamiltonian: a {bits}-bit coefficient to "
                    f"the power {power} exceeds 65536 bits\n")
+
+
+@pytest.mark.parametrize("H", ["7^400*xp", "2^1024*xp"])
+def test_simulate_refuses_a_coefficient_beyond_float_range(capsys, tmp_path,
+                                                           H):
+    """A coefficient of H or of one of its partials that no float holds is
+    refused before the CSV is opened.  7^400 has 1,123 bits; xp realises
+    as (p1^2 + p2^2)/2, so 2^1024*xp has the coefficient 2^1023, which a
+    float holds, and partials with 2^1024, which none does."""
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "simulate", "--n", "2", "--N", "2",
+                         "--t-end", "0.01", "--H", H, "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err == ("error: bad Hamiltonian: a coefficient of H or of its "
+                   "partials is beyond float range\n")
+    assert not out_csv.exists()
 
 
 def test_simulate_size_budget_exits_2_before_allocating(capsys, monkeypatch):
